@@ -175,7 +175,8 @@ class GradedNicholsState:
     Degree n data: pivot basis words (lexicographically least monomials),
     right-derivative coordinates of each basis word, the rewrite map for
     every product v_i * (basis word of degree n-1), group degree and
-    multidegree per word, and lazily cached action matrices per element.
+    multidegree per word, and lazily cached action columns per element
+    (per degree, or per single word for callers that need only a few).
     """
 
     def __init__(self, module: YDModule, mem_limit=DEFAULT_MEM_LIMIT):
@@ -195,6 +196,8 @@ class GradedNicholsState:
         # products[n][(i, m)]: normal form of v_i * (degree n-1 basis word m)
         self.products = [None]
         self._action = {}
+        # (n, t, m) -> column m of action_columns(n, t), for single words
+        self._action_word = {}
 
     # -- bookkeeping
 
@@ -229,23 +232,44 @@ class GradedNicholsState:
         else:
             a1 = self.action_columns(1, t)
             aprev = self.action_columns(n - 1, t)
-            prods = self.products[n]
             previdx = self.word_index[n - 1]
-            cols = []
-            for word in self.words[n]:
-                i, tail = word[0], word[1:]
-                bidx = previdx[tail]
-                acc = {}
-                for j, s1 in a1[i].items():
-                    for k, s2 in aprev[bidx].items():
-                        s12 = s1 * s2
-                        for idx, s3 in prods[j, k].items():
-                            term = s12 * s3
-                            cur = acc.get(idx)
-                            acc[idx] = term if cur is None else cur + term
-                cols.append({k: v for k, v in acc.items() if not v.is_zero()})
+            cols = [self._word_column(n, a1[word[0]],
+                                      aprev[previdx[word[1:]]])
+                    for word in self.words[n]]
         self._action[key] = cols
         return cols
+
+    def action_column(self, n: int, t, m: int):
+        """Column m of action_columns(n, t), built only from the columns of
+        the word's tails; memoized per word."""
+        full = self._action.get((n, t))
+        if full is None and n <= 1:
+            full = self.action_columns(n, t)
+        if full is not None:
+            return full[m]
+        key = (n, t, m)
+        col = self._action_word.get(key)
+        if col is None:
+            word = self.words[n][m]
+            tail = self.action_column(n - 1, t,
+                                      self.word_index[n - 1][word[1:]])
+            col = self._word_column(n, self.action_column(1, t, word[0]), tail)
+            self._action_word[key] = col
+        return col
+
+    def _word_column(self, n: int, head, tail):
+        """t . (v_i * b) = (t . v_i) * (t . b) in normal form, for a
+        degree-n word v_i * b, from the columns head of v_i and tail of b."""
+        prods = self.products[n]
+        acc = {}
+        for j, s1 in head.items():
+            for k, s2 in tail.items():
+                s12 = s1 * s2
+                for idx, s3 in prods[j, k].items():
+                    term = s12 * s3
+                    cur = acc.get(idx)
+                    acc[idx] = term if cur is None else cur + term
+        return {k: v for k, v in acc.items() if not v.is_zero()}
 
     # -- the core step
 

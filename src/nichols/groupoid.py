@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .derivations import ad_c
 from .engine import DEFAULT_MEM_LIMIT, GradedNicholsState
-from .errors import MemoryGuardError, ModuleSpecError, ReflectionError, ScenarioError
+from .errors import ModuleSpecError, ReflectionError, ScenarioError
 from .linalg import IncrementalSpan, Matrix
 from .ydmodule import YDModule, direct_sum, fingerprint
 
@@ -245,7 +245,10 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
 
     Inside the reflected family this block sits at position j with
     multidegree alpha_j - a_ij alpha_i; irreducibility is certified by the
-    fingerprint machinery before returning.
+    fingerprint machinery before returning, and the fingerprint stays
+    cached on the module.  The action of each group element is built only
+    on the degree-n words that the chain's rows span, one word at a time
+    (GradedNicholsState.action_column), not on the whole degree-n piece.
     """
     chain = _adjoint_chain(fam, i, j, cap, mem_limit)
     if not isinstance(chain.entry, int):
@@ -276,12 +279,11 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
     dim = len(rows)
 
     def act(t):
-        cols = state.action_columns(n, t)
         columns = []
         for row in rows:
             acc = {}
             for w, cv in row.items():
-                for w2, s in cols[w].items():
+                for w2, s in state.action_column(n, t, w).items():
                     term = cv * s
                     cur = acc.get(w2)
                     acc[w2] = term if cur is None else cur + term
@@ -500,18 +502,18 @@ def real_roots(graph: GroupoidGraph,
 
     The walk enumerates (node, transport) pairs, so distinct morphisms into
     the base along different paths are all collected.  The set is flagged
-    partial when the graph is partial or any row stayed uncertified.
+    partial when the graph is partial, any row stayed uncertified, or the
+    walk would exceed state_limit pairs; it then holds the roots collected
+    so far.
     """
     base = graph.base_key
     theta = graph.nodes[base].family.theta
     start = (base, _mat_identity(theta))
     states = {start}
     queue = deque([start])
-    roots = set()
+    partial = graph.partial or graph.has_uncertified_rows()
     while queue:
         key, t = queue.popleft()
-        for j in range(theta):
-            roots.add(tuple(t[r][j] for r in range(theta)))
         for i in range(theta):
             edge = graph.edges.get((key, i))
             if edge is None:
@@ -520,12 +522,13 @@ def real_roots(graph: GroupoidGraph,
             nxt = (key2, _mat_mul(t, s))
             if nxt not in states:
                 if len(states) >= state_limit:
-                    raise MemoryGuardError(
-                        "real-root walk exceeded the state budget",
-                        limit=state_limit)
+                    partial = True
+                    queue.clear()
+                    break
                 states.add(nxt)
                 queue.append(nxt)
-    partial = graph.partial or graph.has_uncertified_rows()
+    roots = {tuple(t[r][j] for r in range(theta))
+             for _, t in states for j in range(theta)}
     return RootSet(frozenset(roots), partial)
 
 

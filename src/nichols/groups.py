@@ -35,6 +35,8 @@ class FiniteGroup:
         self._display = display
         self.order = len(self.elements)
         self._classes = None
+        self._centralizers = {}
+        self._centralizer_classes = {}
         self._exponent = None
         self._check_axioms()
 
@@ -88,27 +90,32 @@ class FiniteGroup:
 
     # -- conjugacy
 
+    def _conjugation_orbits(self, elements, gens):
+        """Orbits of elements under conjugation by gens, each sorted, in
+        order of their smallest members; an orbit closes under generators."""
+        seen = set()
+        orbits = []
+        for e in sorted(elements):
+            if e in seen:
+                continue
+            orbit = {e}
+            frontier = [e]
+            while frontier:
+                y = frontier.pop()
+                for g in gens:
+                    z = self.conjugate(g, y)
+                    if z not in orbit:
+                        orbit.add(z)
+                        frontier.append(z)
+            seen |= orbit
+            orbits.append(sorted(orbit))
+        return orbits
+
     def conjugacy_classes(self):
         """Sorted list of sorted classes; deterministic."""
         if self._classes is None:
-            seen = set()
-            classes = []
-            for e in self.elements:
-                if e in seen:
-                    continue
-                orbit = {e}
-                frontier = [e]
-                while frontier:
-                    y = frontier.pop()
-                    for g in self.generators:
-                        z = self.conjugate(g, y)
-                        if z not in orbit:
-                            orbit.add(z)
-                            frontier.append(z)
-                seen |= orbit
-                classes.append(sorted(orbit))
-            classes.sort(key=lambda cl: cl[0])
-            self._classes = classes
+            self._classes = self._conjugation_orbits(self.elements,
+                                                     self.generators)
         return self._classes
 
     def class_of(self, s):
@@ -118,8 +125,24 @@ class FiniteGroup:
         raise GroupSpecError("element not in group", element=str(s))
 
     def centralizer(self, s):
-        return [t for t in self.elements
-                if self._mul(t, s) == self._mul(s, t)]
+        """Sorted elements commuting with s; cached per element."""
+        cent = self._centralizers.get(s)
+        if cent is None:
+            cent = [t for t in self.elements
+                    if self._mul(t, s) == self._mul(s, t)]
+            self._centralizers[s] = cent
+        return cent
+
+    def centralizer_classes(self, s):
+        """Smallest member of each conjugacy class of C(s), ascending."""
+        reps = self._centralizer_classes.get(s)
+        if reps is None:
+            cent = self.centralizer(s)
+            orbits = self._conjugation_orbits(
+                cent, subgroup_generators(self, cent))
+            reps = [orbit[0] for orbit in orbits]
+            self._centralizer_classes[s] = reps
+        return reps
 
     # -- element I/O
 

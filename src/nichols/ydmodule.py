@@ -109,6 +109,7 @@ class YDModule:
             raise ModuleSpecError("basis labels must be distinct")
         self._action_cache = {}
         self._braiding = None
+        self._fingerprint = None
         if check and self.dim:
             self.check_axioms()
 
@@ -400,22 +401,23 @@ def _block_fingerprint(module: YDModule, indices):
         raise ModuleSpecError("block is not irreducible",
                               norm=str(norm), base_point=g.element_str(s))
 
-    # centralizer conjugacy classes, canonically ordered
-    seen = set()
-    value_list = []
-    for e in sorted(cent):
-        if e in seen:
-            continue
-        orbit = sorted({g.mul(g.mul(z, e), g.inv(z)) for z in cent})
-        seen |= set(orbit)
-        value_list.append((g.element_key(orbit[0]), str(char[e])))
-    return (g.element_key(s), tuple(value_list))
+    # the character on the centralizer's conjugacy classes, canonically ordered
+    value_list = tuple((g.element_key(e), str(char[e]))
+                       for e in g.centralizer_classes(s))
+    return (g.element_key(s), value_list)
 
 
 def fingerprint(module: YDModule):
-    """Canonical isomorphism key, one entry per block."""
-    return tuple(_block_fingerprint(module, list(module.block_indices(b)))
-                 for b in range(module.theta))
+    """Canonical isomorphism key, one entry per block.
+
+    Computed once per module object and cached on it, so the irreducibility
+    check (the exact character norm) also runs once per module.
+    """
+    if module._fingerprint is None:
+        module._fingerprint = tuple(
+            _block_fingerprint(module, list(module.block_indices(b)))
+            for b in range(module.theta))
+    return module._fingerprint
 
 
 # -- JSON specs
