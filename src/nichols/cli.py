@@ -243,7 +243,10 @@ def run_derive(blocks, case, cap, mem_limit):
             raise ScenarioError("'cartan_probe' must be [row, col, cap]",
                                 got=probe)
         row, col, probe_cap = probe
-        entry = cartan_entry(FamilyM(blocks), row - 1, col - 1, cap=probe_cap,
+        fam = FamilyM(blocks)
+        if len(blocks) == 2 and (row, col) == (1, 2):
+            fam.share_pair_state(0, 1, state)
+        entry = cartan_entry(fam, row - 1, col - 1, cap=probe_cap,
                              mem_limit=mem_limit)
         if isinstance(entry, UnboundedAtCap):
             verdict = f"a[{row},{col}] <= -{entry.reached - 1}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import DegreeRangeError, MemoryGuardError
-from .linalg import FieldOps, IncrementalSpan, Matrix
+from .linalg import FieldOps, Matrix, eliminate_block
 from .ydmodule import YDModule
 
 DEFAULT_MEM_LIMIT = 200000
@@ -112,17 +112,11 @@ def symmetrizer_rank(module: YDModule, n: int, inverse=False,
         blocks.setdefault(_word_key(module, word), []).append(word)
     ops = FieldOps(module.field)
     rank = 0
-    for words in blocks.values():
+    for key, words in blocks.items():
         cols = symmetrizer_columns(module, n, words, inverse=inverse)
-        pos = {w: i for i, w in enumerate(words)}
-        span = IncrementalSpan(ops, len(words), track=False)
-        for w in words:
-            vec = [ops.zero] * len(words)
-            for w2, v in cols[w].items():
-                vec[pos[w2]] = ops.lift(v)
-            kind, _ = span.insert(vec)
-            if kind == "pivot":
-                rank += 1
+        vecs = [{w2: ops.lift(v) for w2, v in cols[w].items()} for w in words]
+        rank += sum(kind == "pivot" for kind, _ in eliminate_block(
+            ops, vecs, track=False, degree=n, key=key))
     return rank
 
 
@@ -328,19 +322,14 @@ class GradedNicholsState:
         pivot_ordinals = []
         block_pivots = {}
         combo_data = {}
+        lift = ops.lift
         for key, members in blocks.items():
-            slots = sorted({(k, idx) for o in members
-                            for k, comp in enumerate(cands[o][2])
-                            for idx in comp})
-            colpos = {slot: c for c, slot in enumerate(slots)}
-            span = IncrementalSpan(ops, len(slots))
+            vecs = [{(k, idx): lift(val)
+                     for k, comp in enumerate(cands[o][2])
+                     for idx, val in comp.items()} for o in members]
             plist = []
-            for o in members:
-                vec = [ops.zero] * len(slots)
-                for k, comp in enumerate(cands[o][2]):
-                    for idx, val in comp.items():
-                        vec[colpos[k, idx]] = ops.lift(val)
-                kind, data = span.insert(vec)
+            for o, (kind, data) in zip(
+                    members, eliminate_block(ops, vecs, degree=n, key=key)):
                 if kind == "pivot":
                     plist.append(o)
                     pivot_ordinals.append(o)

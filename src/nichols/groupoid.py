@@ -97,6 +97,9 @@ class FamilyM:
         self.field = fld
         self.fingerprints = tuple(fingerprint(b)[0] for b in blocks)
         self._chains = {}
+        # (i, j, mem_limit) -> engine state of the pair algebra of blocks
+        # i and j, shared by the adjoint chains of every cap
+        self._pair_states = {}
         self._assembled = None
 
     def assembled(self) -> YDModule:
@@ -106,6 +109,28 @@ class FamilyM:
             self._assembled = direct_sum(
                 [_renamed(b, f"m{j + 1}_") for j, b in enumerate(self.blocks)])
         return self._assembled
+
+    def pair_state(self, i: int, j: int, mem_limit: int) -> GradedNicholsState:
+        """Engine state of the Nichols algebra of blocks i and j, in that
+        order; built once per (i, j, mem_limit)."""
+        key = (i, j, mem_limit)
+        state = self._pair_states.get(key)
+        if state is None:
+            pair = direct_sum([_renamed(self.blocks[i], "u"),
+                               _renamed(self.blocks[j], "w")])
+            state = self._pair_states[key] = GradedNicholsState(
+                pair, mem_limit=mem_limit)
+        return state
+
+    def share_pair_state(self, i: int, j: int, state: GradedNicholsState):
+        """Let the adjoint chains of blocks i and j extend an existing state
+        of their pair algebra.  The engine ignores basis labels, so the state
+        of any direct sum of block i and then block j will do."""
+        module = state.module
+        if (module.coaction != self.blocks[i].coaction + self.blocks[j].coaction
+                or module.theta != 2):
+            raise ValueError(f"state is not the pair algebra of blocks {i}, {j}")
+        self._pair_states[i, j, state.mem_limit] = state
 
     def __repr__(self):
         dims = ",".join(str(b.dim) for b in self.blocks)
@@ -139,9 +164,7 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
     cached = fam._chains.get(key)
     if cached is not None:
         return cached
-    pair = direct_sum([_renamed(fam.blocks[i], "u"),
-                       _renamed(fam.blocks[j], "w")])
-    state = GradedNicholsState(pair, mem_limit=mem_limit)
+    state = fam.pair_state(i, j, mem_limit)
     state.extend_to(1)
     di = fam.blocks[i].dim
     dj = fam.blocks[j].dim

@@ -1,19 +1,33 @@
-"""Dense exact linear algebra over CycloNumber.
+"""Exact linear algebra over CycloNumber.
 
 One Gauss-Jordan elimination core drives rref, kernels, span solving, and the
-incremental span tracker used by the Nichols engine.  Internally rows hold
-"raw" scalars (a bare mpq when phi(N) = 1, a coefficient tuple otherwise);
-results are rewrapped as canonical CycloNumbers, so both paths are
-bit-identical with the naive dense computation.  Pivoting is first-nonzero in
-column order: deterministic across runs and platforms.
+incremental span tracker.  Internally rows hold "raw" scalars (a bare mpq when
+phi(N) = 1, a coefficient tuple otherwise); results are rewrapped as canonical
+CycloNumbers, so both paths are bit-identical with the naive dense
+computation.  Pivoting is first-nonzero in column order: deterministic across
+runs and platforms.
+
+The Nichols engine eliminates one block of sparse vectors at a time with
+eliminate_block.  Over Q it works modulo a fixed prime and certifies every
+dependency exactly; any block it cannot certify is redone by IncrementalSpan.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import namedtuple
+from heapq import heapify, heappop, heappush
+from math import gcd, isqrt
 
-from .cyclotomic import MPQ_ONE, MPQ_ZERO, CycloField, CycloNumber, _reduce
+from .cyclotomic import MPQ_ONE, MPQ_ZERO, CycloField, CycloNumber, _reduce, mpq
 from .errors import DimensionMismatch
+
+log = logging.getLogger(__name__)
+
+# The Mersenne prime 2^61 - 1.  Rational reconstruction recovers fractions
+# whose numerator and denominator are both at most RECONSTRUCTION_BOUND.
+MODULUS = (1 << 61) - 1
+RECONSTRUCTION_BOUND = isqrt(MODULUS // 2)
 
 
 class NotInSpan:
@@ -211,6 +225,168 @@ class IncrementalSpan:
         self.rows.append(row)
         self.npivots += 1
         return ("pivot", ordinal)
+
+
+def eliminate_block(ops: FieldOps, vectors, track: bool = True,
+                    degree=None, key=None):
+    """What IncrementalSpan.insert returns for each vector, in order.
+
+    The vectors are sparse dicts (column -> raw scalar) over any hashable,
+    sortable columns.  When phi(N) = 1 the block is eliminated modulo
+    MODULUS; a vector independent mod p is independent over Q, and every
+    vector found dependent has its combination rebuilt by rational
+    reconstruction and checked exactly over Q.  So the pivots are the same
+    greedy ones and the combinations, unique over independent pivots, are
+    the same exact ones.  A block that fails any step is eliminated again
+    with IncrementalSpan, as is every block when phi(N) > 1; degree and key
+    only label the DEBUG line logged for such a fallback.
+    """
+    vectors = list(vectors)
+    if ops.phi == 1:
+        results = _eliminate_mod_p(vectors, track)
+        if not isinstance(results, str):
+            return results
+        log.debug("degree %s block %s fell back to exact elimination: %s",
+                  degree, key, results)
+    cols = sorted({c for v in vectors for c in v})
+    colpos = {c: i for i, c in enumerate(cols)}
+    span = IncrementalSpan(ops, len(cols), track=track)
+    results = []
+    for v in vectors:
+        row = [ops.zero] * len(cols)
+        for c, x in v.items():
+            row[colpos[c]] = x
+        results.append(span.insert(row))
+    return results
+
+
+def _eliminate_mod_p(vectors, track):
+    """eliminate_block over Q via GF(MODULUS), or the reason it cannot be
+    certified: "denominator", "reconstruction" or "check"."""
+    p = MODULUS
+    colidx = {}
+    den_inv = {1: 1}
+    lead = {}       # column -> index of the pivot row leading there
+    rows = []       # pivot rows mod p, leading entry 1, in echelon form
+    exprs = []      # each pivot row as a combination of pivot vectors mod p
+    pivots = []     # the pivot vectors, by ordinal
+    results = []
+    dependents = []
+    for v in vectors:
+        row = {}
+        for c, x in v.items():
+            d = x.denominator
+            inv = den_inv.get(d)
+            if inv is None:
+                if d % p == 0:
+                    return "denominator"
+                inv = den_inv[d] = pow(d, -1, p)
+            r = x.numerator * inv % p
+            if r:
+                row[colidx.setdefault(c, len(colidx))] = r
+        # row = v - sum(combo[o] * pivots[o]) throughout
+        combo = {}
+        heap = list(row)
+        heapify(heap)
+        lead_col = None
+        while heap:
+            c = heappop(heap)
+            f = row[c]
+            if not f:
+                continue
+            k = lead.get(c)
+            if k is None:
+                lead_col = c
+                break
+            for c2, y in rows[k].items():
+                old = row.get(c2)
+                if old is None:
+                    heappush(heap, c2)
+                    row[c2] = -f * y % p
+                else:
+                    row[c2] = (old - f * y) % p
+            for o, e in exprs[k].items():
+                combo[o] = (combo.get(o, 0) + f * e) % p
+        if lead_col is None:
+            dependents.append((len(results), v, len(pivots), combo))
+            results.append(None)
+            continue
+        inv = pow(f, -1, p)
+        expr = {o: -e * inv % p for o, e in combo.items() if e}
+        expr[len(pivots)] = inv
+        lead[lead_col] = len(rows)
+        rows.append({c2: y * inv % p for c2, y in row.items() if y})
+        exprs.append(expr)
+        results.append(("pivot", len(pivots)))
+        pivots.append(v)
+    lifted = {}
+    pivot_ints = {}
+    for slot, v, npivots, combo in dependents:
+        coeffs = {}
+        for o, r in combo.items():
+            if not r:
+                continue
+            q = lifted.get(r)
+            if q is None:
+                q = _rational_reconstruction(r)
+                if q is None:
+                    return "reconstruction"
+                lifted[r] = q
+            coeffs[o] = q
+        # v == sum(q * pivot) over Q, checked in integers: with each vector
+        # written as an integer vector over one denominator, clear them all
+        dv, iv = _integral(v)
+        terms = []
+        scale = dv
+        for o, q in coeffs.items():
+            if o not in pivot_ints:
+                pivot_ints[o] = _integral(pivots[o])
+            do, io = pivot_ints[o]
+            den = q.denominator * do
+            scale = scale * den // gcd(scale, den)
+            terms.append((q.numerator, den, io))
+        f = scale // dv
+        rest = {c: f * x for c, x in iv.items()}
+        for num, den, io in terms:
+            f = scale // den * num
+            for c, x in io.items():
+                rest[c] = rest.get(c, 0) - f * x
+        if any(rest.values()):
+            return "check"
+        if track:
+            dense = [MPQ_ZERO] * npivots
+            for o, q in coeffs.items():
+                dense[o] = q
+            results[slot] = ("combo", dense)
+        else:
+            results[slot] = ("combo", None)
+    return results
+
+
+def _integral(v):
+    """A sparse rational vector as (common denominator, integer vector)."""
+    den = 1
+    for x in v.values():
+        d = x.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    return den, {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+
+
+def _rational_reconstruction(r: int):
+    """Wang's rational reconstruction: the fraction a/b congruent to r mod
+    MODULUS with |a|, b <= RECONSTRUCTION_BOUND, or None if there is none."""
+    bound = RECONSTRUCTION_BOUND
+    r0, r1, t0, t1 = MODULUS, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or gcd(r1, t1) != 1:
+        return None
+    return mpq(r1, t1)
 
 
 RrefResult = namedtuple("RrefResult", ["matrix", "pivots"])

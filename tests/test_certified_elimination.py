@@ -1,0 +1,160 @@
+"""Certified mod-p elimination against the exact IncrementalSpan it replaces:
+the same insert() sequence on random and adversarial blocks, the same engine
+states on real modules, and one pair algebra per derive."""
+
+import logging
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nichols import cli, engine, linalg
+from nichols.cyclotomic import CycloField
+from nichols.engine import GradedNicholsState, symmetrizer_rank
+from nichols.linalg import MODULUS, FieldOps, IncrementalSpan, eliminate_block
+from nichols.verify import corpus, d9_module
+from nichols.ydmodule import direct_sum
+
+OPS = FieldOps(CycloField(1))
+SCENARIOS = Path(cli.__file__).parent / "scenarios"
+
+
+def exact_sequence(vectors, track=True):
+    """What feeding the vectors to IncrementalSpan.insert returns today."""
+    cols = sorted({c for v in vectors for c in v})
+    pos = {c: i for i, c in enumerate(cols)}
+    span = IncrementalSpan(OPS, len(cols), track=track)
+    out = []
+    for v in vectors:
+        row = [OPS.zero] * len(cols)
+        for c, x in v.items():
+            row[pos[c]] = x
+        out.append(span.insert(row))
+    return out
+
+
+def fallback_reasons(caplog):
+    return [r.getMessage().rsplit(": ", 1)[1] for r in caplog.records
+            if r.name == "nichols.linalg"]
+
+
+# -- random blocks
+
+SMALL = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+# half the blocks also draw multiples of p (zero mod p), denominators
+# divisible by p, and powers of 3 beyond the reconstruction bound
+WILD = st.one_of(SMALL, SMALL, SMALL, st.sampled_from(
+    [Fraction(MODULUS), Fraction(-2 * MODULUS), Fraction(1, MODULUS),
+     Fraction(3 ** 30), Fraction(3 ** 32, 7)]))
+
+
+@st.composite
+def blocks(draw):
+    entries = WILD if draw(st.booleans()) else SMALL
+    ncols = draw(st.integers(1, 7))
+    sparse = st.dictionaries(st.integers(0, ncols - 1), entries,
+                             max_size=ncols)
+    base = draw(st.lists(sparse, min_size=1, max_size=4))
+    vectors = []
+    for _ in range(draw(st.integers(1, 9))):
+        if draw(st.booleans()):
+            vectors.append(draw(st.sampled_from(base)))
+            continue
+        # a combination of base vectors, so that dependents are common
+        acc = {}
+        for b in base:
+            k = draw(entries)
+            for c, x in b.items():
+                acc[c] = acc.get(c, 0) + k * x
+        vectors.append({c: x for c, x in acc.items() if x})
+    return vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks(), st.booleans())
+def test_same_sequence_as_incremental_span(vectors, track):
+    assert eliminate_block(OPS, vectors, track) == exact_sequence(vectors, track)
+
+
+# -- adversarial blocks: each must fall back and still be exact
+
+ADVERSARIAL = {
+    # v1 = v0 mod p, but not over Q
+    "numerator divisible by p": (
+        [{0: Fraction(1), 1: Fraction(MODULUS)}, {0: Fraction(1)}], "check"),
+    "denominator divisible by p": (
+        [{0: Fraction(1, MODULUS)}, {0: Fraction(1)}], "denominator"),
+    # 3^30 mod p has no fraction of height below sqrt(p/2)
+    "unreconstructible combination": (
+        [{0: Fraction(1), 1: Fraction(1)},
+         {0: Fraction(3 ** 30), 1: Fraction(3 ** 30)}], "reconstruction"),
+    # 3^32 mod p reconstructs to a small fraction that is not the combination
+    "combination beyond the bound": (
+        [{0: Fraction(1)}, {0: Fraction(3 ** 32)}], "check"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_adversarial_block_falls_back_exactly(name, caplog):
+    vectors, reason = ADVERSARIAL[name]
+    with caplog.at_level(logging.DEBUG, logger="nichols.linalg"):
+        got = eliminate_block(OPS, vectors, degree=3, key="k")
+    assert got == exact_sequence(vectors)
+    assert fallback_reasons(caplog) == [reason]
+    assert "degree 3 block k" in caplog.records[0].getMessage()
+
+
+def test_cyclotomic_blocks_take_the_exact_path(caplog):
+    field = CycloField(3)
+    ops = FieldOps(field)
+    z = ops.lift(field.root_of_unity(1))
+    one = ops.one
+    vectors = [{0: one, 1: z}, {0: z, 1: ops.mul(z, z)}, {1: one}]
+    with caplog.at_level(logging.DEBUG, logger="nichols.linalg"):
+        got = eliminate_block(ops, vectors)
+    assert [kind for kind, _ in got] == ["pivot", "combo", "pivot"]
+    assert got[1][1] == [z]
+    assert fallback_reasons(caplog) == []
+
+
+# -- the whole engine, certified path against the exact one
+
+
+def d9_pair():
+    return direct_sum([d9_module("v"), d9_module("w")])
+
+
+def engine_data(module, cap, oracle_degree):
+    state = GradedNicholsState(module).extend_to(cap)
+    ranks = [symmetrizer_rank(module, n) for n in range(1, oracle_degree + 1)]
+    return state.words, state.products, state.derivs, ranks
+
+
+@pytest.mark.parametrize("name,cap,oracle_degree", [
+    ("d9-pair", 3, 3), ("fk3-double", 4, 4), ("four-cycle", 4, 4)])
+def test_engine_matches_forced_exact_path(name, cap, oracle_degree,
+                                          monkeypatch, caplog):
+    module = d9_pair() if name == "d9-pair" else dict(corpus())[name]
+    with caplog.at_level(logging.DEBUG, logger="nichols.linalg"):
+        certified = engine_data(module, cap, oracle_degree)
+    assert fallback_reasons(caplog) == []
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", lambda v, track: "forced")
+    assert engine_data(module, cap, oracle_degree) == certified
+
+
+def test_derive_with_probe_builds_one_pair_algebra(monkeypatch, capsys):
+    built = []
+    init = engine.GradedNicholsState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.GradedNicholsState, "__init__", counting_init)
+    path = str(SCENARIOS / "dn_obstruction.json")
+    assert cli.main(["derive", path, "--json"]) == 0
+    report = capsys.readouterr().out
+    assert len(built) == 1
+    assert '"verdict": "a[1,2] <= -2"' in report and '"-v5"' in report
