@@ -484,6 +484,9 @@ def main(argv=None) -> int:
         else:
             print(refusal, file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception:
         traceback.print_exc()
         return 1

@@ -1,9 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Scalars are polynomials in zeta_N with arbitrary-precision rational
-coefficients, kept reduced mod the N-th cyclotomic polynomial.  Canonical form
-is a coefficient tuple of length phi(N); equality and hashing are
-coefficient-wise.  No floating point anywhere.
+Scalars are polynomials in zeta_N with exact rational coefficients, kept
+reduced mod the N-th cyclotomic polynomial.  Canonical form is a coefficient
+tuple of length phi(N) whose entries are plain ints when integral and mpq
+(gmpy2's, or fractions.Fraction) otherwise, so integer arithmetic never pays
+for rational objects.  An integral mpq left over from rational arithmetic is
+harmless: it equals and hashes like the int.  Equality and hashing are
+coefficient-wise.  Every division goes through mpq, so there is no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ except ImportError:  # pragma: no cover - gmpy2 is an accelerator, not required
 
 from .errors import ConductorMismatch, ScalarParseError
 
-MPQ_ZERO = mpq(0)
-MPQ_ONE = mpq(1)
-
 _COERCIBLE = (int, type(mpq(0)), Fraction)
+
+
+def _q(x):
+    """The canonical form of a rational: a plain int when integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def euler_phi(n: int) -> int:
@@ -78,7 +84,7 @@ def cyclotomic_modulus(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-# polynomial helpers over mpq, dense low-first lists
+# polynomial helpers over the rationals, dense low-first lists
 
 
 def _pdeg(p):
@@ -93,9 +99,9 @@ def _pdivmod(a, b):
     assert db >= 0
     r = list(a)
     if _pdeg(r) < db:
-        return [MPQ_ZERO], r
-    q = [MPQ_ZERO] * (_pdeg(r) - db + 1)
-    inv_lead = 1 / b[db]
+        return [0], r
+    q = [0] * (_pdeg(r) - db + 1)
+    inv_lead = mpq(1) / b[db]
     for i in range(_pdeg(r), db - 1, -1):
         c = r[i]
         if c:
@@ -108,7 +114,7 @@ def _pdivmod(a, b):
 
 def _pmulsub(s0, q, s1):
     # s0 - q*s1
-    out = list(s0) + [MPQ_ZERO] * max(0, len(q) + len(s1) - 1 - len(s0))
+    out = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
     for i, qi in enumerate(q):
         if qi:
             for j, sj in enumerate(s1):
@@ -152,7 +158,7 @@ class CycloField:
 
     def zero(self) -> "CycloNumber":
         if self._zero is None:
-            self._zero = self._make([MPQ_ZERO] * self.phi)
+            self._zero = self._make([0] * self.phi)
         return self._zero
 
     def one(self) -> "CycloNumber":
@@ -169,29 +175,29 @@ class CycloField:
         if isinstance(value, str):
             return self.parse(value)
         if isinstance(value, _COERCIBLE):
-            coeffs = [MPQ_ZERO] * self.phi
-            coeffs[0] = mpq(value)
+            coeffs = [0] * self.phi
+            coeffs[0] = _q(mpq(value))
             return self._make(coeffs)
         raise ScalarParseError(f"cannot coerce {type(value).__name__} to CycloNumber")
 
     def rational(self, p, q=1) -> "CycloNumber":
-        coeffs = [MPQ_ZERO] * self.phi
-        coeffs[0] = mpq(p) / mpq(q)
+        coeffs = [0] * self.phi
+        coeffs[0] = _q(mpq(p) / mpq(q))
         return self._make(coeffs)
 
     def root_of_unity(self, k: int) -> "CycloNumber":
         """zeta_N^k in canonical form."""
         k = int(k) % self.conductor
         if k < self.phi:
-            coeffs = [MPQ_ZERO] * self.phi
-            coeffs[k] = MPQ_ONE
+            coeffs = [0] * self.phi
+            coeffs[k] = 1
             return self._make(coeffs)
-        vec = [MPQ_ZERO] * (k + 1)
-        vec[k] = MPQ_ONE
+        vec = [0] * (k + 1)
+        vec[k] = 1
         return self._make(_reduce(vec, self))
 
     def element(self, coeffs) -> "CycloNumber":
-        coeffs = [mpq(c) for c in coeffs]
+        coeffs = [_q(mpq(c)) for c in coeffs]
         if len(coeffs) != self.phi:
             raise ScalarParseError(
                 f"coefficient vector must have length {self.phi}",
@@ -203,21 +209,33 @@ class CycloField:
 
 
 def _reduce(vec, field: CycloField):
-    """Reduce an mpq coefficient list mod Phi_N; returns a tuple of length phi."""
+    """Reduce a rational coefficient list mod Phi_N; returns a tuple of length
+    phi."""
     mod = field.modulus
     phi = field.phi
     if len(vec) < phi:
-        vec = list(vec) + [MPQ_ZERO] * (phi - len(vec))
+        vec = list(vec) + [0] * (phi - len(vec))
     for i in range(len(vec) - 1, phi - 1, -1):
         c = vec[i]
         if c:
-            vec[i] = MPQ_ZERO
+            vec[i] = 0
             base = i - phi
             for j in range(phi):
                 mj = mod[j]
                 if mj:
                     vec[base + j] -= c * mj
     return tuple(vec[:phi])
+
+
+def _mul_coeffs(a, b, field: CycloField):
+    """The product of two coefficient tuples of one field, reduced mod Phi_N."""
+    prod = [0] * (2 * field.phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    return _reduce(prod, field)
 
 
 class CycloNumber:
@@ -293,16 +311,9 @@ class CycloNumber:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        phi = self.field.phi
-        if phi == 1:
+        if self.field.phi == 1:
             return CycloNumber(self.field, (a[0] * b[0],))
-        prod = [MPQ_ZERO] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return CycloNumber(self.field, _reduce(prod, self.field))
+        return CycloNumber(self.field, _mul_coeffs(a, b, self.field))
 
     __rmul__ = __mul__
 
@@ -312,12 +323,13 @@ class CycloNumber:
             raise ZeroDivisionError("inverse of zero CycloNumber")
         phi = self.field.phi
         if phi == 1 or self.is_rational():
-            coeffs = [MPQ_ZERO] * phi
-            coeffs[0] = 1 / self.coeffs[0]
+            coeffs = [0] * phi
+            coeffs[0] = _q(mpq(1) / self.coeffs[0])
             return CycloNumber(self.field, tuple(coeffs))
-        modpoly = [mpq(c) for c in self.field.modulus]
-        r0, r1 = modpoly, list(self.coeffs)
-        s0, s1 = [MPQ_ZERO], [MPQ_ONE]
+        # Euclid over mpq throughout, so that no division meets two ints
+        r0 = [mpq(c) for c in self.field.modulus]
+        r1 = [mpq(c) for c in self.coeffs]
+        s0, s1 = [0], [1]
         while _pdeg(r1) > 0:
             q, r = _pdivmod(r0, r1)
             r0, r1 = r1, r
@@ -325,7 +337,8 @@ class CycloNumber:
         assert _pdeg(r1) == 0, "Phi_N not coprime to a nonzero element"
         lead = r1[0]
         u = [c / lead for c in s1]
-        return CycloNumber(self.field, _reduce(u, self.field))
+        return CycloNumber(self.field,
+                           tuple(_q(c) for c in _reduce(u, self.field)))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -366,7 +379,7 @@ class CycloNumber:
                 "embedding requires the source conductor to divide the target",
                 source=n, target=m)
         step = m // n
-        vec = [MPQ_ZERO] * ((self.field.phi - 1) * step + 1)
+        vec = [0] * ((self.field.phi - 1) * step + 1)
         for k, c in enumerate(self.coeffs):
             if c:
                 vec[k * step] += c
@@ -472,9 +485,9 @@ def parse_scalar(field: CycloField, text: str) -> CycloNumber:
                                        text=text, at=pos)
             if "/" in m.group("rat"):
                 p, q = m.group("rat").split("/")
-                rat = mpq(int(p)) / mpq(int(q))
+                rat = _q(mpq(int(p)) / mpq(int(q)))
             else:
-                rat = mpq(int(m.group("rat")))
+                rat = int(m.group("rat"))
         elif m.group("star"):
             if rat is None or unit is not None or star:
                 raise ScalarParseError("misplaced '*' in scalar literal",
@@ -502,7 +515,7 @@ def parse_scalar(field: CycloField, text: str) -> CycloNumber:
         raise ScalarParseError("empty scalar literal", text=text)
     if rat is not None or unit is not None:
         commit()
-    return total
+    return CycloNumber(field, tuple(_q(c) for c in total.coeffs))
 
 
 def format_scalar(x: CycloNumber) -> str:

@@ -1,9 +1,10 @@
 """Exact linear algebra over CycloNumber.
 
 One Gauss-Jordan elimination core drives rref, kernels, span solving, and the
-incremental span tracker.  Internally rows hold "raw" scalars (a bare mpq when
-phi(N) = 1, a coefficient tuple otherwise); results are rewrapped as canonical
-CycloNumbers, so both paths are bit-identical with the naive dense
+incremental span tracker.  Internally rows hold "raw" scalars (a bare rational
+when phi(N) = 1, a coefficient tuple otherwise), in the canonical form of
+cyclotomic: a plain int when integral, an mpq otherwise.  Results are rewrapped
+as CycloNumbers, so both paths are bit-identical with the naive dense
 computation.  Pivoting is first-nonzero in column order: deterministic across
 runs and platforms.
 
@@ -19,7 +20,7 @@ from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
-from .cyclotomic import MPQ_ONE, MPQ_ZERO, CycloField, CycloNumber, _reduce, mpq
+from .cyclotomic import CycloField, CycloNumber, _mul_coeffs, _q, mpq
 from .errors import DimensionMismatch
 
 log = logging.getLogger(__name__)
@@ -62,13 +63,10 @@ class FieldOps:
             inst.field = field
             inst.phi = field.phi
             if inst.phi == 1:
-                inst.zero = MPQ_ZERO
-                inst.one = MPQ_ONE
+                inst.zero, inst.one = 0, 1
             else:
-                inst.zero = (MPQ_ZERO,) * inst.phi
-                one = [MPQ_ZERO] * inst.phi
-                one[0] = MPQ_ONE
-                inst.one = tuple(one)
+                inst.zero = (0,) * inst.phi
+                inst.one = (1,) + (0,) * (inst.phi - 1)
             cls._cache[field.conductor] = inst
         return inst
 
@@ -111,18 +109,11 @@ class FieldOps:
     def mul(self, a, b):
         if self.phi == 1:
             return a * b
-        phi = self.phi
-        prod = [MPQ_ZERO] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return _reduce(prod, self.field)
+        return _mul_coeffs(a, b, self.field)
 
     def inv(self, a):
         if self.phi == 1:
-            return 1 / a
+            return _q(mpq(1) / a)
         return self.lower(a).inv().coeffs
 
     # -- row helpers (return fresh lists)
@@ -354,7 +345,7 @@ def _eliminate_mod_p(vectors, track):
         if any(rest.values()):
             return "check"
         if track:
-            dense = [MPQ_ZERO] * npivots
+            dense = [0] * npivots
             for o, q in coeffs.items():
                 dense[o] = q
             results[slot] = ("combo", dense)
@@ -386,7 +377,7 @@ def _rational_reconstruction(r: int):
         r1, t1 = -r1, -t1
     if t1 > bound or gcd(r1, t1) != 1:
         return None
-    return mpq(r1, t1)
+    return _q(mpq(r1, t1))
 
 
 RrefResult = namedtuple("RrefResult", ["matrix", "pivots"])

@@ -1,7 +1,9 @@
 """Built-in regression matrix over the reference computations.
 
 Each check rebuilds its inputs from scratch, reruns the computation, and
-compares against a frozen reference outcome.  Location keys name the source
+compares against a frozen reference outcome.  Within one run_checks call the
+corpus checks share the corpus modules, their degree-4 states and their
+symmetrizer ranks, each computed once.  Location keys name the source
 result a check certifies.  Checks raise AssertionError on mismatch;
 run_checks turns those into FAIL rows so a broken build still reports a
 complete matrix.
@@ -176,6 +178,32 @@ def corpus():
     ]
 
 
+# values shared by the checks of one run_checks call; None outside it
+_run_memo = None
+
+
+def _shared(key, compute):
+    if _run_memo is None:
+        return compute()
+    if key not in _run_memo:
+        _run_memo[key] = compute()
+    return _run_memo[key]
+
+
+def _corpus():
+    return _shared("corpus", corpus)
+
+
+def _state4(name, module):
+    return _shared(("state", name),
+                   lambda: GradedNicholsState(module).extend_to(4))
+
+
+def _rank(name, module, n, inverse=False):
+    return _shared(("rank", name, n, inverse),
+                   lambda: symmetrizer_rank(module, n, inverse=inverse))
+
+
 # -- checks; each returns a detail string or raises AssertionError
 
 
@@ -260,29 +288,27 @@ def check_multiplication_table():
 
 def check_symmetrizer_oracle():
     lines = []
-    for name, module in corpus():
-        state = GradedNicholsState(module).extend_to(4)
-        dims = state.dims()
+    for name, module in _corpus():
+        dims = _state4(name, module).dims()
         for n in range(1, 5):
             engine = dims[n] if n < len(dims) else 0
-            rank = symmetrizer_rank(module, n)
+            rank = _rank(name, module, n)
             assert engine == rank, (name, n, engine, rank)
         lines.append(name)
     return "ranks match engine dims for n <= 4 on " + ", ".join(lines)
 
 
 def check_duality_and_inverse_braiding():
-    for name, module in corpus():
-        state = GradedNicholsState(module).extend_to(4)
+    for name, module in _corpus():
         dual_state = GradedNicholsState(module.dual()).extend_to(4)
-        dims, dual_dims = state.dims(), dual_state.dims()
+        dims, dual_dims = _state4(name, module).dims(), dual_state.dims()
         pad = max(len(dims), len(dual_dims))
         dims = list(dims) + [0] * (pad - len(dims))
         dual_dims = list(dual_dims) + [0] * (pad - len(dual_dims))
         assert dims[:5] == dual_dims[:5], (name, dims, dual_dims)
         for n in range(1, 5):
-            assert symmetrizer_rank(module, n, inverse=True) == \
-                symmetrizer_rank(module, n), (name, n)
+            assert _rank(name, module, n, inverse=True) == \
+                _rank(name, module, n), (name, n)
     return "dual and inverse-braiding dims agree for n <= 4 on all six"
 
 
@@ -364,16 +390,21 @@ CHECKS = [
 
 def run_checks(names=None):
     """Run the matrix; mismatches and crashes become FAIL rows."""
+    global _run_memo
     rows = []
-    for name, location, fn in CHECKS:
-        if names is not None and name not in names:
-            continue
-        try:
-            detail = fn()
-            rows.append({"check": name, "location": location,
-                         "status": "PASS", "detail": detail})
-        except Exception as err:
-            rows.append({"check": name, "location": location,
-                         "status": "FAIL",
-                         "detail": repr(err) if not str(err) else str(err)})
+    _run_memo = {}
+    try:
+        for name, location, fn in CHECKS:
+            if names is not None and name not in names:
+                continue
+            try:
+                detail = fn()
+                rows.append({"check": name, "location": location,
+                             "status": "PASS", "detail": detail})
+            except Exception as err:
+                rows.append({"check": name, "location": location,
+                             "status": "FAIL",
+                             "detail": repr(err) if not str(err) else str(err)})
+    finally:
+        _run_memo = None
     return rows

@@ -258,6 +258,19 @@ def test_bad_cap_is_refused(tmp_path, capsys):
     assert payload["error"] == "scenario-error"
 
 
+def test_interrupt_is_a_structured_exit(tmp_path, capsys, monkeypatch):
+    path = write_scenario(tmp_path, dict(A2_CASE))
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_hilbert", interrupted)
+    assert cli.main(["hilbert", path, "--json"]) == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "interrupted\n"
+
+
 # -- the regression matrix
 
 

@@ -1,0 +1,165 @@
+"""The canonical scalar form: a rational coefficient is a plain int when it is
+integral and an mpq otherwise, every division stays exact, and an integral
+mpq left over from rational arithmetic is the same value as the int."""
+
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nichols import linalg
+from nichols.cyclotomic import CycloField, CycloNumber, mpq
+from nichols.linalg import (MODULUS, FieldOps, _rational_reconstruction,
+                            eliminate_block)
+
+CONDUCTORS = st.sampled_from([1, 3, 4, 8, 12])
+COEFF = st.one_of(st.integers(-6, 6),
+                  st.fractions(min_value=-6, max_value=6, max_denominator=5))
+INTEGRAL = (int, type(mpq(1).numerator))
+RATIONAL = type(mpq(1, 2))
+
+
+def exact(c):
+    """An exact rational coefficient: never a float."""
+    return isinstance(c, INTEGRAL + (RATIONAL,))
+
+
+def canonical(c):
+    """An int when integral, an mpq otherwise."""
+    if not exact(c):
+        return False
+    return isinstance(c, INTEGRAL) if c.denominator == 1 else \
+        isinstance(c, RATIONAL)
+
+
+def leaves(raw):
+    """The coefficients of a raw scalar, a bare rational or a tuple."""
+    return raw if isinstance(raw, tuple) else (raw,)
+
+
+@st.composite
+def elements(draw, field, nonzero=False):
+    coeffs = draw(st.lists(COEFF, min_size=field.phi, max_size=field.phi))
+    if nonzero and not any(coeffs):
+        coeffs[0] = 1
+    return field.element(coeffs)
+
+
+@st.composite
+def element_pairs(draw):
+    field = CycloField(draw(CONDUCTORS))
+    return draw(elements(field)), draw(elements(field, nonzero=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pairs())
+def test_ring_identities_and_exact_coefficients(pair):
+    a, b = pair
+    assert (a * b) * b.inv() == a
+    assert a + (-a) == 0
+    for x in (a, b, a + b, a * b, a - b, b.inv(), a / b):
+        assert all(exact(c) for c in x.coeffs), x.coeffs
+    for x in (a, b, b.inv()):
+        assert all(canonical(c) for c in x.coeffs), x.coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONDUCTORS, st.data())
+def test_fraction_coefficients_equal_and_hash_like_ints(n, data):
+    field = CycloField(n)
+    ints = data.draw(st.lists(st.integers(-6, 6), min_size=field.phi,
+                              max_size=field.phi))
+    built = field.element([Fraction(c) for c in ints])
+    assert all(isinstance(c, INTEGRAL) for c in built.coeffs)
+    # an integral Fraction left over from rational arithmetic, kept as is
+    leftover = CycloNumber(field, tuple(Fraction(c) for c in ints))
+    plain = field.element(ints)
+    for x in (built, leftover):
+        assert x == plain and hash(x) == hash(plain)
+        assert str(x) == str(plain)
+    assert {leftover: 1}[plain] == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONDUCTORS, st.data())
+def test_parse_scalar_rational_and_field_inv_are_canonical(n, data):
+    field = CycloField(n)
+    a = data.draw(elements(field))
+    parsed = field.parse(str(a))
+    assert parsed == a
+    assert all(canonical(c) for c in parsed.coeffs), parsed.coeffs
+    p = data.draw(st.integers(-12, 12))
+    q = data.draw(st.integers(1, 12))
+    for x, value in ((field.rational(p, q), Fraction(p, q)),
+                     (field.scalar(Fraction(p, q)), Fraction(p, q)),
+                     (field.scalar(p), p)):
+        assert x == value
+        assert all(canonical(c) for c in x.coeffs), x.coeffs
+    b = data.draw(elements(field, nonzero=True))
+    ops = FieldOps(field)
+    inv = ops.inv(ops.lift(b))
+    assert all(canonical(c) for c in leaves(inv)), inv
+    assert ops.lower(inv) == b.inv()
+
+
+@st.composite
+def blocks(draw):
+    """A field and a block of sparse vectors over it, many of them dependent."""
+    field = CycloField(draw(CONDUCTORS))
+    ncols = draw(st.integers(1, 5))
+    sparse = st.dictionaries(st.integers(0, ncols - 1), elements(field),
+                             max_size=ncols)
+    base = draw(st.lists(sparse, min_size=1, max_size=3))
+    vectors = []
+    for _ in range(draw(st.integers(1, 6))):
+        acc = {}
+        for b in base:
+            k = draw(elements(field))
+            for c, x in b.items():
+                acc[c] = acc.get(c, field.zero()) + k * x
+        vectors.append({c: x for c, x in acc.items() if x})
+    return field, vectors
+
+
+def assert_exact_results(results):
+    for kind, data in results:
+        if kind == "combo":
+            for raw in data:
+                assert all(exact(c) for c in leaves(raw)), data
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks())
+def test_eliminate_block_stays_exact_on_both_paths(block):
+    field, vectors = block
+    ops = FieldOps(field)
+    raws = [{c: ops.lift(x) for c, x in v.items()} for v in vectors]
+    # phi(N) = 1 eliminates mod p, phi(N) > 1 exactly
+    results = eliminate_block(ops, raws)
+    assert_exact_results(results)
+    if field.phi == 1:
+        with mock.patch.object(linalg, "_eliminate_mod_p",
+                               lambda v, track: "forced"):
+            exact_results = eliminate_block(ops, raws)
+        assert_exact_results(exact_results)
+        assert exact_results == results
+
+
+def test_integral_results_are_ints():
+    q1, q12 = CycloField(1), CycloField(12)
+    for x in (q1.parse("4/2"), q1.parse("1/2 + 1/2"), q1.scalar(Fraction(6, 3)),
+              q1.rational(4, 2), q1.rational(1, 2).inv(),
+              q12.root_of_unity(5).inv()):
+        assert all(isinstance(c, INTEGRAL) for c in x.coeffs), x.coeffs
+    for r, value in ((5, 5), (MODULUS - 5, -5)):
+        lifted = _rational_reconstruction(r)
+        assert lifted == value and isinstance(lifted, INTEGRAL)
+    third = _rational_reconstruction(pow(3, -1, MODULUS))
+    assert third == Fraction(1, 3) and isinstance(third, RATIONAL)
+
+
+def test_field_ops_inverse_of_an_int_is_exact():
+    inv = FieldOps(CycloField(1)).inv(2)
+    assert inv == Fraction(1, 2)
+    assert not isinstance(inv, float)
