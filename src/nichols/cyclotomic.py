@@ -516,7 +516,3 @@ def parse_scalar(field: CycloField, text: str) -> CycloNumber:
     if rat is not None or unit is not None:
         commit()
     return CycloNumber(field, tuple(_q(c) for c in total.coeffs))
-
-
-def format_scalar(x: CycloNumber) -> str:
-    return str(x)

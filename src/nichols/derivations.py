@@ -47,9 +47,7 @@ def partial_right(state, k: int, x):
 
 def _left_on_word(state, n, m, j):
     """Coords of the left derivation by f_j of the m-th degree-n basis word."""
-    memo = getattr(state, "_left_memo", None)
-    if memo is None:
-        memo = state._left_memo = {}
+    memo = state._left_memo
     key = (n, m, j)
     cached = memo.get(key)
     if cached is not None:
@@ -64,10 +62,11 @@ def _left_on_word(state, n, m, j):
     tidx = state.word_index[n - 1][word[1:]]
     out = {tidx: field.one()} if j == i else {}
     # twisted term: v_i times the derivation by g_i^{-1} . f_j on the tail
-    row = state.module.action_of(state.module.coaction[i]).entries[j]
+    cols = state.module.action_of(state.module.coaction[i])
     prods = state.products[n - 1]
-    for b, rb in enumerate(row):
-        if rb.is_zero():
+    for b, col in enumerate(cols):
+        rb = col.get(j)
+        if rb is None:
             continue
         for m2, c2 in _left_on_word(state, n - 1, tidx, b).items():
             s = rb * c2
@@ -95,30 +94,6 @@ def partial_left(state, j: int, x):
             cur = out.get(idx)
             out[idx] = term if cur is None else cur + term
     return (n - 1, {k: v for k, v in out.items() if not v.is_zero()})
-
-
-class DerivationOperator:
-    """A one-sided derivation by a dual functional, applied by linearity.
-
-    functional is a dual basis index or a {index: scalar} combination.
-    """
-
-    def __init__(self, state, side: str, functional):
-        if side not in ("left", "right"):
-            raise ScenarioError("derivation side must be left or right",
-                                side=side)
-        self.state = state
-        self.side = side
-        if isinstance(functional, int):
-            functional = {functional: state.field.one()}
-        self.functional = dict(functional)
-
-    def __call__(self, x):
-        apply_one = partial_left if self.side == "left" else partial_right
-        out = (max(x[0] - 1, 0), {})
-        for j, w in self.functional.items():
-            out = add_elements(out, scale_element(w, apply_one(self.state, j, x)))
-        return out
 
 
 def _as_degree_one(state, v):
@@ -164,7 +139,7 @@ def ad_c_inv(state, v, y):
         out = add_elements(out, scale_element(si, state.multiply(xi, y)))
         for m, cm in yc.items():
             hinv = group.inv(state.hdegrees[n][m])
-            for a, s in state.module.action_column(hinv, i):
+            for a, s in state.module.action_of(hinv)[i].items():
                 t = state.multiply((n, {m: cm * s}), (1, {a: state.field.one()}))
                 out = add_elements(out, scale_element(minus * si, t))
     return out

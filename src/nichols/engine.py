@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import DegreeRangeError, MemoryGuardError
-from .linalg import FieldOps, Matrix, eliminate_block
+from .linalg import FieldOps, eliminate_block
 from .ydmodule import YDModule
 
 DEFAULT_MEM_LIMIT = 200000
 DEFAULT_ORACLE_BUDGET = 200000
-DENSE_SYMMETRIZER_BUDGET = 1500
 
 
 def _braid_apply(colmap, vec, k, field):
@@ -120,33 +119,6 @@ def symmetrizer_rank(module: YDModule, n: int, inverse=False,
     return rank
 
 
-def symmetrizer_kernel_dim(module: YDModule, n: int, inverse=False,
-                           budget=DEFAULT_ORACLE_BUDGET) -> int:
-    return module.dim ** n - symmetrizer_rank(module, n, inverse=inverse,
-                                              budget=budget)
-
-
-def symmetrizer(module: YDModule, n: int,
-                budget=DENSE_SYMMETRIZER_BUDGET) -> Matrix:
-    """Dense matrix of the degree-n quantum symmetrizer on W^(x)n."""
-    if n < 1:
-        raise DegreeRangeError("symmetrizer needs degree >= 1", degree=n)
-    size = module.dim ** n
-    if size > budget:
-        raise MemoryGuardError("dense symmetrizer exceeds the size budget",
-                               size=size, budget=budget)
-    words = list(iproduct(range(module.dim), repeat=n))
-    pos = {w: i for i, w in enumerate(words)}
-    cols = symmetrizer_columns(module, n, words)
-    zero = module.field.zero()
-    entries = [[zero] * size for _ in range(size)]
-    for w, vec in cols.items():
-        j = pos[w]
-        for w2, v in vec.items():
-            entries[pos[w2]][j] = v
-    return Matrix(module.field, entries)
-
-
 @dataclass
 class HilbertSeries:
     """Graded dimensions; total is None while the algebra is not finished."""
@@ -192,6 +164,9 @@ class GradedNicholsState:
         self._action = {}
         # (n, t, m) -> column m of action_columns(n, t), for single words
         self._action_word = {}
+        # (n, m, j) -> left derivation by f_j of the m-th degree-n basis
+        # word, filled by derivations.partial_left
+        self._left_memo = {}
 
     # -- bookkeeping
 
@@ -219,10 +194,7 @@ class GradedNicholsState:
         if n == 0:
             cols = [{0: self.field.one()}]
         elif n == 1:
-            m = mod.action_of(t)
-            cols = [{i: m.entries[i][j] for i in range(mod.dim)
-                     if not m.entries[i][j].is_zero()}
-                    for j in range(mod.dim)]
+            cols = mod.action_of(t)
         else:
             a1 = self.action_columns(1, t)
             aprev = self.action_columns(n - 1, t)

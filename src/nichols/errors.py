@@ -33,12 +33,6 @@ class ScalarParseError(WorkbenchError):
     code = "scalar-parse-error"
 
 
-class DimensionMismatch(WorkbenchError):
-    """Vector/matrix shapes do not line up."""
-
-    code = "dimension-mismatch"
-
-
 class GroupSpecError(WorkbenchError):
     """Malformed or inconsistent group description."""
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .derivations import ad_c
 from .engine import DEFAULT_MEM_LIMIT, GradedNicholsState
 from .errors import ModuleSpecError, ReflectionError, ScenarioError
-from .linalg import IncrementalSpan, Matrix
+from .linalg import IncrementalSpan
 from .ydmodule import YDModule, direct_sum, fingerprint
 
 DEFAULT_DEGREE_CAP = 8
@@ -66,8 +66,9 @@ def _same_group(a, b) -> bool:
 def _renamed(block: YDModule, name: str) -> YDModule:
     """Copy of a one-block module with fresh labels, for collision-free sums."""
     labels = [f"{name}{k + 1}" for k in range(block.dim)]
-    return YDModule(block.group, block.field, block.coaction, block.action_of,
-                    labels, block.triples, [(name, 0, block.dim)], check=False)
+    return YDModule(block.group, block.field, block.coaction,
+                    block.generator_columns, labels, block.triples,
+                    [(name, 0, block.dim)], check=False)
 
 
 class FamilyM:
@@ -269,9 +270,10 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
     Inside the reflected family this block sits at position j with
     multidegree alpha_j - a_ij alpha_i; irreducibility is certified by the
     fingerprint machinery before returning, and the fingerprint stays
-    cached on the module.  The action of each group element is built only
+    cached on the module.  The action of each group generator is built only
     on the degree-n words that the chain's rows span, one word at a time
-    (GradedNicholsState.action_column), not on the whole degree-n piece.
+    (GradedNicholsState.action_column), not on the whole degree-n piece;
+    the module derives every other element's action from the generators.
     """
     chain = _adjoint_chain(fam, i, j, cap, mem_limit)
     if not isinstance(chain.entry, int):
@@ -298,10 +300,10 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
         kind, _ = solver.insert(vec)
         if kind != "pivot":
             raise RuntimeError("adjoint chain basis is not independent")
-    fld = state.field
-    dim = len(rows)
+    group = state.module.group
 
     def act(t):
+        """Columns of t on the chain rows, solved against the rows."""
         columns = []
         for row in rows:
             acc = {}
@@ -321,13 +323,15 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
             kind, data = solver.insert(vec)
             if kind != "combo":
                 raise RuntimeError("group action left the adjoint chain span")
-            columns.append([ops.lower(cf) for cf in data])
-        return Matrix(fld, [[columns[c][r] for c in range(dim)]
-                            for r in range(dim)])
+            columns.append({r: ops.lower(cf) for r, cf in enumerate(data)
+                            if ops.nonzero(cf)})
+        return columns
 
+    dim = len(rows)
     labels = [f"{name}{k + 1}" for k in range(dim)]
     triples = [(0, k, 0) for k in range(dim)]
-    out = YDModule(state.module.group, fld, coaction, act, labels, triples,
+    out = YDModule(group, state.field, coaction,
+                   {t: act(t) for t in group.generators}, labels, triples,
                    [(name, 0, dim)], check=True)
     try:
         fingerprint(out)

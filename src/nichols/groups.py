@@ -8,6 +8,7 @@ Permutations are one-line image tuples, 1-indexed, composed as functions
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -37,6 +38,7 @@ class FiniteGroup:
         self._classes = None
         self._centralizers = {}
         self._centralizer_classes = {}
+        self._cayley_trees = {}
         self._exponent = None
         self._check_axioms()
 
@@ -144,6 +146,25 @@ class FiniteGroup:
             self._centralizer_classes[s] = reps
         return reps
 
+    def cayley_tree(self, gens):
+        """Breadth-first tree of the subgroup generated by gens, cached per
+        generator tuple: t -> (gen, parent) with t = gen * parent, and the
+        identity -> None.  Iterating it gives the elements in BFS order."""
+        gens = tuple(gens)
+        tree = self._cayley_trees.get(gens)
+        if tree is None:
+            tree = {self.identity: None}
+            frontier = deque([self.identity])
+            while frontier:
+                e = frontier.popleft()
+                for gen in gens:
+                    t = self._mul(gen, e)
+                    if t not in tree:
+                        tree[t] = (gen, e)
+                        frontier.append(t)
+            self._cayley_trees[gens] = tree
+        return tree
+
     # -- element I/O
 
     def parse_element(self, value):
@@ -158,25 +179,13 @@ class FiniteGroup:
     def element_key(self, e) -> str:
         return ",".join(str(x) for x in e)
 
-    def element_json(self, e):
-        return list(e)
-
     def element_str(self, e) -> str:
         return self._display(e)
 
 
 def generated_subgroup(group: FiniteGroup, gens):
     """Set of all products of the given elements (with identity)."""
-    have = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        y = frontier.pop()
-        for g in gens:
-            z = group.mul(y, g)
-            if z not in have:
-                have.add(z)
-                frontier.append(z)
-    return have
+    return set(group.cayley_tree(gens))
 
 
 def subgroup_generators(group: FiniteGroup, elements):
@@ -278,11 +287,6 @@ def conjugacy_class(group: FiniteGroup, s, numeration=None) -> ConjugacyClassDat
         group=group, base_point=members[0], members=members, reps=reps,
         centralizer=centralizer,
         centralizer_generators=subgroup_generators(group, centralizer))
-
-
-def rack_action(group: FiniteGroup, x, y):
-    """x |> y = x y x^-1."""
-    return group.conjugate(x, y)
 
 
 # -- permutation backend
@@ -453,13 +457,3 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         return build_dihedral(spec["n"])
     raise GroupSpecError("unknown group type", type=kind)
 
-
-def group_to_spec(group: FiniteGroup) -> dict:
-    if group.backend == "permutation":
-        return {"type": "permutation", "degree": len(group.identity),
-                "generators": [list(g) for g in group.generators]}
-    if group.backend == "abelian":
-        return {"type": "abelian", "orders": list(group.orders)}
-    if group.backend == "dihedral":
-        return {"type": "dihedral", "n": group.n}
-    raise GroupSpecError("unknown backend", backend=group.backend)

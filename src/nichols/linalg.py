@@ -1,12 +1,12 @@
-"""Exact linear algebra over CycloNumber.
+"""Exact linear algebra over CycloNumber: one elimination idiom.
 
-One Gauss-Jordan elimination core drives rref, kernels, span solving, and the
-incremental span tracker.  Internally rows hold "raw" scalars (a bare rational
-when phi(N) = 1, a coefficient tuple otherwise), in the canonical form of
-cyclotomic: a plain int when integral, an mpq otherwise.  Results are rewrapped
-as CycloNumbers, so both paths are bit-identical with the naive dense
-computation.  Pivoting is first-nonzero in column order: deterministic across
-runs and platforms.
+Rows hold "raw" scalars (a bare rational when phi(N) = 1, a coefficient
+tuple otherwise), in the canonical form of cyclotomic: a plain int when
+integral, an mpq otherwise.  FieldOps converts between raws and
+CycloNumbers.  IncrementalSpan feeds vectors one at a time and returns, for
+each, either a new pivot or its exact combination over the earlier pivots;
+pivoting is first-nonzero in column order, deterministic across runs and
+platforms.
 
 The Nichols engine eliminates one block of sparse vectors at a time with
 eliminate_block.  Over Q it works modulo a fixed prime and certifies every
@@ -16,12 +16,10 @@ dependency exactly; any block it cannot certify is redone by IncrementalSpan.
 from __future__ import annotations
 
 import logging
-from collections import namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
 from .cyclotomic import CycloField, CycloNumber, _mul_coeffs, _q, mpq
-from .errors import DimensionMismatch
 
 log = logging.getLogger(__name__)
 
@@ -29,26 +27,6 @@ log = logging.getLogger(__name__)
 # whose numerator and denominator are both at most RECONSTRUCTION_BOUND.
 MODULUS = (1 << 61) - 1
 RECONSTRUCTION_BOUND = isqrt(MODULUS // 2)
-
-
-class NotInSpan:
-    """Sentinel result of solve_in_span when the target is outside the span."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return "NotInSpan"
-
-
-NOT_IN_SPAN = NotInSpan()
 
 
 class FieldOps:
@@ -77,14 +55,6 @@ class FieldOps:
 
     def lower(self, r) -> CycloNumber:
         return CycloNumber(self.field, (r,) if self.phi == 1 else r)
-
-    def lift_vec(self, xs):
-        if self.phi == 1:
-            return [x.coeffs[0] for x in xs]
-        return [x.coeffs for x in xs]
-
-    def lower_vec(self, rs):
-        return [self.lower(r) for r in rs]
 
     # -- scalar arithmetic on raws
 
@@ -130,36 +100,6 @@ class FieldOps:
             return [a - f * b if b else a for a, b in zip(dst, src)]
         mul, sub = self.mul, self.sub
         return [sub(a, mul(f, b)) if any(b) else a for a, b in zip(dst, src)]
-
-
-def gauss_jordan(rows, ops: FieldOps):
-    """In-place reduced row echelon form on raw rows; returns pivot columns."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    nonzero = ops.nonzero
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if nonzero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        lead = rows[r][c]
-        if lead != ops.one:
-            rows[r] = ops.scale_row(rows[r], ops.inv(lead))
-        for i in range(nrows):
-            if i != r and nonzero(rows[i][c]):
-                rows[i] = ops.axpy_row(rows[i], rows[r], rows[i][c])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
 
 
 class IncrementalSpan:
@@ -378,156 +318,3 @@ def _rational_reconstruction(r: int):
     if t1 > bound or gcd(r1, t1) != 1:
         return None
     return _q(mpq(r1, t1))
-
-
-RrefResult = namedtuple("RrefResult", ["matrix", "pivots"])
-
-
-class Matrix:
-    """Immutable-by-convention dense matrix of CycloNumbers."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: CycloField, entries):
-        self.field = field
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise DimensionMismatch("ragged matrix rows")
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        conv = field.scalar
-        return cls(field, [[conv(x) for x in row] for row in rows])
-
-    @classmethod
-    def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)]
-                           for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        zero = field.zero()
-        return cls(field, [[zero] * cols for _ in range(rows)])
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.entries == other.entries
-                and self.rows == other.rows and self.cols == other.cols)
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols} over Q(z{self.field.conductor}))"
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field,
-                      [[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
-    def mat_vec(self, vec):
-        if len(vec) != self.cols:
-            raise DimensionMismatch("matrix-vector shape mismatch",
-                                    cols=self.cols, vec=len(vec))
-        out = []
-        zero = self.field.zero()
-        for row in self.entries:
-            acc = zero
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc = acc + a * x
-            out.append(acc)
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch("matrix-matrix shape mismatch")
-            cols = list(zip(*other.entries)) if other.entries else []
-            zero = self.field.zero()
-            out = []
-            for row in self.entries:
-                out_row = []
-                for col in cols:
-                    acc = zero
-                    for a, b in zip(row, col):
-                        if a and b:
-                            acc = acc + a * b
-                    out_row.append(acc)
-                out.append(out_row)
-            return Matrix(self.field, out)
-        if isinstance(other, list):
-            return self.mat_vec(other)
-        return NotImplemented
-
-    # -- dump format: array-of-arrays of scalar strings
-
-    def to_lists(self):
-        return [[str(x) for x in row] for row in self.entries]
-
-    @classmethod
-    def from_lists(cls, field, lists):
-        return cls.from_rows(field, lists)
-
-
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row echelon form plus its pivot columns."""
-    ops = FieldOps(m.field)
-    raw = [ops.lift_vec(row) for row in m.entries]
-    pivots = gauss_jordan(raw, ops)
-    out = Matrix(m.field, [ops.lower_vec(row) for row in raw])
-    return RrefResult(out, pivots)
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m).pivots)
-
-
-def kernel_basis(m: Matrix):
-    """Basis of the right null space; every vector satisfies m*v = 0 exactly."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    zero, one = m.field.zero(), m.field.one()
-    for f in free_cols:
-        vec = [zero] * m.cols
-        vec[f] = one
-        for r, c in enumerate(pivots):
-            vec[c] = -red.entries[r][f]
-        basis.append(vec)
-    return basis
-
-
-def solve_in_span(basis, target):
-    """Exact coordinates of target over the given vectors, or NOT_IN_SPAN."""
-    nbasis = len(basis)
-    dim = len(target)
-    for v in basis:
-        if len(v) != dim:
-            raise DimensionMismatch("basis vector length differs from target",
-                                    expected=dim, got=len(v))
-    if nbasis == 0:
-        if any(x for x in target):
-            return NOT_IN_SPAN
-        return []
-    if dim == 0:
-        raise DimensionMismatch("cannot infer the field from zero-length vectors")
-    field = target[0].field
-    ops = FieldOps(field)
-    span = IncrementalSpan(ops, dim, track=True)
-    ordinals = []
-    for v in basis:
-        kind, data = span.insert(ops.lift_vec(v))
-        ordinals.append((kind, data))
-    kind, data = span.insert(ops.lift_vec(target))
-    if kind == "pivot":
-        return NOT_IN_SPAN
-    # data expresses target over the accepted pivots; spread back over the
-    # original list, giving dependent basis vectors coefficient zero.
-    coeffs = [field.zero()] * nbasis
-    for i, (k, d) in enumerate(ordinals):
-        if k == "pivot":
-            if d < len(data):
-                coeffs[i] = ops.lower(data[d])
-    return coeffs

@@ -1,10 +1,12 @@
 """Yetter-Drinfeld modules over group algebras.
 
-A module is stored as: one group-degree (coaction) per basis vector, an
-action map giving the matrix of every group element, and a block structure
-carrying the Z^theta multidegree.  Braiding on basis pairs:
-c(e_a (x) e_b) = (g_a . e_b) (x) e_a with g_a the degree of e_a, and
-c^{-1}(e_a (x) e_b) = e_b (x) (g_b^{-1} . e_a).
+A module is stored as: one group-degree (coaction) per basis vector, the
+action of each group generator as sparse columns ({row: scalar} per basis
+vector, zeros omitted), and a block structure carrying the Z^theta
+multidegree.  The action of any other element is the product along its
+breadth-first Cayley-graph word, built when first asked for and memoized.
+Braiding on basis pairs: c(e_a (x) e_b) = (g_a . e_b) (x) e_a with g_a the
+degree of e_a, and c^{-1}(e_a (x) e_b) = e_b (x) (g_b^{-1} . e_a).
 """
 
 from __future__ import annotations
@@ -15,91 +17,132 @@ from math import gcd
 from .cyclotomic import CycloField
 from .errors import ModuleSpecError
 from .groups import ConjugacyClassData, FiniteGroup, build_abelian_group, conjugacy_class
-from .linalg import Matrix
 
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-class Representation:
-    """Matrix representation of a subgroup, verified by closure.
+def _compose(a, b):
+    """Columns of A*B from the sparse columns of A and B."""
+    out = []
+    for col in b:
+        acc = {}
+        for k, bv in col.items():
+            for i, av in a[k].items():
+                term = av * bv
+                cur = acc.get(i)
+                acc[i] = term if cur is None else cur + term
+        out.append({i: acc[i] for i in sorted(acc) if not acc[i].is_zero()})
+    return out
 
-    gen_matrices maps generating elements to invertible Matrix values; the
-    constructor extends multiplicatively over the whole subgroup and checks
-    that every relation is respected (same element reached two ways must get
-    the same matrix).
+
+def _transpose(cols, dim):
+    out = [{} for _ in range(dim)]
+    for i, col in enumerate(cols):
+        for j, v in col.items():
+            out[j][i] = v
+    return out
+
+
+class _GeneratedAction:
+    """A linear action given on generators as sparse columns.
+
+    The action of t is the product along t's breadth-first Cayley-graph word
+    (group.cayley_tree), memoized.  sweep checks the relations
+    A(gen * t) = A(gen) * A(t) for every reached t and every generator, which
+    makes t -> A(t) a homomorphism on the generated subgroup.
     """
 
-    def __init__(self, group: FiniteGroup, elements, gen_matrices: dict):
+    def __init__(self, group: FiniteGroup, field: CycloField, dim: int,
+                 gen_columns: dict):
+        for cols in gen_columns.values():
+            if len(cols) != dim or any(i not in range(dim)
+                                       for col in cols for i in col):
+                raise ModuleSpecError("generator action has the wrong shape",
+                                      dim=dim)
+        self.group = group
+        self.gen_columns = gen_columns
+        self.tree = group.cayley_tree(gen_columns)
+        self._memo = {group.identity: [{i: field.one()} for i in range(dim)]}
+
+    def of(self, t):
+        memo = self._memo
+        cols = memo.get(t)
+        if cols is None:
+            path = []
+            while cols is None:
+                path.append(t)
+                t = self.tree[t][1]
+                cols = memo.get(t)
+            for u in reversed(path):
+                cols = memo[u] = _compose(self.gen_columns[self.tree[u][0]],
+                                          cols)
+        return cols
+
+    def sweep(self, message: str):
+        g = self.group
+        for gen, a in self.gen_columns.items():
+            for t in sorted(self.tree):
+                if self.of(g.mul(gen, t)) != _compose(a, self.of(t)):
+                    raise ModuleSpecError(message, at=g.element_str(t))
+
+
+class Representation:
+    """Representation of a subgroup, given on generating elements.
+
+    gen_columns maps each generating element to its sparse columns; the
+    action of every other element is derived from them, and the constructor
+    checks that the generators reach exactly the subgroup's elements and
+    respect every relation.
+    """
+
+    def __init__(self, group: FiniteGroup, elements, field: CycloField,
+                 gen_columns: dict):
         self.group = group
         self.elements = sorted(elements)
-        if not gen_matrices:
+        self.field = field
+        if not gen_columns:
             raise ModuleSpecError("representation needs at least one generator matrix")
-        dims = {m.rows for m in gen_matrices.values()}
-        dims |= {m.cols for m in gen_matrices.values()}
+        dims = {len(cols) for cols in gen_columns.values()}
         if len(dims) != 1:
             raise ModuleSpecError("generator matrices must be square of equal size")
         self.carrier_dim = dims.pop()
-        self.field = next(iter(gen_matrices.values())).field
-        self.matrices = dict(gen_matrices)
-        self._table = self._close()
-        self.character = {e: self._trace(m) for e, m in self._table.items()}
-
-    def _trace(self, m: Matrix):
-        tr = self.field.zero()
-        for i in range(m.rows):
-            tr = tr + m.entries[i][i]
-        return tr
-
-    def _close(self):
-        g = self.group
-        ident = Matrix.identity(self.field, self.carrier_dim)
-        table = {g.identity: ident}
-        frontier = [g.identity]
-        while frontier:
-            e = frontier.pop()
-            for gen, mat in self.matrices.items():
-                e2 = g.mul(e, gen)
-                m2 = table[e] * mat
-                if e2 in table:
-                    if table[e2].entries != m2.entries:
-                        raise ModuleSpecError(
-                            "generator matrices violate a relation",
-                            at=g.element_str(e2))
-                else:
-                    table[e2] = m2
-                    frontier.append(e2)
-        if set(table) != set(self.elements):
+        self._action = _GeneratedAction(group, field, self.carrier_dim,
+                                        dict(gen_columns))
+        if set(self._action.tree) != set(self.elements):
             raise ModuleSpecError("matrices given on a non-generating set")
-        # full consistency sweep over the Cayley graph
-        for e in self.elements:
-            for gen, mat in self.matrices.items():
-                if table[self.group.mul(e, gen)].entries != (table[e] * mat).entries:
-                    raise ModuleSpecError("generator matrices violate a relation",
-                                          at=self.group.element_str(e))
-        return table
+        self._action.sweep("generator matrices violate a relation")
 
-    def value(self, e) -> Matrix:
-        return self._table[e]
+    def action_of(self, e):
+        return self._action.of(e)
 
 
 def one_dim_rep(group: FiniteGroup, elements, values: dict) -> Representation:
     """Character given by scalar values on generating elements."""
-    mats = {e: Matrix.from_rows(v.field, [[v]]) for e, v in values.items()}
-    return Representation(group, elements, mats)
+    if not values:
+        raise ModuleSpecError("representation needs at least one generator matrix")
+    field = next(iter(values.values())).field
+    cols = {e: [{} if v.is_zero() else {0: v}] for e, v in values.items()}
+    return Representation(group, elements, field, cols)
 
 
 class YDModule:
-    """Finite-dimensional Yetter-Drinfeld module with homogeneous basis."""
+    """Finite-dimensional Yetter-Drinfeld module with homogeneous basis.
+
+    gen_columns maps every generator of the group to its sparse columns.
+    """
 
     def __init__(self, group: FiniteGroup, field: CycloField, coaction,
-                 action_fn, labels, triples, blocks, check=True):
+                 gen_columns, labels, triples, blocks, check=True):
         self.group = group
         self.field = field
         self.coaction = list(coaction)
         self.dim = len(self.coaction)
-        self._action_fn = action_fn
+        self.generator_columns = {gen: gen_columns[gen]
+                                  for gen in group.generators}
+        self._action = _GeneratedAction(group, field, self.dim,
+                                        self.generator_columns)
         self.basis_labels = list(labels)
         self.triples = list(triples)
         self.blocks = list(blocks)  # (name, start, stop) per summand
@@ -107,7 +150,6 @@ class YDModule:
         self.label_index = {lab: i for i, lab in enumerate(self.basis_labels)}
         if len(self.label_index) != self.dim:
             raise ModuleSpecError("basis labels must be distinct")
-        self._action_cache = {}
         self._braiding = None
         self._fingerprint = None
         if check and self.dim:
@@ -126,45 +168,26 @@ class YDModule:
         _, start, stop = self.blocks[b]
         return range(start, stop)
 
-    @property
-    def action(self) -> dict:
-        return {g: self.action_of(g) for g in self.group.generators}
-
-    def action_of(self, t) -> Matrix:
-        m = self._action_cache.get(t)
-        if m is None:
-            m = self._action_fn(t)
-            self._action_cache[t] = m
-        return m
-
-    def action_column(self, t, j):
-        """Sparse column of action(t): list of (row, scalar)."""
-        m = self.action_of(t)
-        return [(i, m.entries[i][j]) for i in range(self.dim)
-                if not m.entries[i][j].is_zero()]
+    def action_of(self, t) -> list:
+        """Sparse columns of the action of t: one {row: scalar} per basis
+        vector, rows ascending, zeros omitted."""
+        return self._action.of(t)
 
     # -- axioms
 
     def check_axioms(self):
         g = self.group
-        ident = Matrix.identity(self.field, self.dim)
-        if self.action_of(g.identity).entries != ident.entries:
+        ident = [{i: self.field.one()} for i in range(self.dim)]
+        if self.generator_columns.get(g.identity, ident) != ident:
             raise ModuleSpecError("identity must act as the identity matrix")
-        for gen in g.generators:
-            a_gen = self.action_of(gen)
-            for t in g.elements:
-                lhs = self.action_of(g.mul(gen, t))
-                rhs = a_gen * self.action_of(t)
-                if lhs.entries != rhs.entries:
-                    raise ModuleSpecError("action is not a group homomorphism",
-                                          at=g.element_str(t))
-            for j in range(self.dim):
+        self._action.sweep("action is not a group homomorphism")
+        for gen, cols in self.generator_columns.items():
+            for j, col in enumerate(cols):
                 want = g.conjugate(gen, self.coaction[j])
-                for i, _ in self.action_column(gen, j):
-                    if self.coaction[i] != want:
-                        raise ModuleSpecError(
-                            "action does not permute group-degree blocks by conjugation",
-                            generator=g.element_str(gen), column=j)
+                if any(self.coaction[i] != want for i in col):
+                    raise ModuleSpecError(
+                        "action does not permute group-degree blocks by conjugation",
+                        generator=g.element_str(gen), column=j)
 
     # -- braiding
 
@@ -177,17 +200,13 @@ class YDModule:
 
     def dual(self) -> "YDModule":
         """Dual basis module: inverse-transpose action, inverse coaction."""
-        primal = self
         g = self.group
-
-        def act(t):
-            m = primal.action_of(g.inv(t))
-            return m.transpose()
-
+        gen_columns = {gen: _transpose(self.action_of(g.inv(gen)), self.dim)
+                       for gen in g.generators}
         return YDModule(
             g, self.field,
             [g.inv(e) for e in self.coaction],
-            act,
+            gen_columns,
             [lab + "*" for lab in self.basis_labels],
             list(self.triples),
             [(name + "*", a, b) for name, a, b in self.blocks],
@@ -202,38 +221,14 @@ class BraidingOperator:
         m, g = module, module.group
         self.columns = {}
         self.inverse_columns = {}
+        acts = [m.action_of(e) for e in m.coaction]
+        inverse_acts = [m.action_of(g.inv(e)) for e in m.coaction]
         for a in range(m.dim):
-            ga = m.coaction[a]
             for b in range(m.dim):
                 self.columns[a, b] = [((b2, a), s)
-                                      for b2, s in m.action_column(ga, b)]
-                gbi = g.inv(m.coaction[b])
-                self.inverse_columns[a, b] = [((b, a2), s)
-                                              for a2, s in m.action_column(gbi, a)]
-        self._matrix = None
-        self._inverse_matrix = None
-
-    def _materialize(self, columns) -> Matrix:
-        m = self.module
-        n = m.dim * m.dim
-        pos = {(a, b): a * m.dim + b for a in range(m.dim) for b in range(m.dim)}
-        out = [[m.field.zero() for _ in range(n)] for _ in range(n)]
-        for (a, b), entries in columns.items():
-            for key, s in entries:
-                out[pos[key]][pos[a, b]] = s
-        return Matrix(m.field, out)
-
-    @property
-    def matrix(self) -> Matrix:
-        if self._matrix is None:
-            self._matrix = self._materialize(self.columns)
-        return self._matrix
-
-    @property
-    def inverse_matrix(self) -> Matrix:
-        if self._inverse_matrix is None:
-            self._inverse_matrix = self._materialize(self.inverse_columns)
-        return self._inverse_matrix
+                                      for b2, s in acts[a][b].items()]
+                self.inverse_columns[a, b] = [((b, a2), s) for a2, s
+                                              in inverse_acts[b][a].items()]
 
     def apply(self, vec: dict, inverse=False) -> dict:
         """Apply to a sparse vector keyed by basis pairs."""
@@ -302,22 +297,22 @@ def build_M_O_rho(group: FiniteGroup, cls: ConjugacyClassData, rho: Representati
             labels.append(f"{name}{index_base + i}{suffix}")
             triples.append((0, i, v))
 
-    def act(elem):
-        cols = [[field.zero() for _ in range(t * d)] for _ in range(t * d)]
+    gen_columns = {}
+    for gen in group.generators:
+        cols = []
         for j in range(t):
-            k, gamma = cls.decompose(elem, j)
-            rg = rho.value(gamma)
-            for w in range(d):
-                for w2 in range(d):
-                    cols[k * d + w2][j * d + w] = rg.entries[w2][w]
-        return Matrix(field, cols)
+            k, gamma = cls.decompose(gen, j)
+            rg = rho.action_of(gamma)
+            cols.extend({k * d + w2: s for w2, s in rg[w].items()}
+                        for w in range(d))
+        gen_columns[gen] = cols
 
-    return YDModule(group, field, coaction, act, labels, triples,
+    return YDModule(group, field, coaction, gen_columns, labels, triples,
                     [(name, 0, t * d)], check=check)
 
 
 def zero_module(group: FiniteGroup, field: CycloField) -> YDModule:
-    return YDModule(group, field, [], lambda t: Matrix(field, []),
+    return YDModule(group, field, [], {gen: [] for gen in group.generators},
                     [], [], [], check=False)
 
 
@@ -342,7 +337,6 @@ def direct_sum(parts) -> YDModule:
     for p in parts:
         offsets.append(pos)
         pos += p.dim
-    dim = pos
     coaction = [e for p in parts for e in p.coaction]
     labels = [lab for p in parts for lab in p.basis_labels]
     blocks = []
@@ -353,19 +347,13 @@ def direct_sum(parts) -> YDModule:
         base = len(blocks) - len(p.blocks)
         for (blk, i, v) in p.triples:
             triples.append((base + blk, i, v))
-
-    def act(t):
-        out = [[field.zero() for _ in range(dim)] for _ in range(dim)]
-        for p, off in zip(parts, offsets):
-            m = p.action_of(t)
-            for i in range(p.dim):
-                row = m.entries[i]
-                for j in range(p.dim):
-                    out[off + i][off + j] = row[j]
-        return Matrix(field, out)
-
-    return YDModule(group, field, coaction, act, labels, triples, blocks,
-                    check=False)
+    gen_columns = {
+        gen: [{off + i: s for i, s in col.items()}
+              for p, off in zip(parts, offsets)
+              for col in p.generator_columns[gen]]
+        for gen in group.generators}
+    return YDModule(group, field, coaction, gen_columns, labels, triples,
+                    blocks, check=False)
 
 
 # -- fingerprints
@@ -385,10 +373,12 @@ def _block_fingerprint(module: YDModule, indices):
     cent = g.centralizer(s)
 
     def restricted_trace(gamma):
-        m = module.action_of(gamma)
+        cols = module.action_of(gamma)
         tr = module.field.zero()
         for i in fiber:
-            tr = tr + m.entries[i][i]
+            v = cols[i].get(i)
+            if v is not None:
+                tr = tr + v
         return tr
 
     # irreducibility: exact character norm over the centralizer
@@ -423,24 +413,50 @@ def fingerprint(module: YDModule):
 # -- JSON specs
 
 
+def _spec_scalar(field: CycloField, value):
+    if not isinstance(value, str):
+        raise ModuleSpecError("rho entries must be scalar strings", got=value)
+    return field.parse(value)
+
+
+def _spec_columns(field: CycloField, rows, dim: int):
+    """Sparse columns of a dim x dim matrix given as rows of scalar strings."""
+    if (not isinstance(rows, list) or len(rows) != dim
+            or any(not isinstance(r, list) or len(r) != dim for r in rows)):
+        raise ModuleSpecError("rho matrices must be dim x dim lists of rows",
+                              dim=dim, got=rows)
+    entries = [[_spec_scalar(field, x) for x in r] for r in rows]
+    return [{i: entries[i][j] for i in range(dim)
+             if not entries[i][j].is_zero()} for j in range(dim)]
+
+
 def module_from_spec(group: FiniteGroup, spec: dict, field: CycloField,
                      name="x", index_base=1) -> YDModule:
-    """Build one block from {"class_rep": ..., "rho": {...}} JSON."""
+    """Build one block from {"class_rep": ..., "rho": {...}} JSON.
+
+    rho is {"values": {element: scalar}} for a character, or {"dim": d,
+    "matrices": {element: d x d rows}} for a d-dimensional representation,
+    both given on generators of the class centralizer.
+    """
     if "class_rep" not in spec or "rho" not in spec:
         raise ModuleSpecError("module spec needs 'class_rep' and 'rho'")
     s = group.parse_element(spec["class_rep"])
     cls = conjugacy_class(group, s, numeration=spec.get("numeration"))
     rho_spec = spec["rho"]
+    if not isinstance(rho_spec, dict):
+        raise ModuleSpecError("'rho' must be an object", got=rho_spec)
     dim = rho_spec.get("dim", 1)
-    cent = cls.centralizer
-    if dim == 1:
-        values = {group.parse_element(k): field.parse(v)
-                  for k, v in rho_spec["values"].items()}
-        rho = one_dim_rep(group, cent, values)
-    else:
-        mats = {group.parse_element(k): Matrix.from_lists(field, rows)
-                for k, rows in rho_spec["matrices"].items()}
-        rho = Representation(group, cent, mats)
+    if not isinstance(dim, int) or dim < 1:
+        raise ModuleSpecError("rho 'dim' must be a positive integer", dim=dim)
+    key = "values" if dim == 1 else "matrices"
+    given = rho_spec.get(key)
+    if not isinstance(given, dict):
+        raise ModuleSpecError(f"rho of dim {dim} needs '{key}' as an object "
+                              "keyed by centralizer generators")
+    cols = {group.parse_element(k):
+            _spec_columns(field, [[v]] if dim == 1 else v, dim)
+            for k, v in given.items()}
+    rho = Representation(group, cls.centralizer, field, cols)
     return build_M_O_rho(group, cls, rho, name=name,
                          index_base=spec.get("index_base", index_base))
 

@@ -207,6 +207,26 @@ def test_unknown_field_is_refused(tmp_path, capsys):
     assert payload["details"]["field"] == "caps"
 
 
+MALFORMED_RHO = {
+    "values-missing": {},
+    "matrices-missing": {"dim": 2},
+    "rho-a-string": "-1",
+    "values-a-list": {"values": ["-1"]},
+    # a -1 matrix, so that without the check the run would not be trivial
+    "dim-mismatch": {"dim": 2, "matrices": {"2,1,3": [["-1"]]}},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_RHO))
+def test_malformed_rho_is_refused(tmp_path, capsys, fault):
+    scenario = json.loads((SCENARIOS / "s3_fk3.json").read_text())
+    scenario["cases"][0]["modules"][0]["rho"] = MALFORMED_RHO[fault]
+    path = write_scenario(tmp_path, scenario)
+    code, payload = refusal_payload(capsys, ["hilbert", path])
+    assert code == 2
+    assert payload["error"] == "module-spec-error"
+
+
 def test_malformed_json_is_refused(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"task": "hilbert",}')

@@ -1,0 +1,165 @@
+"""Actions derived from generator columns against per-element references.
+
+A module stores only the action of the group's generators; every other
+element acts by a product along a breadth-first Cayley-graph word.  These
+tests rebuild the action of every element independently, the way each
+producer defined it element by element, and require equality everywhere.
+"""
+
+import pytest
+
+from nichols.cyclotomic import CycloField
+from nichols.engine import DEFAULT_MEM_LIMIT
+from nichols.groupoid import FamilyM, _adjoint_chain, reflect
+from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
+from nichols.linalg import IncrementalSpan
+from nichols.verify import (
+    SIGMA,
+    TAU,
+    d9_module,
+    fk3_module,
+    four_cycle_class,
+    four_cycle_module,
+    transposition_class,
+    transposition_module,
+)
+from nichols.ydmodule import diagonal_modules
+
+Q = CycloField(1)
+
+# the three cases of perfbench/scenarios/diag_roots.json, and its cap
+DIAG_ROOTS = {
+    "a3-z3": [["z3^1", "z3^1", "1"], ["z3^1", "z3^1", "z3^1"],
+              ["1", "z3^1", "z3^1"]],
+    "b2-z12": [["z12^1", "z12^11"], ["z12^11", "z12^2"]],
+    "g2-z8": [["z8^1", "z8^5"], ["1", "z8^3"]],
+}
+DIAG_ROOTS_CAP = 6
+
+
+def reference_character(group, values):
+    """Extend a character from generator values by right multiplication,
+    depth first: a different word for each element than the module uses."""
+    table = {group.identity: Q.one()}
+    frontier = [group.identity]
+    while frontier:
+        e = frontier.pop()
+        for gen, v in values.items():
+            e2 = group.mul(e, gen)
+            if e2 not in table:
+                table[e2] = table[e] * v
+                frontier.append(e2)
+    return table
+
+
+def reference_induced(cls, chi, t):
+    """t . e_j = chi(gamma) e_k where t * reps[j] = reps[k] * gamma."""
+    cols = []
+    for j in range(cls.size):
+        k, gamma = cls.decompose(t, j)
+        cols.append({k: chi[gamma]})
+    return cols
+
+
+def fk3_case():
+    g = symmetric_group(3)
+    cls = conjugacy_class(g, (2, 1, 3), numeration={
+        "members": [[2, 1, 3], [1, 3, 2], [3, 2, 1]],
+        "reps": [[1, 2, 3], [2, 3, 1], [3, 1, 2]]})
+    return fk3_module(), cls, {(2, 1, 3): Q.rational(-1)}
+
+
+def d9_case():
+    g = build_dihedral(9)
+    inv2 = pow(2, -1, 9)
+    cls = conjugacy_class(g, (1, 0), numeration={
+        "members": [[1, i] for i in range(9)],
+        "reps": [[0, (-i * inv2) % 9] for i in range(9)]})
+    return d9_module(), cls, {(1, 0): Q.rational(-1)}
+
+
+def transposition_case(sign):
+    cls = transposition_class(symmetric_group(4))
+    values = {SIGMA[1]: Q.rational(-1), SIGMA[6]: Q.rational(sign)}
+    return transposition_module(sign), cls, values
+
+
+def four_cycle_case():
+    cls = four_cycle_class(symmetric_group(4))
+    return four_cycle_module(), cls, {TAU[1]: Q.rational(-1)}
+
+
+CORPUS = {
+    "s3-fk3": fk3_case,
+    "s4-sgn": lambda: transposition_case(-1),
+    "s4-sgn-eps": lambda: transposition_case(1),
+    "s4-chi-minus": four_cycle_case,
+    "d9": d9_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_corpus_actions_match_the_decompose_formula(name):
+    module, cls, values = CORPUS[name]()
+    g = module.group
+    assert module.coaction == cls.members
+    chi = reference_character(g, values)
+    assert set(chi) == set(cls.centralizer)
+    for t in g.elements:
+        assert module.action_of(t) == reference_induced(cls, chi, t), t
+
+
+def reference_chain_action(chain, t):
+    """Columns of t on the top chain step, solving every row's image
+    against the chain rows."""
+    state, n, rows = chain.state, chain.degree, chain.rows
+    ops = state.ops
+    slots = sorted({w for row in rows for w in row})
+    colpos = {w: c for c, w in enumerate(slots)}
+
+    def raw(vec):
+        out = [ops.zero] * len(slots)
+        for w, val in vec.items():
+            if not val.is_zero():
+                out[colpos[w]] = ops.lift(val)
+        return out
+
+    solver = IncrementalSpan(ops, len(slots), track=True)
+    for row in rows:
+        assert solver.insert(raw(row))[0] == "pivot"
+    cols = []
+    for row in rows:
+        image = {}
+        for w, cv in row.items():
+            for w2, s in state.action_columns(n, t)[w].items():
+                image[w2] = image.get(w2, state.field.zero()) + cv * s
+        kind, data = solver.insert(raw(image))
+        assert kind == "combo"
+        cols.append({r: ops.lower(cf) for r, cf in enumerate(data)
+                     if ops.nonzero(cf)})
+    return cols
+
+
+@pytest.mark.parametrize("label", sorted(DIAG_ROOTS))
+def test_reflected_block_actions_match_chain_solves(label):
+    _, _, blocks = diagonal_modules(DIAG_ROOTS[label])
+    fam = FamilyM(blocks)
+    g = fam.group
+    for i in range(fam.theta):
+        image = reflect(fam, i, cap=DIAG_ROOTS_CAP)
+        for j, block in enumerate(image.blocks):
+            if j == i:
+                # the dual: t acts by the transpose of t^-1 on the block
+                primal = fam.blocks[i]
+                for t in g.elements:
+                    inv = primal.action_of(g.inv(t))
+                    want = [{r: inv[r][k] for r in range(primal.dim)
+                             if k in inv[r]} for k in range(primal.dim)]
+                    assert block.action_of(t) == want, (i, t)
+                continue
+            chain = _adjoint_chain(fam, i, j, DIAG_ROOTS_CAP,
+                                   DEFAULT_MEM_LIMIT)
+            for t in g.elements:
+                assert block.action_of(t) == reference_chain_action(chain, t), \
+                    (i, j, t)
+

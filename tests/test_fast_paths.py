@@ -70,7 +70,7 @@ def test_fingerprint_is_computed_once_per_module():
 def rebuilt(block):
     """The same module data on new objects, with a freshly built group."""
     group = build_abelian_group(block.group.orders)
-    return YDModule(group, block.field, block.coaction, block.action_of,
+    return YDModule(group, block.field, block.coaction, block.generator_columns,
                     block.basis_labels, block.triples, block.blocks,
                     check=False)
 

@@ -67,7 +67,7 @@ def q_oracle_entry(q, i, j):
 def q_matrix_of(fam):
     """Read q_ij = chi_j(g_i) off a family of one-dimensional blocks."""
     assert all(b.dim == 1 for b in fam.blocks)
-    return [[fam.blocks[j].action_of(fam.blocks[i].coaction[0]).entries[0][0]
+    return [[fam.blocks[j].action_of(fam.blocks[i].coaction[0])[0][0]
              for j in range(fam.theta)] for i in range(fam.theta)]
 
 

@@ -3,54 +3,91 @@ import random
 import pytest
 
 from nichols.cyclotomic import CycloField
-from nichols.linalg import (NOT_IN_SPAN, FieldOps, IncrementalSpan, Matrix,
-                            kernel_basis, rank, rref, solve_in_span)
+from nichols.linalg import FieldOps, IncrementalSpan
 
 
-def random_matrix(field, rng, rows, cols, span=4):
-    return Matrix(field, [[field.rational(rng.randint(-span, span))
-                           for _ in range(cols)] for _ in range(rows)])
+def random_cyclo_rows(field, rng, rows, cols):
+    return [[field.element([rng.randint(-3, 3) for _ in range(field.phi)])
+             for _ in range(cols)] for _ in range(rows)]
 
 
-def random_cyclo_matrix(field, rng, rows, cols):
-    return Matrix(field, [[field.element([rng.randint(-3, 3)
-                                          for _ in range(field.phi)])
-                           for _ in range(cols)] for _ in range(rows)])
+def identity_rows(field, n):
+    return [[field.one() if i == j else field.zero() for j in range(n)]
+            for i in range(n)]
+
+
+def insert_all(field, vectors, ncols):
+    """Feed CycloNumber vectors to one IncrementalSpan; returns the ops, the
+    span and what each insert returned."""
+    ops = FieldOps(field)
+    span = IncrementalSpan(ops, ncols)
+    return ops, span, [span.insert([ops.lift(x) for x in v]) for v in vectors]
+
+
+def rank(field, rows):
+    ncols = len(rows[0]) if rows else 0
+    return sum(kind == "pivot" for kind, _ in insert_all(field, rows, ncols)[2])
+
+
+def echelon(field, rows, ncols):
+    """The rows IncrementalSpan keeps (leading entry 1, zero in the lead
+    columns of the rows before) and their lead columns, in row order."""
+    ops, span, _ = insert_all(field, rows, ncols)
+    leads = sorted(span.lead, key=span.lead.get)
+    return [[ops.lower(x) for x in row] for row in span.rows], leads
+
+
+def kernel_from_columns(field, rows):
+    """Right kernel of the matrix with these rows: one vector per column that
+    IncrementalSpan finds dependent on the earlier columns."""
+    ncols = len(rows[0])
+    cols = [[row[j] for row in rows] for j in range(ncols)]
+    ops, _, results = insert_all(field, cols, len(rows))
+    pivots = [j for j, (kind, _) in enumerate(results) if kind == "pivot"]
+    basis = []
+    for j, (kind, data) in enumerate(results):
+        if kind == "combo":
+            v = [field.zero()] * ncols
+            v[j] = field.one()
+            for p, cf in zip(pivots, data):
+                v[p] = -ops.lower(cf)
+            basis.append(v)
+    return basis
+
+
+def combine(ops, coeffs, vectors, field, dim):
+    acc = [field.zero()] * dim
+    for cf, v in zip(coeffs, vectors):
+        c = ops.lower(cf)
+        acc = [a + c * x for a, x in zip(acc, v)]
+    return acc
 
 
 def test_rref_identity():
     f = CycloField(2)
-    m = Matrix.identity(f, 3)
-    red, pivots = rref(m)
-    assert red == m
-    assert pivots == [0, 1, 2]
+    m = identity_rows(f, 3)
+    assert echelon(f, m, 3) == (m, [0, 1, 2])
 
 
 def test_rref_zero():
     f = CycloField(2)
-    m = Matrix.zeros(f, 2, 3)
-    red, pivots = rref(m)
-    assert red == m
-    assert pivots == []
-
-
-def test_rank_proportional_rows():
-    f = CycloField(3)
-    z = f.root_of_unity(1)
-    one = f.one()
-    m = Matrix(f, [[one, one], [z, z]])
-    assert rank(m) == 1
+    zero = [[f.zero()] * 3 for _ in range(2)]
+    assert echelon(f, zero, 3) == ([], [])
 
 
 def test_rref_idempotent():
     f = CycloField(4)
     rng = random.Random(11)
     for _ in range(10):
-        m = random_cyclo_matrix(f, rng, 4, 5)
-        red, pivots = rref(m)
-        red2, pivots2 = rref(red)
-        assert red2 == red
-        assert pivots2 == pivots
+        red, leads = echelon(f, random_cyclo_rows(f, rng, 4, 5), 5)
+        assert echelon(f, red, 5) == (red, leads)
+
+
+def test_rank_proportional_rows():
+    f = CycloField(3)
+    z = f.root_of_unity(1)
+    one = f.one()
+    assert rank(f, [[one, one], [z, z]]) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -58,19 +95,18 @@ def test_rank_of_transpose(n):
     f = CycloField(n)
     rng = random.Random(40 + n)
     for _ in range(8):
-        m = random_cyclo_matrix(f, rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert rank(m) == rank(m.transpose())
+        rows = random_cyclo_rows(f, rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert rank(f, rows) == rank(f, [list(c) for c in zip(*rows)])
 
 
 def test_kernel_identity_empty():
     f = CycloField(2)
-    assert kernel_basis(Matrix.identity(f, 3)) == []
+    assert kernel_from_columns(f, identity_rows(f, 3)) == []
 
 
 def test_kernel_one_by_two():
     f = CycloField(2)
-    m = Matrix(f, [[f.one(), f.rational(-1)]])
-    basis = kernel_basis(m)
+    basis = kernel_from_columns(f, [[f.one(), f.rational(-1)]])
     assert len(basis) == 1
     v = basis[0]
     assert v[0] == v[1] != f.zero()
@@ -81,38 +117,38 @@ def test_kernel_vectors_are_exact(n):
     f = CycloField(n)
     rng = random.Random(70 + n)
     for _ in range(8):
-        m = random_cyclo_matrix(f, rng, rng.randint(1, 4), rng.randint(1, 6))
-        basis = kernel_basis(m)
-        assert len(basis) == m.cols - rank(m)
+        rows = random_cyclo_rows(f, rng, rng.randint(1, 4), rng.randint(1, 6))
+        basis = kernel_from_columns(f, rows)
+        assert len(basis) == len(rows[0]) - rank(f, rows)
         for v in basis:
-            assert all(x.is_zero() for x in m.mat_vec(v))
+            for row in rows:
+                acc = f.zero()
+                for a, x in zip(row, v):
+                    acc = acc + a * x
+                assert acc.is_zero()
 
 
 def test_solve_in_span_basics():
     f = CycloField(2)
     e1 = [f.one(), f.zero()]
     e2 = [f.zero(), f.one()]
-    target = [f.rational(3), f.zero()]
-    assert solve_in_span([e1], target) == [f.rational(3)]
-    assert solve_in_span([], [f.zero(), f.zero()]) == []
-    assert solve_in_span([e1], e2) is NOT_IN_SPAN
+    ops, _, results = insert_all(f, [e1, [f.rational(3), f.zero()]], 2)
+    assert results[1][0] == "combo"
+    assert [ops.lower(c) for c in results[1][1]] == [f.rational(3)]
+    assert insert_all(f, [[f.zero(), f.zero()]], 2)[2] == [("combo", [])]
+    assert insert_all(f, [e1, e2], 2)[2][1] == ("pivot", 1)
 
 
 def test_solve_in_span_dependent_basis():
     f = CycloField(2)
     one, zero = f.one(), f.zero()
     v1 = [one, zero]
-    v2 = [f.rational(2), zero]  # dependent on v1
+    v2 = [f.rational(2), zero]  # dependent on v1: not a pivot
     v3 = [zero, one]
     target = [f.rational(5), f.rational(7)]
-    coeffs = solve_in_span([v1, v2, v3], target)
-    assert coeffs is not NOT_IN_SPAN
-    # reconstruct
-    acc = [zero, zero]
-    for c, v in zip(coeffs, [v1, v2, v3]):
-        acc = [a + c * x for a, x in zip(acc, v)]
-    assert acc == target
-    assert coeffs[1] == zero  # dependent vector takes no weight
+    ops, _, results = insert_all(f, [v1, v2, v3, target], 2)
+    assert [kind for kind, _ in results] == ["pivot", "combo", "pivot", "combo"]
+    assert combine(ops, results[3][1], [v1, v3], f, 2) == target
 
 
 def test_solve_matches_rref_consistency():
@@ -126,38 +162,32 @@ def test_solve_matches_rref_consistency():
         target = [f.zero()] * dim
         for c, v in zip(coeffs, basis):
             target = [a + c * x for a, x in zip(target, v)]
-        got = solve_in_span(basis, target)
-        assert got is not NOT_IN_SPAN
-        acc = [f.zero()] * dim
-        for c, v in zip(got, basis):
-            acc = [a + c * x for a, x in zip(acc, v)]
-        assert acc == target
+        ops, _, results = insert_all(f, basis + [target], dim)
+        kind, data = results[-1]
+        assert kind == "combo"
+        pivots = [v for v, (k, _) in zip(basis, results) if k == "pivot"]
+        assert combine(ops, data, pivots, f, dim) == target
 
 
 def test_fast_and_generic_paths_agree():
-    # phi(1)=phi(2)=1 take the bare-mpq path; compare against a conductor with
-    # phi>1 on rational-valued matrices, where results must be identical digits.
+    # phi(2) = 1 takes the bare-rational path; a conductor with phi > 1 on the
+    # same integer blocks must give the same pivots, combinations and rows
     rng = random.Random(5)
     f1, f3 = CycloField(2), CycloField(3)
+
+    def run(field, grid, ncols):
+        ops, span, results = insert_all(
+            field, [[field.rational(x) for x in row] for row in grid], ncols)
+        lowered = [(kind, None if kind == "pivot" else
+                    [str(ops.lower(c)) for c in data])
+                   for kind, data in results]
+        rows = [[str(ops.lower(x)) for x in row] for row in span.rows]
+        return lowered, rows
+
     for _ in range(10):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         grid = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        m1 = Matrix.from_rows(f1, grid)
-        m3 = Matrix.from_rows(f3, grid)
-        r1 = rref(m1)
-        r3 = rref(m3)
-        assert r1.pivots == r3.pivots
-        assert r1.matrix.to_lists() == r3.matrix.to_lists()
-
-
-def test_dump_round_trip():
-    f = CycloField(12)
-    rng = random.Random(3)
-    m = random_cyclo_matrix(f, rng, 3, 4)
-    lists = m.to_lists()
-    assert isinstance(lists[0][0], str)
-    again = Matrix.from_lists(f, lists)
-    assert again == m
+        assert run(f1, grid, cols) == run(f3, grid, cols)
 
 
 def test_incremental_span_expressions():
