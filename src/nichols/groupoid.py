@@ -9,6 +9,13 @@ groupoid, explored breadth-first over isomorphism fingerprints; real
 roots, standardness of the Cartan matrices, and finite-type recognition
 of the resulting Dynkin diagrams are all derived from the explored graph.
 
+A Cartan entry and the isomorphism class of the top chain module depend
+only on the isomorphism classes of the two blocks, and the chain lives in
+the multidegrees m alpha_i + alpha_j.  So each chain is computed once per
+pair of block fingerprints, on the pair algebra's order ideal
+{(a, b) : b <= 1}, and shared with every family reflected from the same
+family.
+
 A Cartan entry that stays nonzero through the configured degree cap is
 reported as UnboundedAtCap, never as a number: reflections along such a
 row are refused rather than guessed.
@@ -16,6 +23,7 @@ row are refused rather than guessed.
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -29,6 +37,8 @@ from .ydmodule import YDModule, direct_sum, fingerprint
 DEFAULT_DEGREE_CAP = 8
 DEFAULT_NODE_LIMIT = 64
 DEFAULT_STATE_LIMIT = 20000
+
+log = logging.getLogger(__name__)
 
 
 class UnboundedAtCap:
@@ -63,22 +73,44 @@ def _same_group(a, b) -> bool:
                       and a.generators == b.generators)
 
 
-def _renamed(block: YDModule, name: str) -> YDModule:
-    """Copy of a one-block module with fresh labels, for collision-free sums."""
-    labels = [f"{name}{k + 1}" for k in range(block.dim)]
-    return YDModule(block.group, block.field, block.coaction,
-                    block.generator_columns, labels, block.triples,
-                    [(name, 0, block.dim)], check=False)
+def _renamed(block: YDModule, name: str, labels=None) -> YDModule:
+    """Copy of a one-block module named name, with labels name1, name2, ...
+    unless given; it shares the actions and the cached fingerprint."""
+    if labels is None:
+        labels = [f"{name}{k + 1}" for k in range(block.dim)]
+    out = YDModule(block.group, block.field, block.coaction,
+                   block.generator_columns, labels, block.triples,
+                   [(name, 0, block.dim)], check=False)
+    out._action = block._action
+    out._fingerprint = block._fingerprint
+    return out
+
+
+class _ChainCache:
+    """Adjoint chain data shared by a family and every family reflected
+    from it, keyed by block fingerprints, so isomorphic pairs share it."""
+
+    def __init__(self):
+        # (fp_i, fp_j, mem_limit) -> engine state of the pair algebra
+        self.states = {}
+        # (fp_i, fp_j, cap, mem_limit) -> _Chain, and the top chain module
+        self.chains = {}
+        self.tops = {}
+        # fp -> dual of a block with that fingerprint
+        self.duals = {}
+        self.hits = 0
+        self.misses = 0
 
 
 class FamilyM:
     """Ordered family of irreducible one-block modules over one group.
 
     Fingerprints are computed on construction, which also certifies the
-    irreducibility of every block.
+    irreducibility of every block.  Families built by reflect share their
+    parent's chain cache.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, cache=None):
         blocks = list(blocks)
         if not blocks:
             raise ModuleSpecError("a family needs at least one block")
@@ -97,10 +129,7 @@ class FamilyM:
         self.group = group
         self.field = fld
         self.fingerprints = tuple(fingerprint(b)[0] for b in blocks)
-        self._chains = {}
-        # (i, j, mem_limit) -> engine state of the pair algebra of blocks
-        # i and j, shared by the adjoint chains of every cap
-        self._pair_states = {}
+        self._cache = _ChainCache() if cache is None else cache
         self._assembled = None
 
     def assembled(self) -> YDModule:
@@ -113,14 +142,16 @@ class FamilyM:
 
     def pair_state(self, i: int, j: int, mem_limit: int) -> GradedNicholsState:
         """Engine state of the Nichols algebra of blocks i and j, in that
-        order; built once per (i, j, mem_limit)."""
-        key = (i, j, mem_limit)
-        state = self._pair_states.get(key)
+        order, on the order ideal {(a, b) : b <= 1} of the adjoint chains
+        unless share_pair_state supplied a full one; one per (fingerprint
+        i, fingerprint j, mem_limit)."""
+        key = (self.fingerprints[i], self.fingerprints[j], mem_limit)
+        state = self._cache.states.get(key)
         if state is None:
             pair = direct_sum([_renamed(self.blocks[i], "u"),
                                _renamed(self.blocks[j], "w")])
-            state = self._pair_states[key] = GradedNicholsState(
-                pair, mem_limit=mem_limit)
+            state = self._cache.states[key] = GradedNicholsState(
+                pair, mem_limit=mem_limit, bound=(None, 1))
         return state
 
     def share_pair_state(self, i: int, j: int, state: GradedNicholsState):
@@ -131,7 +162,19 @@ class FamilyM:
         if (module.coaction != self.blocks[i].coaction + self.blocks[j].coaction
                 or module.theta != 2):
             raise ValueError(f"state is not the pair algebra of blocks {i}, {j}")
-        self._pair_states[i, j, state.mem_limit] = state
+        key = (self.fingerprints[i], self.fingerprints[j], state.mem_limit)
+        self._cache.states[key] = state
+
+    def dual(self, i: int) -> YDModule:
+        """Dual of block i, labeled as YDModule.dual labels it; computed and
+        fingerprinted once per fingerprint."""
+        block = self.blocks[i]
+        cached = self._cache.duals.get(self.fingerprints[i])
+        if cached is None:
+            cached = self._cache.duals[self.fingerprints[i]] = block.dual()
+            fingerprint(cached)
+        return _renamed(cached, block.blocks[0][0] + "*",
+                        [lab + "*" for lab in block.basis_labels])
 
     def __repr__(self):
         dims = ",".join(str(b.dim) for b in self.blocks)
@@ -161,10 +204,13 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
     _check_indices(fam, i, j)
     if cap < 1:
         raise ScenarioError("degree cap must be at least 1", cap=cap)
-    key = (i, j, cap, mem_limit)
-    cached = fam._chains.get(key)
+    cache = fam._cache
+    key = (fam.fingerprints[i], fam.fingerprints[j], cap, mem_limit)
+    cached = cache.chains.get(key)
     if cached is not None:
+        cache.hits += 1
         return cached
+    cache.misses += 1
     state = fam.pair_state(i, j, mem_limit)
     state.extend_to(1)
     di = fam.blocks[i].dim
@@ -199,7 +245,7 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
         rows = [{slots[c]: ops.lower(rv) for c, rv in enumerate(row)
                  if ops.nonzero(rv)} for row in span.rows]
         m += 1
-    fam._chains[key] = chain
+    cache.chains[key] = chain
     return chain
 
 
@@ -270,16 +316,29 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
     Inside the reflected family this block sits at position j with
     multidegree alpha_j - a_ij alpha_i; irreducibility is certified by the
     fingerprint machinery before returning, and the fingerprint stays
-    cached on the module.  The action of each group generator is built only
-    on the degree-n words that the chain's rows span, one word at a time
-    (GradedNicholsState.action_column), not on the whole degree-n piece;
-    the module derives every other element's action from the generators.
+    cached on the module.  The module is built once per chain and handed
+    out under the requested name.
     """
     chain = _adjoint_chain(fam, i, j, cap, mem_limit)
     if not isinstance(chain.entry, int):
         raise ReflectionError(
             "Cartan entry not certified finite within the degree cap",
             i=i, j=j, cap=cap, chain_reached=chain.entry.reached)
+    key = (fam.fingerprints[i], fam.fingerprints[j], cap, mem_limit)
+    tops = fam._cache.tops
+    if key not in tops:
+        tops[key] = _top_module(chain)
+    return _renamed(tops[key], name)
+
+
+def _top_module(chain: _Chain) -> YDModule:
+    """The chain's top step as a module named u, for l_j_max to rename.
+
+    The action of each group generator is built only on the degree-n words
+    that the chain's rows span, one word at a time
+    (GradedNicholsState.action_column), not on the whole degree-n piece;
+    the module derives every other element's action from the generators.
+    """
     state, n, rows = chain.state, chain.degree, chain.rows
     want_mdeg = (n - 1, 1)
     coaction = []
@@ -328,11 +387,11 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
         return columns
 
     dim = len(rows)
-    labels = [f"{name}{k + 1}" for k in range(dim)]
+    labels = [f"u{k + 1}" for k in range(dim)]
     triples = [(0, k, 0) for k in range(dim)]
     out = YDModule(group, state.field, coaction,
                    {t: act(t) for t in group.generators}, labels, triples,
-                   [(name, 0, dim)], check=True)
+                   [("u", 0, dim)], check=True)
     try:
         fingerprint(out)
     except ModuleSpecError as exc:
@@ -359,10 +418,10 @@ def reflect(fam: FamilyM, i: int, cap: int = DEFAULT_DEGREE_CAP,
     if not 0 <= i < fam.theta:
         raise ScenarioError("block index out of range", i=i, theta=fam.theta)
     _cartan_row(fam, i, cap, mem_limit)
-    blocks = [fam.blocks[i].dual() if j == i else
+    blocks = [fam.dual(i) if j == i else
               l_j_max(fam, i, j, cap, mem_limit, name=f"u{j + 1}_")
               for j in range(fam.theta)]
-    return FamilyM(blocks)
+    return FamilyM(blocks, cache=fam._cache)
 
 
 def _s_from_row(row, i: int):
@@ -461,8 +520,12 @@ def explore_groupoid(fam: FamilyM, cap: int = DEFAULT_DEGREE_CAP,
 
     Uncertified rows are recorded, never reflected.  When the node limit
     stops a new family from being added the graph is flagged partial and
-    the corresponding edges are omitted.
+    the corresponding edges are omitted.  Every explored family shares
+    fam's chain cache, so each chain is computed once per pair of block
+    fingerprints; the cache grows with the nodes, up to node_limit.
     """
+    cache = fam._cache
+    hits0, misses0 = cache.hits, cache.misses
     graph = GroupoidGraph(base_key=fam.fingerprints, cap=cap,
                           node_limit=node_limit)
     graph.nodes[fam.fingerprints] = NodeRecord(fam, fam.fingerprints)
@@ -488,6 +551,9 @@ def explore_groupoid(fam: FamilyM, cap: int = DEFAULT_DEGREE_CAP,
                 queue.append(key2)
             graph.edges[key, i] = (key2, _s_from_row(row, i))
     _check_involution(graph)
+    log.debug("groupoid: %d nodes, %d edges, chain cache %d hits, %d misses",
+              len(graph.nodes), len(graph.edges), cache.hits - hits0,
+              cache.misses - misses0)
     return graph
 
 

@@ -430,6 +430,15 @@ def _spec_columns(field: CycloField, rows, dim: int):
              if not entries[i][j].is_zero()} for j in range(dim)]
 
 
+def _spec_element(group: FiniteGroup, value, field_name: str):
+    """A group element from its JSON form, refused as a module-spec fault."""
+    try:
+        return group.parse_element(value)
+    except (TypeError, ValueError) as exc:
+        raise ModuleSpecError(f"malformed group element in '{field_name}'",
+                              got=value) from exc
+
+
 def module_from_spec(group: FiniteGroup, spec: dict, field: CycloField,
                      name="x", index_base=1) -> YDModule:
     """Build one block from {"class_rep": ..., "rho": {...}} JSON.
@@ -440,8 +449,22 @@ def module_from_spec(group: FiniteGroup, spec: dict, field: CycloField,
     """
     if "class_rep" not in spec or "rho" not in spec:
         raise ModuleSpecError("module spec needs 'class_rep' and 'rho'")
-    s = group.parse_element(spec["class_rep"])
-    cls = conjugacy_class(group, s, numeration=spec.get("numeration"))
+    s = _spec_element(group, spec["class_rep"], "class_rep")
+    numeration = spec.get("numeration")
+    if numeration is not None:
+        if (not isinstance(numeration, dict)
+                or not all(isinstance(numeration.get(k), list)
+                           for k in ("members", "reps"))):
+            raise ModuleSpecError("'numeration' must be an object with "
+                                  "'members' and 'reps' lists", got=numeration)
+        for k in ("members", "reps"):
+            for v in numeration[k]:
+                _spec_element(group, v, "numeration")
+    index_base = spec.get("index_base", index_base)
+    if not isinstance(index_base, int) or isinstance(index_base, bool):
+        raise ModuleSpecError("'index_base' must be an integer",
+                              got=index_base)
+    cls = conjugacy_class(group, s, numeration=numeration)
     rho_spec = spec["rho"]
     if not isinstance(rho_spec, dict):
         raise ModuleSpecError("'rho' must be an object", got=rho_spec)
@@ -453,12 +476,11 @@ def module_from_spec(group: FiniteGroup, spec: dict, field: CycloField,
     if not isinstance(given, dict):
         raise ModuleSpecError(f"rho of dim {dim} needs '{key}' as an object "
                               "keyed by centralizer generators")
-    cols = {group.parse_element(k):
+    cols = {_spec_element(group, k, "rho"):
             _spec_columns(field, [[v]] if dim == 1 else v, dim)
             for k, v in given.items()}
     rho = Representation(group, cls.centralizer, field, cols)
-    return build_M_O_rho(group, cls, rho, name=name,
-                         index_base=spec.get("index_base", index_base))
+    return build_M_O_rho(group, cls, rho, name=name, index_base=index_base)
 
 
 def diagonal_modules(q_rows, name="v"):

@@ -65,6 +65,20 @@ def test_bundled_s4_scenario_three_totals(capsys):
         assert result["total"] == 576
 
 
+def test_bundled_s4_pairs_scenario_at_cap_three(capsys):
+    code, report = run_json(capsys, ["cartan", "--cap", "3",
+                                     str(SCENARIOS / "s4_pairs.json")])
+    assert code == 0
+    assert [r["label"] for r in report["results"]] == [
+        "sgn+sgn", "sgn+sgn-eps", "sgn+chi-minus", "sgn-eps+sgn-eps",
+        "sgn-eps+chi-minus", "chi-minus+chi-minus"]
+    unbounded = {"unbounded_at_cap": 3, "chain_reached": 3}
+    for result in report["results"]:
+        assert result["block_dims"] == [6, 6]
+        assert result["cartan"] == [[2, unbounded], [unbounded, 2]]
+        assert result["exact"] is False
+
+
 def test_bundled_dn_obstruction_scenario(capsys):
     code, report = run_json(capsys,
                             ["derive", str(SCENARIOS / "dn_obstruction.json")])
@@ -221,6 +235,25 @@ MALFORMED_RHO = {
 def test_malformed_rho_is_refused(tmp_path, capsys, fault):
     scenario = json.loads((SCENARIOS / "s3_fk3.json").read_text())
     scenario["cases"][0]["modules"][0]["rho"] = MALFORMED_RHO[fault]
+    path = write_scenario(tmp_path, scenario)
+    code, payload = refusal_payload(capsys, ["hilbert", path])
+    assert code == 2
+    assert payload["error"] == "module-spec-error"
+
+
+MALFORMED_SPEC_FIELDS = {
+    "class-rep-an-int": ("class_rep", 5),
+    "index-base-a-string": ("index_base", "a"),
+    "numeration-a-list": ("numeration", [1, 2]),
+    "numeration-of-ints": ("numeration", {"members": 3, "reps": 4}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_SPEC_FIELDS))
+def test_malformed_spec_field_is_refused(tmp_path, capsys, fault):
+    key, value = MALFORMED_SPEC_FIELDS[fault]
+    scenario = json.loads((SCENARIOS / "s3_fk3.json").read_text())
+    scenario["cases"][0]["modules"][0][key] = value
     path = write_scenario(tmp_path, scenario)
     code, payload = refusal_payload(capsys, ["hilbert", path])
     assert code == 2

@@ -7,12 +7,17 @@ entries by iterating the braided adjoint and watching the chain vanish.
 """
 
 import json
+import logging
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import nichols
+from nichols import engine
+from nichols.cli import build_blocks
 from nichols.cyclotomic import CycloField
 from nichols.derivations import ad_c, element_is_zero
 from nichols.engine import GradedNicholsState, hilbert_series
@@ -558,3 +563,69 @@ def test_graph_serialization_is_deterministic_and_complete():
     _, refused = fk3_doubled_graph()
     dot2 = refused.to_dot()
     assert "uncertified rows [1, 2]" in dot2
+
+
+# -- one chain per pair of isomorphism classes
+
+DIAG_ROOTS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" \
+    / "diag_roots.json"
+
+
+def diag_roots_families():
+    cases = json.loads(DIAG_ROOTS.read_text())["cases"]
+    return [FamilyM(build_blocks(case, pos)[1])
+            for pos, case in enumerate(cases)]
+
+
+def block_identity(block):
+    return block.basis_labels, block.blocks, fingerprint(block)
+
+
+def test_groupoid_builds_one_pair_state_per_fingerprint_pair(monkeypatch,
+                                                             caplog):
+    built = []
+    init = engine.GradedNicholsState.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.GradedNicholsState, "__init__", counted)
+    with caplog.at_level(logging.DEBUG, logger="nichols.groupoid"):
+        graphs = [explore_groupoid(fam, cap=6)
+                  for fam in diag_roots_families()]
+    assert len(built) == 112
+    assert sum(len(g.nodes) for g in graphs) == 44
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "nichols.groupoid"]
+    assert len(lines) == 3
+    assert all("chain cache" in line and "misses" in line for line in lines)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2])
+def test_cached_blocks_match_a_fresh_reflection(case):
+    graph = explore_groupoid(diag_roots_families()[case], cap=6)
+    for key in graph.order:
+        node = graph.nodes[key].family
+        for i in range(node.theta):
+            cached = reflect(node, i, cap=6)
+            fresh = reflect(FamilyM(node.blocks), i, cap=6)
+            assert [block_identity(b) for b in cached.blocks] == \
+                [block_identity(b) for b in fresh.blocks]
+            assert block_identity(cached.blocks[i]) == \
+                block_identity(node.blocks[i].dual())
+
+
+def s4_pair_family(label):
+    cases = json.loads((Path(nichols.__file__).parent / "scenarios"
+                        / "s4_pairs.json").read_text())["cases"]
+    pos, case = next((p, c) for p, c in enumerate(cases)
+                     if c["label"] == label)
+    return FamilyM(build_blocks(case, pos)[1])
+
+
+def test_s4_sign_pair_is_unbounded_at_cap_five():
+    fam = s4_pair_family("sgn+sgn")
+    cd = cartan_matrix(fam, cap=5)
+    assert cd.entries[0][1] == UnboundedAtCap(5, 5)
+    assert cd.entries[1][0] == UnboundedAtCap(5, 5)
