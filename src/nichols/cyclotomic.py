@@ -428,6 +428,27 @@ class CycloNumber:
         return out
 
 
+def _add_scaled(acc: dict, vec: dict, c=None) -> None:
+    """acc += c * vec on sparse {key: CycloNumber} dicts (c None: acc += vec).
+
+    Zero entries may appear in acc; _nonzero drops them.
+    """
+    if c is None:
+        for k, v in vec.items():
+            cur = acc.get(k)
+            acc[k] = v if cur is None else cur + v
+    else:
+        for k, v in vec.items():
+            term = c * v
+            cur = acc.get(k)
+            acc[k] = term if cur is None else cur + term
+
+
+def _nonzero(vec: dict) -> dict:
+    """vec without its zero entries."""
+    return {k: v for k, v in vec.items() if not v.is_zero()}
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<sign>[+-])"
     r"|(?P<rat>\d+(?:/\d+)?)"

@@ -10,6 +10,7 @@ degree-n element reads off the coefficient of the tensor word (j_1, ..., j_n)
 in its symmetrized lift.
 """
 
+from .cyclotomic import _add_scaled, _nonzero
 from .errors import DegreeRangeError, ScenarioError
 
 
@@ -22,11 +23,8 @@ def add_elements(x, y):
         raise DegreeRangeError("cannot add elements of different degrees",
                                degrees=[x[0], y[0]])
     out = dict(x[1])
-    for k, v in y[1].items():
-        cur = out.get(k)
-        out[k] = v if cur is None else cur + v
-    return (x[0] if x[1] else y[0],
-            {k: v for k, v in out.items() if not v.is_zero()})
+    _add_scaled(out, y[1])
+    return (x[0] if x[1] else y[0], _nonzero(out))
 
 
 def scale_element(s, x):
@@ -69,12 +67,8 @@ def _left_on_word(state, n, m, j):
         if rb is None:
             continue
         for m2, c2 in _left_on_word(state, n - 1, tidx, b).items():
-            s = rb * c2
-            for idx, p in prods[i, m2].items():
-                term = s * p
-                cur = out.get(idx)
-                out[idx] = term if cur is None else cur + term
-    out = {k: v for k, v in out.items() if not v.is_zero()}
+            _add_scaled(out, prods[i, m2], rb * c2)
+    out = _nonzero(out)
     memo[key] = out
     return out
 
@@ -89,11 +83,8 @@ def partial_left(state, j: int, x):
         return (0, {})
     out = {}
     for m, c in coords.items():
-        for idx, s in _left_on_word(state, n, m, j).items():
-            term = c * s
-            cur = out.get(idx)
-            out[idx] = term if cur is None else cur + term
-    return (n - 1, {k: v for k, v in out.items() if not v.is_zero()})
+        _add_scaled(out, _left_on_word(state, n, m, j), c)
+    return (n - 1, _nonzero(out))
 
 
 def _as_degree_one(state, v):
@@ -117,10 +108,7 @@ def ad_c(state, v, y):
         acols = state.action_columns(n, state.module.coaction[i])
         acted = {}
         for m, c in yc.items():
-            for idx, s in acols[m].items():
-                term = c * s
-                cur = acted.get(idx)
-                acted[idx] = term if cur is None else cur + term
+            _add_scaled(acted, acols[m], c)
         t2 = state.multiply((n, acted), xi)
         out = add_elements(out, scale_element(si, add_elements(
             t1, scale_element(-state.field.one(), t2))))

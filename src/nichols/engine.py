@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+from .cyclotomic import _add_scaled, _nonzero
 from .errors import DegreeRangeError, MemoryGuardError
 from .linalg import FieldOps, eliminate_block
 from .ydmodule import YDModule
@@ -35,7 +36,7 @@ def _braid_apply(colmap, vec, k, field):
             acc = out.get(w2)
             term = coeff * s
             out[w2] = term if acc is None else acc + term
-    return {w: v for w, v in out.items() if not v.is_zero()}
+    return _nonzero(out)
 
 
 def symmetrizer_columns(module: YDModule, n: int, words, inverse=False,
@@ -74,13 +75,9 @@ def symmetrizer_columns(module: YDModule, n: int, words, inverse=False,
                     mats[perm2] = lifted
                     nxt.append(perm2)
                     for w, vec in lifted.items():
-                        acc = total[w]
-                        for w2, v in vec.items():
-                            cur = acc.get(w2)
-                            acc[w2] = v if cur is None else cur + v
+                        _add_scaled(total[w], vec)
         frontier = nxt
-    return {w: {w2: v for w2, v in vec.items() if not v.is_zero()}
-            for w, vec in total.items()}
+    return {w: _nonzero(vec) for w, vec in total.items()}
 
 
 def _word_key(module: YDModule, word):
@@ -248,12 +245,8 @@ class GradedNicholsState:
         acc = {}
         for j, s1 in head.items():
             for k, s2 in tail.items():
-                s12 = s1 * s2
-                for idx, s3 in prods[j, k].items():
-                    term = s12 * s3
-                    cur = acc.get(idx)
-                    acc[idx] = term if cur is None else cur + term
-        return {k: v for k, v in acc.items() if not v.is_zero()}
+                _add_scaled(acc, prods[j, k], s1 * s2)
+        return _nonzero(acc)
 
     # -- the core step
 
@@ -265,16 +258,24 @@ class GradedNicholsState:
         prev = self.words[n - 1]
         p = len(prev)
         w = self.module.dim
-        if w * p > self.mem_limit:
+        mprev = self.mdegrees[n - 1]
+        # count only the candidates pass 1 builds: with a bound, v_i * b is
+        # built iff b leaves room for one more letter of v_i's block
+        if self.bound is None:
+            built = w * p
+        else:
+            room = [p if b is None else sum(md[k] < b for md in mprev)
+                    for k, b in enumerate(self.bound)]
+            built = sum(room[self.module.block_of(i)] for i in range(w))
+        if built > self.mem_limit:
             raise MemoryGuardError(
                 "degree extension exceeds the candidate budget",
-                degree=n, candidates=w * p, limit=self.mem_limit)
+                degree=n, candidates=built, limit=self.mem_limit)
         ops = self.ops
         dprev = self.derivs[n - 1]
         pprev = self.products[n - 1]
         group = self.module.group
         hprev = self.hdegrees[n - 1]
-        mprev = self.mdegrees[n - 1]
         # pass 1: derivative data per candidate v_i * (basis word), grouped by
         # the (group degree, multidegree) block; the blocks have disjoint
         # derivative supports, so ranks split blockwise.  A candidate whose
@@ -301,16 +302,9 @@ class GradedNicholsState:
                             continue
                         comp = comps[k]
                         for m, c0 in dk.items():
-                            for idx, c1 in pprev[i, m].items():
-                                term = c0 * c1
-                                cur = comp.get(idx)
-                                comp[idx] = term if cur is None else cur + term
-                comp = comps[i]
-                for ridx, c in acols[bidx].items():
-                    cur = comp.get(ridx)
-                    comp[ridx] = c if cur is None else cur + c
-                clean = [{idx: val for idx, val in comp.items()
-                          if not val.is_zero()} for comp in comps]
+                            _add_scaled(comp, pprev[i, m], c0)
+                _add_scaled(comps[i], acols[bidx])
+                clean = [_nonzero(comp) for comp in comps]
                 key = (group.mul(gi, hprev[bidx]), mdeg)
                 blocks.setdefault(key, []).append(len(cands))
                 cands.append((i, bidx, clean, key))
@@ -391,11 +385,8 @@ class GradedNicholsState:
             prods = self.products[deg + 1]
             out = {}
             for m, c in coords.items():
-                for idx, s in prods[letter, m].items():
-                    term = c * s
-                    cur = out.get(idx)
-                    out[idx] = term if cur is None else cur + term
-            coords = {k: v for k, v in out.items() if not v.is_zero()}
+                _add_scaled(out, prods[letter, m], c)
+            coords = _nonzero(out)
             deg += 1
             if not coords:
                 return {}
@@ -426,29 +417,20 @@ class GradedNicholsState:
                 prods = self.products[deg + 1]
                 nxt = {}
                 for kidx, c in cur.items():
-                    for idx, s in prods[letter, kidx].items():
-                        term = c * s
-                        acc = nxt.get(idx)
-                        nxt[idx] = term if acc is None else acc + term
-                cur = {k: v for k, v in nxt.items() if not v.is_zero()}
+                    _add_scaled(nxt, prods[letter, kidx], c)
+                cur = _nonzero(nxt)
                 deg += 1
                 if not cur:
                     break
-            for idx, v in cur.items():
-                term = am * v
-                acc = out.get(idx)
-                out[idx] = term if acc is None else acc + term
-        return (n, {k: v for k, v in out.items() if not v.is_zero()})
+            _add_scaled(out, cur, am)
+        return (n, _nonzero(out))
 
     def derivative(self, n: int, coords, k: int):
         """Right derivative by the k-th dual vector: degree n -> n-1 coords."""
         out = {}
         for m, c in coords.items():
-            for idx, s in self.derivs[n][m][k].items():
-                term = c * s
-                acc = out.get(idx)
-                out[idx] = term if acc is None else acc + term
-        return {i: v for i, v in out.items() if not v.is_zero()}
+            _add_scaled(out, self.derivs[n][m][k], c)
+        return _nonzero(out)
 
     def multidegree_table(self):
         table = {}

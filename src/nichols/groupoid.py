@@ -28,10 +28,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .cyclotomic import _add_scaled, _nonzero
 from .derivations import ad_c
 from .engine import DEFAULT_MEM_LIMIT, GradedNicholsState
 from .errors import ModuleSpecError, ReflectionError, ScenarioError
-from .linalg import IncrementalSpan
+from .linalg import eliminate_block
 from .ydmodule import YDModule, direct_sum, fingerprint
 
 DEFAULT_DEGREE_CAP = 8
@@ -185,7 +186,8 @@ class _Chain(NamedTuple):
     entry: object          # int or UnboundedAtCap
     state: GradedNicholsState
     degree: int            # degree of the last nonzero chain step
-    rows: list             # echelon basis of that step, as coord dicts
+    rows: list             # independent images spanning that step, as
+                           # coord dicts (the pivots among its images)
 
 
 def _check_indices(fam: FamilyM, i: int, j: int):
@@ -234,16 +236,11 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
         if not images:
             chain = _Chain(1 - m, state, m, rows)
             break
-        slots = sorted({w for coords in images for w in coords})
-        colpos = {w: c for c, w in enumerate(slots)}
-        span = IncrementalSpan(ops, len(slots), track=False)
-        for coords in images:
-            vec = [ops.zero] * len(slots)
-            for w, val in coords.items():
-                vec[colpos[w]] = ops.lift(val)
-            span.insert(vec)
-        rows = [{slots[c]: ops.lower(rv) for c, rv in enumerate(row)
-                 if ops.nonzero(rv)} for row in span.rows]
+        results = eliminate_block(
+            ops, [{w: ops.lift(x) for w, x in c.items()} for c in images],
+            track=False, degree=m + 1, key="adjoint chain")
+        rows = [coords for coords, (kind, _) in zip(images, results)
+                if kind == "pivot"]
         m += 1
     cache.chains[key] = chain
     return chain
@@ -336,8 +333,9 @@ def _top_module(chain: _Chain) -> YDModule:
 
     The action of each group generator is built only on the degree-n words
     that the chain's rows span, one word at a time
-    (GradedNicholsState.action_column), not on the whole degree-n piece;
-    the module derives every other element's action from the generators.
+    (GradedNicholsState.action_column), not on the whole degree-n piece,
+    and solved against the rows in one elimination; the module derives
+    every other element's action from the generators.
     """
     state, n, rows = chain.state, chain.degree, chain.rows
     want_mdeg = (n - 1, 1)
@@ -348,49 +346,32 @@ def _top_module(chain: _Chain) -> YDModule:
         if len(hdegs) != 1 or mdegs != {want_mdeg}:
             raise RuntimeError("adjoint chain rows are not homogeneous")
         coaction.append(hdegs.pop())
-    slots = sorted({w for row in rows for w in row})
-    colpos = {w: c for c, w in enumerate(slots)}
     ops = state.ops
-    solver = IncrementalSpan(ops, len(slots), track=True)
-    for row in rows:
-        vec = [ops.zero] * len(slots)
-        for w, val in row.items():
-            vec[colpos[w]] = ops.lift(val)
-        kind, _ = solver.insert(vec)
-        if kind != "pivot":
-            raise RuntimeError("adjoint chain basis is not independent")
     group = state.module.group
-
-    def act(t):
-        """Columns of t on the chain rows, solved against the rows."""
-        columns = []
+    images = []
+    for t in group.generators:
         for row in rows:
             acc = {}
             for w, cv in row.items():
-                for w2, s in state.action_column(n, t, w).items():
-                    term = cv * s
-                    cur = acc.get(w2)
-                    acc[w2] = term if cur is None else cur + term
-            vec = [ops.zero] * len(slots)
-            for w2, val in acc.items():
-                if val.is_zero():
-                    continue
-                c = colpos.get(w2)
-                if c is None:
-                    raise RuntimeError("group action left the adjoint chain span")
-                vec[c] = ops.lift(val)
-            kind, data = solver.insert(vec)
-            if kind != "combo":
-                raise RuntimeError("group action left the adjoint chain span")
-            columns.append({r: ops.lower(cf) for r, cf in enumerate(data)
-                            if ops.nonzero(cf)})
-        return columns
-
+                _add_scaled(acc, state.action_column(n, t, w), cv)
+            images.append(_nonzero(acc))
     dim = len(rows)
+    results = eliminate_block(
+        ops, [{w: ops.lift(x) for w, x in v.items()} for v in rows + images],
+        degree=n, key="top chain module")
+    if any(kind != "pivot" for kind, _ in results[:dim]):
+        raise RuntimeError("adjoint chain basis is not independent")
+    columns = []
+    for kind, data in results[dim:]:
+        if kind != "combo":
+            raise RuntimeError("group action left the adjoint chain span")
+        columns.append({r: ops.lower(cf) for r, cf in enumerate(data)
+                        if ops.nonzero(cf)})
     labels = [f"u{k + 1}" for k in range(dim)]
     triples = [(0, k, 0) for k in range(dim)]
-    out = YDModule(group, state.field, coaction,
-                   {t: act(t) for t in group.generators}, labels, triples,
+    gen_columns = {t: columns[k * dim:(k + 1) * dim]
+                   for k, t in enumerate(group.generators)}
+    out = YDModule(group, state.field, coaction, gen_columns, labels, triples,
                    [("u", 0, dim)], check=True)
     try:
         fingerprint(out)

@@ -1,16 +1,19 @@
-"""Exact linear algebra over CycloNumber: one elimination idiom.
+"""Exact linear algebra over CycloNumber: one elimination entry point.
 
 Rows hold "raw" scalars (a bare rational when phi(N) = 1, a coefficient
 tuple otherwise), in the canonical form of cyclotomic: a plain int when
 integral, an mpq otherwise.  FieldOps converts between raws and
-CycloNumbers.  IncrementalSpan feeds vectors one at a time and returns, for
-each, either a new pivot or its exact combination over the earlier pivots;
-pivoting is first-nonzero in column order, deterministic across runs and
-platforms.
+CycloNumbers.
 
-The Nichols engine eliminates one block of sparse vectors at a time with
-eliminate_block.  Over Q it works modulo a fixed prime and certifies every
-dependency exactly; any block it cannot certify is redone by IncrementalSpan.
+Every elimination in the package (the engine's rank step, the symmetrizer
+oracle, adjoint chains and top chain modules) goes through eliminate_block:
+one block of sparse vectors in, and for each vector either a new pivot or
+its exact combination over the earlier pivots out; pivoting is
+first-nonzero in column order, deterministic across runs and platforms.
+Over Q it works modulo a fixed prime and certifies every dependency
+exactly.  IncrementalSpan, exact dense elimination one vector at a time, is
+its fallback: for any block it cannot certify, and for every block when
+phi(N) > 1.
 """
 
 from __future__ import annotations

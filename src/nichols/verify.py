@@ -12,7 +12,7 @@ complete matrix.
 from __future__ import annotations
 
 from .cyclotomic import CycloField
-from .derivations import element_is_zero, evaluate_expr, format_element
+from .derivations import evaluate_expr, format_element
 from .engine import GradedNicholsState, hilbert_series, symmetrizer_rank
 from .groupoid import (
     FamilyM,
@@ -21,7 +21,6 @@ from .groupoid import (
     cartan_matrix,
     explore_groupoid,
     gcm_finite_type,
-    is_standard,
     reflect,
 )
 from .groups import (
@@ -34,7 +33,6 @@ from .ydmodule import (
     build_M_O_rho,
     diagonal_modules,
     direct_sum,
-    fingerprint,
     one_dim_rep,
 )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .cyclotomic import CycloField
+from .cyclotomic import CycloField, _add_scaled, _nonzero
 from .errors import ModuleSpecError
 from .groups import ConjugacyClassData, FiniteGroup, build_abelian_group, conjugacy_class
 
@@ -29,10 +29,7 @@ def _compose(a, b):
     for col in b:
         acc = {}
         for k, bv in col.items():
-            for i, av in a[k].items():
-                term = av * bv
-                cur = acc.get(i)
-                acc[i] = term if cur is None else cur + term
+            _add_scaled(acc, a[k], bv)
         out.append({i: acc[i] for i in sorted(acc) if not acc[i].is_zero()})
     return out
 
@@ -239,7 +236,7 @@ class BraidingOperator:
                 acc = out.get(key2)
                 term = coeff * s
                 out[key2] = term if acc is None else acc + term
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return _nonzero(out)
 
     def check(self):
         m = self.module
@@ -268,15 +265,12 @@ class BraidingOperator:
                     out[key] = out.get(key, m.field.zero()) + term
             return out
 
-        def clean(vec):
-            return {k: v for k, v in vec.items() if not v.is_zero()}
-
         for a in range(m.dim):
             for b in range(m.dim):
                 for c in range(m.dim):
                     start = {(a, b, c): one}
-                    lhs = clean(lift12(lift23(lift12(start))))
-                    rhs = clean(lift23(lift12(lift23(start))))
+                    lhs = _nonzero(lift12(lift23(lift12(start))))
+                    rhs = _nonzero(lift23(lift12(lift23(start))))
                     if lhs != rhs:
                         raise ModuleSpecError("braid equation failed", triple=(a, b, c))
 

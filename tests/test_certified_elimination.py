@@ -1,6 +1,6 @@
 """Certified mod-p elimination against the exact IncrementalSpan it replaces:
 the same insert() sequence on random and adversarial blocks, the same engine
-states on real modules, and one pair algebra per derive."""
+states and adjoint chains on real modules, and one pair algebra per derive."""
 
 import logging
 from fractions import Fraction
@@ -12,10 +12,23 @@ from hypothesis import strategies as st
 
 from nichols import cli, engine, linalg
 from nichols.cyclotomic import CycloField
-from nichols.engine import GradedNicholsState, symmetrizer_rank
+from nichols.engine import DEFAULT_MEM_LIMIT, GradedNicholsState, symmetrizer_rank
+from nichols.groupoid import (
+    FamilyM,
+    _adjoint_chain,
+    _top_module,
+    explore_groupoid,
+    real_roots,
+)
 from nichols.linalg import MODULUS, FieldOps, IncrementalSpan, eliminate_block
-from nichols.verify import corpus, d9_module
-from nichols.ydmodule import direct_sum
+from nichols.verify import (
+    corpus,
+    d9_module,
+    fk3_module,
+    four_cycle_module,
+    transposition_module,
+)
+from nichols.ydmodule import diagonal_modules, direct_sum, fingerprint
 
 OPS = FieldOps(CycloField(1))
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
@@ -142,6 +155,65 @@ def test_engine_matches_forced_exact_path(name, cap, oracle_degree,
     assert fallback_reasons(caplog) == []
     monkeypatch.setattr(linalg, "_eliminate_mod_p", lambda v, track: "forced")
     assert engine_data(module, cap, oracle_degree) == certified
+
+
+# -- adjoint chains, certified path against the exact one
+
+# blocks, cap, and whether the top chain step is an irreducible module
+CHAIN_CASES = {
+    "d9-pair": (lambda: [d9_module("v"), d9_module("w")], 3, False),
+    "fk3-double": (lambda: [fk3_module("x"), fk3_module("y")], 3, True),
+    "s4-zt-w": (lambda: [transposition_module(1, name="zt"),
+                         four_cycle_module("w")], 3, False),
+    # A2 at q = -1 over Q: every chain ends, a_12 = a_21 = -1
+    "a2-minus-one": (lambda: diagonal_modules([["-1", "-1"],
+                                               ["1", "-1"]])[2], 3, True),
+}
+
+
+def chain_data(blocks, cap, with_top):
+    fam = FamilyM(blocks)
+    out = []
+    for i, j in ((0, 1), (1, 0)):
+        chain = _adjoint_chain(fam, i, j, cap, DEFAULT_MEM_LIMIT)
+        # UnboundedAtCap compares cap and reached
+        out.append((chain.entry, chain.degree, chain.rows))
+        if with_top:
+            top = _top_module(chain)
+            out.append((top.generator_columns, fingerprint(top)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_chains_match_forced_exact_path(name, monkeypatch, caplog):
+    build, cap, with_top = CHAIN_CASES[name]
+    mod_p_blocks = []
+    mod_p = linalg._eliminate_mod_p
+
+    def counting(vectors, track):
+        mod_p_blocks.append(len(vectors))
+        return mod_p(vectors, track)
+
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", counting)
+    with caplog.at_level(logging.DEBUG, logger="nichols.linalg"):
+        certified = chain_data(build(), cap, with_top)
+    assert fallback_reasons(caplog) == []
+    assert mod_p_blocks
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", lambda v, track: "forced")
+    assert chain_data(build(), cap, with_top) == certified
+
+
+def test_conductor_one_groupoid_matches_forced_exact_path(monkeypatch):
+    def explored():
+        _, _, blocks = diagonal_modules([["-1", "-1"], ["1", "-1"]])
+        graph = explore_groupoid(FamilyM(blocks), cap=6)
+        return graph.to_jsonable(), real_roots(graph)
+
+    graph, roots = certified = explored()
+    assert len(graph["nodes"]) == 6 and len(roots.roots) == 6
+    assert not graph["partial"] and not roots.partial
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", lambda v, track: "forced")
+    assert explored() == certified
 
 
 def test_derive_with_probe_builds_one_pair_algebra(monkeypatch, capsys):

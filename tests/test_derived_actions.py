@@ -35,6 +35,9 @@ DIAG_ROOTS = {
     "g2-z8": [["z8^1", "z8^5"], ["1", "z8^3"]],
 }
 DIAG_ROOTS_CAP = 6
+# and a conductor-1 case (A2 at q = -1), whose chains and top chain modules
+# are eliminated on the certified mod-p path
+REFLECTED = dict(DIAG_ROOTS, **{"a2-minus-one": [["-1", "-1"], ["1", "-1"]]})
 
 
 def reference_character(group, values):
@@ -140,9 +143,9 @@ def reference_chain_action(chain, t):
     return cols
 
 
-@pytest.mark.parametrize("label", sorted(DIAG_ROOTS))
+@pytest.mark.parametrize("label", sorted(REFLECTED))
 def test_reflected_block_actions_match_chain_solves(label):
-    _, _, blocks = diagonal_modules(DIAG_ROOTS[label])
+    _, _, blocks = diagonal_modules(REFLECTED[label])
     fam = FamilyM(blocks)
     g = fam.group
     for i in range(fam.theta):

@@ -379,3 +379,16 @@ def test_bounded_state_refuses_words_outside_the_ideal():
     with pytest.raises(DegreeRangeError):
         part.multiply((1, {y1: one}), (1, {y2: one}))
     assert part.multiply((1, {x1: one}), (1, {y1: one}))[0] == 2
+
+
+def test_memory_guard_counts_only_candidates_inside_the_ideal():
+    # degree 2 of the D9 pair on {(a, b) : b <= 1}: 9 v-letters times 18
+    # words plus 9 w-letters times the 9 v-words, 243 built of 324
+    module = direct_sum([named_d9_module("v"), named_d9_module("w")])
+    part = GradedNicholsState(module, mem_limit=300, bound=(None, 1))
+    assert part.extend_to(2).max_degree() == 2
+    tight = GradedNicholsState(module, mem_limit=200, bound=(None, 1))
+    tight.extend_degree()
+    with pytest.raises(MemoryGuardError) as exc:
+        tight.extend_degree()
+    assert exc.value.details == {"degree": 2, "candidates": 243, "limit": 200}

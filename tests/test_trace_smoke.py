@@ -1,0 +1,46 @@
+"""The benchmark's traced runs still work against the current program.
+
+perfbench/tracer.py wraps the program's modules from outside: every public
+function, IncrementalSpan.insert, and the state constructor.  These tests run
+perfbench/child.py in trace mode in a fresh process and read the counts it
+writes, so a change that breaks that contract fails here first.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CHILD = ROOT / "perfbench" / "child.py"
+
+
+def traced_run(tmp_path, *cli_args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    timing, trace = tmp_path / "timing.json", tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), str(timing), "trace", str(trace), "--",
+         *cli_args, "--json"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(timing.read_text())["rc"] == 0
+    return json.loads(trace.read_text())
+
+
+def test_traced_diag_roots(tmp_path):
+    trace = traced_run(tmp_path, "roots", str(
+        ROOT / "perfbench" / "scenarios" / "diag_roots.json"))
+    assert trace["counts"]["engine.states_built"] == 112
+    # phi(N) > 1 blocks are still eliminated by IncrementalSpan.insert
+    assert trace["layers"]["linalg.insert"]["calls"] > 0
+
+
+def test_traced_dn_derive(tmp_path):
+    trace = traced_run(tmp_path, "derive", str(
+        ROOT / "src" / "nichols" / "scenarios" / "dn_obstruction.json"))
+    assert trace["counts"]["engine.states_built"] == 1
