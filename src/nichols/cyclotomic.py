@@ -31,21 +31,6 @@ def _q(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def euler_phi(n: int) -> int:
-    assert n >= 1
-    result = n
-    p, m = 2, n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def _divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1
@@ -257,11 +242,6 @@ class CycloNumber:
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ScalarParseError(f"{self} is not rational")
-        return self.coeffs[0]
 
     def __bool__(self):
         return any(self.coeffs)

@@ -20,23 +20,11 @@ from itertools import product as iproduct
 
 from .cyclotomic import _add_scaled, _nonzero
 from .errors import DegreeRangeError, MemoryGuardError
-from .linalg import FieldOps, eliminate_block
+from .linalg import eliminate_block
 from .ydmodule import YDModule
 
 DEFAULT_MEM_LIMIT = 200000
 DEFAULT_ORACLE_BUDGET = 200000
-
-
-def _braid_apply(colmap, vec, k, field):
-    """Apply the braiding on slots (k, k+1) to a sparse word vector."""
-    out = {}
-    for word, coeff in vec.items():
-        for (a2, b2), s in colmap[word[k], word[k + 1]]:
-            w2 = word[:k] + (a2, b2) + word[k + 2:]
-            acc = out.get(w2)
-            term = coeff * s
-            out[w2] = term if acc is None else acc + term
-    return _nonzero(out)
 
 
 def symmetrizer_columns(module: YDModule, n: int, words, inverse=False,
@@ -48,10 +36,8 @@ def symmetrizer_columns(module: YDModule, n: int, words, inverse=False,
     re-derives every lift along each alternative edge and asserts equality
     (an explicit check that the section is well defined).
     """
-    br = module.braiding()
-    colmap = br.inverse_columns if inverse else br.columns
-    field = module.field
-    one = field.one()
+    apply = module.braiding().apply
+    one = module.field.one()
     ident = tuple(range(n))
     start = {w: {w: one} for w in words}
     mats = {ident: start}
@@ -66,7 +52,7 @@ def symmetrizer_columns(module: YDModule, n: int, words, inverse=False,
                 if perm.index(k) < perm.index(k + 1):
                     perm2 = tuple(k + 1 if v == k else (k if v == k + 1 else v)
                                   for v in perm)
-                    lifted = {w: _braid_apply(colmap, vec, k, field)
+                    lifted = {w: apply(vec, k, inverse)
                               for w, vec in mat.items()}
                     if perm2 in mats:
                         if verify and mats[perm2] != lifted:
@@ -106,13 +92,12 @@ def symmetrizer_rank(module: YDModule, n: int, inverse=False,
     blocks = {}
     for word in iproduct(range(module.dim), repeat=n):
         blocks.setdefault(_word_key(module, word), []).append(word)
-    ops = FieldOps(module.field)
     rank = 0
     for key, words in blocks.items():
         cols = symmetrizer_columns(module, n, words, inverse=inverse)
-        vecs = [{w2: ops.lift(v) for w2, v in cols[w].items()} for w in words]
         rank += sum(kind == "pivot" for kind, _ in eliminate_block(
-            ops, vecs, track=False, degree=n, key=key))
+            module.field, [cols[w] for w in words], track=False, degree=n,
+            key=key))
     return rank
 
 
@@ -127,9 +112,6 @@ class HilbertSeries:
     @property
     def total(self):
         return sum(self.coeffs) if self.finished else None
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == list(reversed(self.coeffs))
 
 
 class GradedNicholsState:
@@ -153,7 +135,6 @@ class GradedNicholsState:
                  bound=None):
         self.module = module
         self.field = module.field
-        self.ops = FieldOps(self.field)
         self.mem_limit = mem_limit
         if bound is not None and len(bound) != module.theta:
             raise ValueError("multidegree bound needs one entry per block")
@@ -271,7 +252,6 @@ class GradedNicholsState:
             raise MemoryGuardError(
                 "degree extension exceeds the candidate budget",
                 degree=n, candidates=built, limit=self.mem_limit)
-        ops = self.ops
         dprev = self.derivs[n - 1]
         pprev = self.products[n - 1]
         group = self.module.group
@@ -313,14 +293,13 @@ class GradedNicholsState:
         pivot_ordinals = []
         block_pivots = {}
         combo_data = {}
-        lift = ops.lift
         for key, members in blocks.items():
-            vecs = [{(k, idx): lift(val)
+            vecs = [{(k, idx): val
                      for k, comp in enumerate(cands[o][2])
                      for idx, val in comp.items()} for o in members]
             plist = []
-            for o, (kind, data) in zip(
-                    members, eliminate_block(ops, vecs, degree=n, key=key)):
+            for o, (kind, data) in zip(members, eliminate_block(
+                    self.field, vecs, degree=n, key=key)):
                 if kind == "pivot":
                     plist.append(o)
                     pivot_ordinals.append(o)
@@ -347,8 +326,7 @@ class GradedNicholsState:
         for o, data in combo_data.items():
             i, bidx, _, key = cands[o]
             plist = block_pivots[key]
-            prods[i, bidx] = {glob[plist[j]]: ops.lower(cf)
-                              for j, cf in enumerate(data) if ops.nonzero(cf)}
+            prods[i, bidx] = {glob[plist[j]]: cf for j, cf in data.items()}
         self.words.append(new_words)
         self.word_index.append(new_index)
         self.derivs.append(new_derivs)
@@ -379,18 +357,7 @@ class GradedNicholsState:
                 return {}
             raise DegreeRangeError("word degree beyond the computed range",
                                    degree=n, computed=self.max_degree())
-        coords = {0: self.field.one()}
-        deg = 0
-        for letter in reversed(tuple(word)):
-            prods = self.products[deg + 1]
-            out = {}
-            for m, c in coords.items():
-                _add_scaled(out, prods[letter, m], c)
-            coords = _nonzero(out)
-            deg += 1
-            if not coords:
-                return {}
-        return coords
+        return self._times_word(word, 0, {0: self.field.one()})
 
     def multiply(self, a, b):
         """Product of (degree, coords) elements, in normal form."""
@@ -407,23 +374,26 @@ class GradedNicholsState:
                                        "product")
         out = {}
         for m, am in ca.items():
-            word = self.words[da][m]
-            cur = dict(cb)
-            deg = db
-            for letter in reversed(word):
-                if deg + 1 > self.max_degree():
-                    cur = {}
-                    break
-                prods = self.products[deg + 1]
-                nxt = {}
-                for kidx, c in cur.items():
-                    _add_scaled(nxt, prods[letter, kidx], c)
-                cur = _nonzero(nxt)
-                deg += 1
-                if not cur:
-                    break
-            _add_scaled(out, cur, am)
+            _add_scaled(out, self._times_word(self.words[da][m], db, cb), am)
         return (n, _nonzero(out))
+
+    def _times_word(self, word, deg, coords):
+        """word * (degree-deg element coords) in normal form, letter by
+        letter from the right; {} once the product vanishes or passes the
+        last degree of a finished algebra."""
+        top = self.max_degree()
+        for letter in reversed(word):
+            if deg >= top:
+                return {}
+            prods = self.products[deg + 1]
+            out = {}
+            for m, c in coords.items():
+                _add_scaled(out, prods[letter, m], c)
+            coords = _nonzero(out)
+            deg += 1
+            if not coords:
+                return {}
+        return coords
 
     def derivative(self, n: int, coords, k: int):
         """Right derivative by the k-th dual vector: degree n -> n-1 coords."""

@@ -33,7 +33,7 @@ from .derivations import ad_c
 from .engine import DEFAULT_MEM_LIMIT, GradedNicholsState
 from .errors import ModuleSpecError, ReflectionError, ScenarioError
 from .linalg import eliminate_block
-from .ydmodule import YDModule, direct_sum, fingerprint
+from .ydmodule import YDModule, _same_group, direct_sum, fingerprint
 
 DEFAULT_DEGREE_CAP = 8
 DEFAULT_NODE_LIMIT = 64
@@ -67,11 +67,6 @@ class UnboundedAtCap:
 
     def to_jsonable(self):
         return {"unbounded_at_cap": self.cap, "chain_reached": self.reached}
-
-
-def _same_group(a, b) -> bool:
-    return a is b or (a.backend == b.backend and a.elements == b.elements
-                      and a.generators == b.generators)
 
 
 def _renamed(block: YDModule, name: str, labels=None) -> YDModule:
@@ -217,7 +212,6 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
     state.extend_to(1)
     di = fam.blocks[i].dim
     dj = fam.blocks[j].dim
-    ops = state.ops
     one = state.field.one()
     rows = [{di + k: one} for k in range(dj)]
     m = 1
@@ -236,9 +230,8 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
         if not images:
             chain = _Chain(1 - m, state, m, rows)
             break
-        results = eliminate_block(
-            ops, [{w: ops.lift(x) for w, x in c.items()} for c in images],
-            track=False, degree=m + 1, key="adjoint chain")
+        results = eliminate_block(state.field, images, track=False,
+                                  degree=m + 1, key="adjoint chain")
         rows = [coords for coords, (kind, _) in zip(images, results)
                 if kind == "pivot"]
         m += 1
@@ -346,7 +339,6 @@ def _top_module(chain: _Chain) -> YDModule:
         if len(hdegs) != 1 or mdegs != {want_mdeg}:
             raise RuntimeError("adjoint chain rows are not homogeneous")
         coaction.append(hdegs.pop())
-    ops = state.ops
     group = state.module.group
     images = []
     for t in group.generators:
@@ -356,17 +348,15 @@ def _top_module(chain: _Chain) -> YDModule:
                 _add_scaled(acc, state.action_column(n, t, w), cv)
             images.append(_nonzero(acc))
     dim = len(rows)
-    results = eliminate_block(
-        ops, [{w: ops.lift(x) for w, x in v.items()} for v in rows + images],
-        degree=n, key="top chain module")
+    results = eliminate_block(state.field, rows + images, degree=n,
+                              key="top chain module")
     if any(kind != "pivot" for kind, _ in results[:dim]):
         raise RuntimeError("adjoint chain basis is not independent")
     columns = []
     for kind, data in results[dim:]:
         if kind != "combo":
             raise RuntimeError("group action left the adjoint chain span")
-        columns.append({r: ops.lower(cf) for r, cf in enumerate(data)
-                        if ops.nonzero(cf)})
+        columns.append(data)
     labels = [f"u{k + 1}" for k in range(dim)]
     triples = [(0, k, 0) for k in range(dim)]
     gen_columns = {t: columns[k * dim:(k + 1) * dim]
@@ -468,30 +458,6 @@ class GroupoidGraph:
         return {"base": ids[self.base_key], "degree_cap": self.cap,
                 "node_limit": self.node_limit, "partial": self.partial,
                 "nodes": nodes, "edges": edges}
-
-    def to_dot(self) -> str:
-        ids = self.node_ids()
-        pos = {key: k for k, key in enumerate(self.order)}
-        lines = ["graph groupoid {"]
-        for key in self.order:
-            rec = self.nodes[key]
-            if rec.cartan is None:
-                cart = "?"
-            else:
-                cart = str(rec.cartan.to_jsonable()).replace(" ", "")
-            bad = sorted(self.uncertified.get(key, []))
-            extra = f"\\nuncertified rows {[i + 1 for i in bad]}" if bad else ""
-            lines.append(f'  {ids[key]} [label="{ids[key]}\\n{cart}{extra}"];')
-        seen = set()
-        for (key, i), (key2, _) in sorted(
-                self.edges.items(), key=lambda kv: (pos[kv[0][0]], kv[0][1])):
-            mark = frozenset((key, key2)), i
-            if mark in seen:
-                continue
-            seen.add(mark)
-            lines.append(f'  {ids[key]} -- {ids[key2]} [label="s{i + 1}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def explore_groupoid(fam: FamilyM, cap: int = DEFAULT_DEGREE_CAP,

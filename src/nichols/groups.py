@@ -70,12 +70,6 @@ class FiniteGroup:
             self._exponent = exp
         return self._exponent
 
-    @property
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(self._mul(a, b) == self._mul(b, a)
-                   for a in gens for b in gens)
-
     def _check_axioms(self):
         if self.identity not in self.index:
             raise GroupSpecError("identity missing from element list")
@@ -239,9 +233,6 @@ class ConjugacyClassData:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def member_index(self, e) -> int:
-        return self._member_index[e]
 
     def decompose(self, t, j: int):
         """Unique (k, gamma) with t*reps[j] = reps[k]*gamma, gamma central to s."""

@@ -1,19 +1,21 @@
 """Exact linear algebra over CycloNumber: one elimination entry point.
 
-Rows hold "raw" scalars (a bare rational when phi(N) = 1, a coefficient
-tuple otherwise), in the canonical form of cyclotomic: a plain int when
-integral, an mpq otherwise.  FieldOps converts between raws and
-CycloNumbers.
-
 Every elimination in the package (the engine's rank step, the symmetrizer
 oracle, adjoint chains and top chain modules) goes through eliminate_block:
-one block of sparse vectors in, and for each vector either a new pivot or
-its exact combination over the earlier pivots out; pivoting is
-first-nonzero in column order, deterministic across runs and platforms.
-Over Q it works modulo a fixed prime and certifies every dependency
-exactly.  IncrementalSpan, exact dense elimination one vector at a time, is
-its fallback: for any block it cannot certify, and for every block when
+one block of sparse {column: CycloNumber} vectors in, and for each vector
+either a new pivot or its exact combination over the earlier pivots out,
+as a sparse {ordinal: CycloNumber} dict; pivoting is first-nonzero in
+column order, deterministic across runs and platforms.  Over Q it works
+modulo a fixed prime and certifies every dependency exactly.
+IncrementalSpan, exact dense elimination one vector at a time, is its
+fallback: for any block it cannot certify, and for every block when
 phi(N) > 1.
+
+Inside this module rows hold "raw" scalars (a bare rational when
+phi(N) = 1, a coefficient tuple otherwise), in the canonical form of
+cyclotomic: a plain int when integral, an mpq otherwise.  FieldOps does
+arithmetic on raws and converts them to and from CycloNumbers; no other
+module sees a raw.
 """
 
 from __future__ import annotations
@@ -161,14 +163,17 @@ class IncrementalSpan:
         return ("pivot", ordinal)
 
 
-def eliminate_block(ops: FieldOps, vectors, track: bool = True,
+def eliminate_block(field: CycloField, vectors, track: bool = True,
                     degree=None, key=None):
-    """What IncrementalSpan.insert returns for each vector, in order.
+    """For each vector, in order: ("pivot", ordinal) or ("combo", combo).
 
-    The vectors are sparse dicts (column -> raw scalar) over any hashable,
-    sortable columns.  When phi(N) = 1 the block is eliminated modulo
-    MODULUS; a vector independent mod p is independent over Q, and every
-    vector found dependent has its combination rebuilt by rational
+    The vectors are sparse dicts (column -> CycloNumber of field) over any
+    hashable, sortable columns.  A combo is the vector as {ordinal: scalar}
+    over the earlier pivots, ordinals ascending and zeros omitted; it is
+    None unless track.  The results are what IncrementalSpan.insert returns
+    when fed the same vectors.  When phi(N) = 1 the block is eliminated
+    modulo MODULUS; a vector independent mod p is independent over Q, and
+    every vector found dependent has its combination rebuilt by rational
     reconstruction and checked exactly over Q.  So the pivots are the same
     greedy ones and the combinations, unique over independent pivots, are
     the same exact ones.  A block that fails any step is eliminated again
@@ -176,12 +181,15 @@ def eliminate_block(ops: FieldOps, vectors, track: bool = True,
     only label the DEBUG line logged for such a fallback.
     """
     vectors = list(vectors)
-    if ops.phi == 1:
+    rational = field.phi == 1
+    if rational:
         results = _eliminate_mod_p(vectors, track)
         if not isinstance(results, str):
             return results
         log.debug("degree %s block %s fell back to exact elimination: %s",
                   degree, key, results)
+    ops = FieldOps(field)
+    lower, nonzero = ops.lower, ops.nonzero
     cols = sorted({c for v in vectors for c in v})
     colpos = {c: i for i, c in enumerate(cols)}
     span = IncrementalSpan(ops, len(cols), track=track)
@@ -189,8 +197,11 @@ def eliminate_block(ops: FieldOps, vectors, track: bool = True,
     for v in vectors:
         row = [ops.zero] * len(cols)
         for c, x in v.items():
-            row[colpos[c]] = x
-        results.append(span.insert(row))
+            row[colpos[c]] = x.coeffs[0] if rational else x.coeffs
+        kind, data = span.insert(row)
+        if kind == "combo" and track:
+            data = {o: lower(cf) for o, cf in enumerate(data) if nonzero(cf)}
+        results.append((kind, data))
     return results
 
 
@@ -209,6 +220,7 @@ def _eliminate_mod_p(vectors, track):
     for v in vectors:
         row = {}
         for c, x in v.items():
+            x = x.coeffs[0]
             d = x.denominator
             inv = den_inv.get(d)
             if inv is None:
@@ -242,7 +254,7 @@ def _eliminate_mod_p(vectors, track):
             for o, e in exprs[k].items():
                 combo[o] = (combo.get(o, 0) + f * e) % p
         if lead_col is None:
-            dependents.append((len(results), v, len(pivots), combo))
+            dependents.append((len(results), v, combo))
             results.append(None)
             continue
         inv = pow(f, -1, p)
@@ -253,11 +265,15 @@ def _eliminate_mod_p(vectors, track):
         exprs.append(expr)
         results.append(("pivot", len(pivots)))
         pivots.append(v)
+    # a pivot has a nonzero entry, and only a vector with pivots before it
+    # has a nonzero combination
+    field = next(iter(pivots[0].values())).field if pivots else None
     lifted = {}
     pivot_ints = {}
-    for slot, v, npivots, combo in dependents:
+    for slot, v, combo in dependents:
         coeffs = {}
-        for o, r in combo.items():
+        for o in sorted(combo):
+            r = combo[o]
             if not r:
                 continue
             q = lifted.get(r)
@@ -265,7 +281,7 @@ def _eliminate_mod_p(vectors, track):
                 q = _rational_reconstruction(r)
                 if q is None:
                     return "reconstruction"
-                lifted[r] = q
+                q = lifted[r] = CycloNumber(field, (q,))
             coeffs[o] = q
         # v == sum(q * pivot) over Q, checked in integers: with each vector
         # written as an integer vector over one denominator, clear them all
@@ -276,6 +292,7 @@ def _eliminate_mod_p(vectors, track):
             if o not in pivot_ints:
                 pivot_ints[o] = _integral(pivots[o])
             do, io = pivot_ints[o]
+            q = q.coeffs[0]
             den = q.denominator * do
             scale = scale * den // gcd(scale, den)
             terms.append((q.numerator, den, io))
@@ -287,24 +304,22 @@ def _eliminate_mod_p(vectors, track):
                 rest[c] = rest.get(c, 0) - f * x
         if any(rest.values()):
             return "check"
-        if track:
-            dense = [0] * npivots
-            for o, q in coeffs.items():
-                dense[o] = q
-            results[slot] = ("combo", dense)
-        else:
-            results[slot] = ("combo", None)
+        results[slot] = ("combo", coeffs if track else None)
     return results
 
 
 def _integral(v):
-    """A sparse rational vector as (common denominator, integer vector)."""
+    """A sparse vector over Q as (common denominator, integer vector)."""
     den = 1
     for x in v.values():
-        d = x.denominator
+        d = x.coeffs[0].denominator
         if d != 1:
             den = den * d // gcd(den, d)
-    return den, {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+    out = {}
+    for c, x in v.items():
+        x = x.coeffs[0]
+        out[c] = x.numerator * (den // x.denominator)
+    return den, out
 
 
 def _rational_reconstruction(r: int):

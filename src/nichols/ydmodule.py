@@ -227,50 +227,35 @@ class BraidingOperator:
                 self.inverse_columns[a, b] = [((b, a2), s) for a2, s
                                               in inverse_acts[b][a].items()]
 
-    def apply(self, vec: dict, inverse=False) -> dict:
-        """Apply to a sparse vector keyed by basis pairs."""
+    def apply(self, vec: dict, k=0, inverse=False) -> dict:
+        """Apply c (or c^-1) on slots k, k+1 of a sparse vector keyed by
+        basis words: the braid-group lift c_k = id (x) c (x) id."""
         cols = self.inverse_columns if inverse else self.columns
         out = {}
-        for key, coeff in vec.items():
-            for key2, s in cols[key]:
-                acc = out.get(key2)
+        for word, coeff in vec.items():
+            for pair, s in cols[word[k], word[k + 1]]:
+                w2 = word[:k] + pair + word[k + 2:]
+                acc = out.get(w2)
                 term = coeff * s
-                out[key2] = term if acc is None else acc + term
+                out[w2] = term if acc is None else acc + term
         return _nonzero(out)
 
     def check(self):
         m = self.module
         one = m.field.one()
+        apply = self.apply
         for a in range(m.dim):
             for b in range(m.dim):
-                v = self.apply(self.apply({(a, b): one}), inverse=True)
+                v = apply(apply({(a, b): one}), inverse=True)
                 if v != {(a, b): one}:
                     raise ModuleSpecError("braiding inverse check failed", pair=(a, b))
-        # braid equation on basis triples of M (x) M (x) M
-        def lift12(vec):
-            out = {}
-            for (a, b, c), coeff in vec.items():
-                for (a2, b2), s in self.columns[a, b]:
-                    key = (a2, b2, c)
-                    term = coeff * s
-                    out[key] = out.get(key, m.field.zero()) + term
-            return out
-
-        def lift23(vec):
-            out = {}
-            for (a, b, c), coeff in vec.items():
-                for (b2, c2), s in self.columns[b, c]:
-                    key = (a, b2, c2)
-                    term = coeff * s
-                    out[key] = out.get(key, m.field.zero()) + term
-            return out
-
+        # braid equation c_0 c_1 c_0 = c_1 c_0 c_1 on basis triples
         for a in range(m.dim):
             for b in range(m.dim):
                 for c in range(m.dim):
                     start = {(a, b, c): one}
-                    lhs = _nonzero(lift12(lift23(lift12(start))))
-                    rhs = _nonzero(lift23(lift12(lift23(start))))
+                    lhs = apply(apply(apply(start, 0), 1), 0)
+                    rhs = apply(apply(apply(start, 1), 0), 1)
                     if lhs != rhs:
                         raise ModuleSpecError("braid equation failed", triple=(a, b, c))
 
@@ -310,6 +295,12 @@ def zero_module(group: FiniteGroup, field: CycloField) -> YDModule:
                     [], [], [], check=False)
 
 
+def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
+    """Whether two group objects describe the same group presentation."""
+    return a is b or (a.backend == b.backend and a.elements == b.elements
+                      and a.generators == b.generators)
+
+
 def direct_sum(parts) -> YDModule:
     """Concatenate blocks; block j of the result carries multidegree alpha_j."""
     parts = [p for p in parts if p.dim > 0]
@@ -318,11 +309,7 @@ def direct_sum(parts) -> YDModule:
     group = parts[0].group
     field = parts[0].field
     for p in parts[1:]:
-        same = p.group is group or (
-            p.group.backend == group.backend
-            and p.group.elements == group.elements
-            and p.group.generators == group.generators)
-        if not same:
+        if not _same_group(p.group, group):
             raise ModuleSpecError("direct sum parts must share one group")
         if p.field is not field:
             raise ModuleSpecError("direct sum parts must share one scalar field")

@@ -30,12 +30,21 @@ from nichols.verify import (
 )
 from nichols.ydmodule import diagonal_modules, direct_sum, fingerprint
 
-OPS = FieldOps(CycloField(1))
+Q = CycloField(1)
+OPS = FieldOps(Q)
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
 
 
+def over_q(vectors):
+    """Sparse rational vectors as the CycloNumber vectors eliminate_block
+    takes."""
+    return [{c: Q.scalar(x) for c, x in v.items()} for v in vectors]
+
+
 def exact_sequence(vectors, track=True):
-    """What feeding the vectors to IncrementalSpan.insert returns today."""
+    """What feeding the rational vectors to IncrementalSpan.insert returns,
+    each combination as eliminate_block writes it: a sparse CycloNumber
+    dict, ordinals ascending."""
     cols = sorted({c for v in vectors for c in v})
     pos = {c: i for i, c in enumerate(cols)}
     span = IncrementalSpan(OPS, len(cols), track=track)
@@ -44,7 +53,10 @@ def exact_sequence(vectors, track=True):
         row = [OPS.zero] * len(cols)
         for c, x in v.items():
             row[pos[c]] = x
-        out.append(span.insert(row))
+        kind, data = span.insert(row)
+        if kind == "combo" and track:
+            data = {o: OPS.lower(cf) for o, cf in enumerate(data) if cf}
+        out.append((kind, data))
     return out
 
 
@@ -88,7 +100,8 @@ def blocks(draw):
 @settings(max_examples=300, deadline=None)
 @given(blocks(), st.booleans())
 def test_same_sequence_as_incremental_span(vectors, track):
-    assert eliminate_block(OPS, vectors, track) == exact_sequence(vectors, track)
+    assert eliminate_block(Q, over_q(vectors), track) == \
+        exact_sequence(vectors, track)
 
 
 # -- adversarial blocks: each must fall back and still be exact
@@ -113,7 +126,7 @@ ADVERSARIAL = {
 def test_adversarial_block_falls_back_exactly(name, caplog):
     vectors, reason = ADVERSARIAL[name]
     with caplog.at_level(logging.DEBUG, logger="nichols.linalg"):
-        got = eliminate_block(OPS, vectors, degree=3, key="k")
+        got = eliminate_block(Q, over_q(vectors), degree=3, key="k")
     assert got == exact_sequence(vectors)
     assert fallback_reasons(caplog) == [reason]
     assert "degree 3 block k" in caplog.records[0].getMessage()
@@ -121,14 +134,13 @@ def test_adversarial_block_falls_back_exactly(name, caplog):
 
 def test_cyclotomic_blocks_take_the_exact_path(caplog):
     field = CycloField(3)
-    ops = FieldOps(field)
-    z = ops.lift(field.root_of_unity(1))
-    one = ops.one
-    vectors = [{0: one, 1: z}, {0: z, 1: ops.mul(z, z)}, {1: one}]
+    z = field.root_of_unity(1)
+    one = field.one()
+    vectors = [{0: one, 1: z}, {0: z, 1: z * z}, {1: one}]
     with caplog.at_level(logging.DEBUG, logger="nichols.linalg"):
-        got = eliminate_block(ops, vectors)
+        got = eliminate_block(field, vectors)
     assert [kind for kind, _ in got] == ["pivot", "combo", "pivot"]
-    assert got[1][1] == [z]
+    assert got[1][1] == {0: z}
     assert fallback_reasons(caplog) == []
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nichols.cyclotomic import CycloField, cyclotomic_modulus, euler_phi, parse_scalar
+from nichols.cyclotomic import CycloField, cyclotomic_modulus, parse_scalar
 from nichols.errors import ConductorMismatch, ScalarParseError
 
 SUPPORTED = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 24]
@@ -15,7 +15,7 @@ def random_element(field, rng, span=6):
 @pytest.mark.parametrize("n,phi", [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2),
                                    (12, 4), (105, 48)])
 def test_euler_phi(n, phi):
-    assert euler_phi(n) == phi
+    assert CycloField(n).phi == phi
     assert len(cyclotomic_modulus(n)) == phi + 1
 
 

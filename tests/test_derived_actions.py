@@ -12,7 +12,7 @@ from nichols.cyclotomic import CycloField
 from nichols.engine import DEFAULT_MEM_LIMIT
 from nichols.groupoid import FamilyM, _adjoint_chain, reflect
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
-from nichols.linalg import IncrementalSpan
+from nichols.linalg import FieldOps, IncrementalSpan
 from nichols.verify import (
     SIGMA,
     TAU,
@@ -116,7 +116,7 @@ def reference_chain_action(chain, t):
     """Columns of t on the top chain step, solving every row's image
     against the chain rows."""
     state, n, rows = chain.state, chain.degree, chain.rows
-    ops = state.ops
+    ops = FieldOps(state.field)
     slots = sorted({w for row in rows for w in row})
     colpos = {w: c for c, w in enumerate(slots)}
 

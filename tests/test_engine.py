@@ -129,7 +129,6 @@ def test_fk3_hilbert_series():
     assert hs.coeffs == [1, 3, 4, 3, 1]
     assert hs.finished
     assert hs.total == 12
-    assert hs.is_palindromic()
 
 
 def test_one_dim_truncation():

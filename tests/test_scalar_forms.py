@@ -125,23 +125,21 @@ def blocks(draw):
 def assert_exact_results(results):
     for kind, data in results:
         if kind == "combo":
-            for raw in data:
-                assert all(exact(c) for c in leaves(raw)), data
+            for x in data.values():
+                assert all(exact(c) for c in x.coeffs), data
 
 
 @settings(max_examples=200, deadline=None)
 @given(blocks())
 def test_eliminate_block_stays_exact_on_both_paths(block):
     field, vectors = block
-    ops = FieldOps(field)
-    raws = [{c: ops.lift(x) for c, x in v.items()} for v in vectors]
     # phi(N) = 1 eliminates mod p, phi(N) > 1 exactly
-    results = eliminate_block(ops, raws)
+    results = eliminate_block(field, vectors)
     assert_exact_results(results)
     if field.phi == 1:
         with mock.patch.object(linalg, "_eliminate_mod_p",
                                lambda v, track: "forced"):
-            exact_results = eliminate_block(ops, raws)
+            exact_results = eliminate_block(field, vectors)
         assert_exact_results(exact_results)
         assert exact_results == results
 

@@ -1,0 +1,91 @@
+"""Source checks by AST scan: no unused imports, and raw scalars stay inside
+linalg."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "nichols").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+# linalg's raw-scalar machinery, and the FieldOps conversions to and from it
+LINALG_INTERNALS = {"FieldOps", "IncrementalSpan"}
+RAW_CONVERSIONS = {"lift", "lower"}
+
+
+def _rel(path):
+    return str(path.relative_to(ROOT))
+
+
+def _exported(tree):
+    """The names listed in a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(source):
+    """(line, name) for every imported name the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    skip = used | _exported(tree)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in skip)
+
+
+def raw_scalar_uses(source):
+    """(line, name) for every reference to linalg's raw-scalar layer."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in LINALG_INTERNALS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name in LINALG_INTERNALS)
+        elif isinstance(node, ast.Attribute) and \
+                node.attr in LINALG_INTERNALS | RAW_CONVERSIONS:
+            found.append((node.lineno, "." + node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=_rel)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"],
+                         ids=_rel)
+def test_raw_scalars_stay_inside_linalg(path):
+    assert raw_scalar_uses(path.read_text()) == []
+
+
+def test_scans_catch_what_they_look_for():
+    assert unused_imports(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "from sys import argv, exit\n"
+        "from .x import kept\n"
+        "__all__ = ['kept']\n"
+        "exit(argv)\n") == [(2, "os"), (3, "osp")]
+    assert raw_scalar_uses(
+        "from .linalg import FieldOps, eliminate_block\n"
+        "ops = FieldOps(field)\n"
+        "x = ops.lift(v)\n"
+        "y = linalg.IncrementalSpan\n"
+        "z = ops.lower(x)\n") == [(1, "FieldOps"), (2, "FieldOps"),
+                                  (3, ".lift"), (4, ".IncrementalSpan"),
+                                  (5, ".lower")]

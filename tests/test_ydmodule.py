@@ -6,6 +6,7 @@ from nichols.cyclotomic import CycloField
 from nichols.errors import ModuleSpecError
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
 from nichols.ydmodule import (
+    BraidingOperator,
     Representation,
     YDModule,
     build_M_O_rho,
@@ -76,6 +77,44 @@ def test_braiding_checks_pass():
     w.braiding().check()
     _, _, u = chi_minus_module()
     u.braiding().check()
+
+
+def test_braiding_apply_lifts_c_to_any_slot():
+    _, cls, m = s3_sgn_module()
+    br = m.braiding()
+    one = Q.one()
+    for a, b, c in [(0, 1, 2), (2, 2, 0), (1, 0, 1)]:
+        k = cls.rack_index(m.coaction[b], c)
+        assert br.apply({(a, b, c): one}, 1) == {(a, k, b): -one}
+        k = cls.rack_index(m.coaction[a], b)
+        assert br.apply({(a, b, c): one}, 0) == {(k, a, c): -one}
+        assert br.apply(br.apply({(a, b, c): one}, 1), 1, inverse=True) == \
+            {(a, b, c): one}
+
+
+def test_braiding_check_rejects_a_broken_inverse():
+    _, _, m = s3_sgn_module()
+    br = BraidingOperator(m)
+    br.columns[0, 1] = [(img, 2 * s) for img, s in br.columns[0, 1]]
+    with pytest.raises(ModuleSpecError, match="braiding inverse check failed"):
+        br.check()
+
+
+def test_braiding_check_rejects_a_broken_braid_equation():
+    _, _, m = s3_sgn_module()
+    br = BraidingOperator(m)
+    # c doubled on one pair and c^-1 halved on its image: c^-1 c stays id
+    (img, s), = br.columns[0, 1]
+    br.columns[0, 1] = [(img, 2 * s)]
+    br.inverse_columns[img] = [(pre, s2 / 2)
+                               for pre, s2 in br.inverse_columns[img]]
+    one = Q.one()
+    for a in range(m.dim):
+        for b in range(m.dim):
+            assert br.apply(br.apply({(a, b): one}), inverse=True) == \
+                {(a, b): one}
+    with pytest.raises(ModuleSpecError, match="braid equation failed"):
+        br.check()
 
 
 def test_braiding_at_larger_conductor_matches():
