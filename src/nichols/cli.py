@@ -71,6 +71,15 @@ def _mem_limit():
     return value
 
 
+def _int_field(value, message, low=None, high=None, **context):
+    """value if it is an integer in [low, high]; JSON true and false are not."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)
+            or (high is not None and value > high)):
+        raise ScenarioError(message, **context)
+    return value
+
+
 def _check_keys(obj, allowed, where):
     for key in obj:
         if key not in allowed:
@@ -144,7 +153,9 @@ def build_blocks(case: dict, pos: int):
         raise ScenarioError("case needs either 'diagonal' or 'group' plus "
                             "'modules'", case=label)
     group = group_from_spec(case["group"])
-    field = CycloField(case.get("field_conductor", group.exponent))
+    conductor = case.get("field_conductor", group.exponent)
+    field = CycloField(_int_field(conductor, "'field_conductor' must be an "
+                                  "integer", case=label, got=conductor))
     specs = case["modules"]
     if not isinstance(specs, list) or not specs:
         raise ScenarioError("'modules' must be a nonempty list", case=label)
@@ -187,9 +198,8 @@ def run_cartan(blocks, case, cap, mem_limit):
 
 def run_reflect(blocks, case, cap, mem_limit):
     index = case.get("index", 1)
-    if not isinstance(index, int) or not 1 <= index <= len(blocks):
-        raise ScenarioError("'index' must name a block position",
-                            index=index, theta=len(blocks))
+    _int_field(index, "'index' must name a block position", low=1,
+               high=len(blocks), index=index, theta=len(blocks))
     fam = FamilyM(blocks)
     image = reflect(fam, index - 1, cap, mem_limit=mem_limit)
     s = s_matrix(fam, index - 1, cap, mem_limit=mem_limit)
@@ -238,11 +248,11 @@ def run_derive(blocks, case, cap, mem_limit):
                "is_zero": element_is_zero(value)}
     probe = case.get("cartan_probe")
     if probe is not None:
-        if (not isinstance(probe, list) or len(probe) != 3
-                or not all(isinstance(x, int) for x in probe)):
-            raise ScenarioError("'cartan_probe' must be [row, col, cap]",
-                                got=probe)
-        row, col, probe_cap = probe
+        message = "'cartan_probe' must be [row, col, cap]"
+        if not isinstance(probe, list) or len(probe) != 3:
+            raise ScenarioError(message, got=probe)
+        row, col, probe_cap = (_int_field(x, message, got=probe)
+                               for x in probe)
         fam = FamilyM(blocks)
         if len(blocks) == 2 and (row, col) == (1, 2):
             fam.share_pair_state(0, 1, state)
@@ -280,13 +290,11 @@ def run_scenario(task: str, path: str, cap, node_limit, numeration_path):
                                 "entry (or null) per module")
     if cap is None:
         cap = scenario.get("cap", DEFAULT_CAPS[task])
-    if not isinstance(cap, int) or cap < 1:
-        raise ScenarioError("cap must be a positive integer", cap=cap)
+    _int_field(cap, "cap must be a positive integer", low=1, cap=cap)
     if node_limit is None:
         node_limit = scenario.get("node_limit", DEFAULT_NODE_LIMIT)
-    if not isinstance(node_limit, int) or node_limit < 1:
-        raise ScenarioError("node_limit must be a positive integer",
-                            node_limit=node_limit)
+    _int_field(node_limit, "node_limit must be a positive integer", low=1,
+               node_limit=node_limit)
     mem_limit = _mem_limit()
 
     results = []

@@ -2,10 +2,9 @@
 
 Two independent routes compute graded dimensions:
 
-* the quantum symmetrizer oracle: sum the braid-group lifts of all n!
-  permutations (built by a breadth-first walk along adjacent transpositions,
-  well defined by the Matsumoto section) and take the rank on each tensor
-  degree; and
+* the quantum symmetrizer oracle: build S_n from S_{n-1} through the
+  minimal coset representatives of S_{n-1} in S_n, which takes n(n-1)/2
+  adjacent braidings per word, and take the rank on each tensor degree; and
 * the production engine: extend degree by degree, encoding each candidate
   v_i * b by its full tuple of right derivatives in the previous degree and
   extracting a pivot monomial basis by incremental elimination.
@@ -27,43 +26,28 @@ DEFAULT_MEM_LIMIT = 200000
 DEFAULT_ORACLE_BUDGET = 200000
 
 
-def symmetrizer_columns(module: YDModule, n: int, words, inverse=False,
-                        verify=False):
+def symmetrizer_columns(module: YDModule, n: int, words, inverse=False):
     """Images of the given basis words under the degree-n quantum symmetrizer.
 
-    Walks the weak order of S_n: each permutation's lift is the braid operator
-    of a predecessor composed with one more adjacent braiding.  With verify,
-    re-derives every lift along each alternative edge and asserts equality
-    (an explicit check that the section is well defined).
+    Uses S_m = (1 + c_{m-2} + c_{m-3}c_{m-2} + ... + c_0...c_{m-2})
+    (S_{m-1} (x) id) for m = 2..n: every permutation is uniquely a minimal
+    coset representative of S_{m-1} times an element of S_{m-1}, with
+    lengths adding, so each lift is counted once.
     """
     apply = module.braiding().apply
     one = module.field.one()
-    ident = tuple(range(n))
-    start = {w: {w: one} for w in words}
-    mats = {ident: start}
-    total = {w: {w: one} for w in words}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            mat = mats[perm]
-            for k in range(n - 1):
-                # s_k stacked on perm lengthens it iff value k sits left of k+1
-                if perm.index(k) < perm.index(k + 1):
-                    perm2 = tuple(k + 1 if v == k else (k if v == k + 1 else v)
-                                  for v in perm)
-                    lifted = {w: apply(vec, k, inverse)
-                              for w, vec in mat.items()}
-                    if perm2 in mats:
-                        if verify and mats[perm2] != lifted:
-                            raise AssertionError("Matsumoto section is not well defined")
-                        continue
-                    mats[perm2] = lifted
-                    nxt.append(perm2)
-                    for w, vec in lifted.items():
-                        _add_scaled(total[w], vec)
-        frontier = nxt
-    return {w: _nonzero(vec) for w, vec in total.items()}
+    cols = {}
+    for w in words:
+        vec = {w: one}
+        for m in range(2, n + 1):
+            x = vec
+            total = dict(vec)
+            for k in range(m - 2, -1, -1):
+                x = apply(x, k, inverse)
+                _add_scaled(total, x)
+            vec = _nonzero(total)
+        cols[w] = vec
+    return cols
 
 
 def _word_key(module: YDModule, word):

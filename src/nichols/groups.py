@@ -211,7 +211,6 @@ class ConjugacyClassData:
     members: list
     reps: list
     centralizer: list
-    centralizer_generators: list
     _member_index: dict = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -276,8 +275,7 @@ def conjugacy_class(group: FiniteGroup, s, numeration=None) -> ConjugacyClassDat
             raise GroupSpecError("numeration members/reps length mismatch")
     return ConjugacyClassData(
         group=group, base_point=members[0], members=members, reps=reps,
-        centralizer=centralizer,
-        centralizer_generators=subgroup_generators(group, centralizer))
+        centralizer=centralizer)
 
 
 # -- permutation backend
@@ -423,10 +421,8 @@ def build_dihedral(n: int) -> FiniteGroup:
         ys = "" if b == 0 else ("y" if b == 1 else f"y^{b}")
         return xs + ("*" if xs and ys else "") + ys
 
-    g = FiniteGroup("dihedral", f"D{n}", elements, [x, y], (0, 0),
-                    mul, inv, parse, display)
-    g.n = n
-    return g
+    return FiniteGroup("dihedral", f"D{n}", elements, [x, y], (0, 0),
+                       mul, inv, parse, display)
 
 
 def group_from_spec(spec: dict) -> FiniteGroup:

@@ -261,7 +261,7 @@ class BraidingOperator:
 
 
 def build_M_O_rho(group: FiniteGroup, cls: ConjugacyClassData, rho: Representation,
-                  name="x", index_base=1, check=True) -> YDModule:
+                  name="x", index_base=1) -> YDModule:
     """Induced module on a conjugacy class with centralizer representation."""
     if sorted(rho.elements) != sorted(cls.centralizer):
         raise ModuleSpecError("representation is not over the class centralizer")
@@ -287,7 +287,7 @@ def build_M_O_rho(group: FiniteGroup, cls: ConjugacyClassData, rho: Representati
         gen_columns[gen] = cols
 
     return YDModule(group, field, coaction, gen_columns, labels, triples,
-                    [(name, 0, t * d)], check=check)
+                    [(name, 0, t * d)])
 
 
 def zero_module(group: FiniteGroup, field: CycloField) -> YDModule:

@@ -1,5 +1,7 @@
 """Command-line front end: scenarios, reports, refusals, exit codes."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from nichols import cli
 
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
+DATA = Path(__file__).parent / "data"
 
 A2_CASE = {"label": "a2", "diagonal": [["z3^1", "1"], ["z3^2", "z3^1"]]}
 
@@ -241,23 +244,52 @@ def test_malformed_rho_is_refused(tmp_path, capsys, fault):
     assert payload["error"] == "module-spec-error"
 
 
+def fk3_fields(**spec_fields):
+    """Inline fk3 scenario fields whose one module spec takes spec_fields."""
+    return {"modules": [dict(fk3_module_spec("x"), **spec_fields)]}
+
+
 MALFORMED_SPEC_FIELDS = {
-    "class-rep-an-int": ("class_rep", 5),
-    "index-base-a-string": ("index_base", "a"),
-    "numeration-a-list": ("numeration", [1, 2]),
-    "numeration-of-ints": ("numeration", {"members": 3, "reps": 4}),
+    "class-rep-an-int": ("hilbert", fk3_fields(class_rep=5),
+                         "module-spec-error"),
+    "index-base-a-string": ("hilbert", fk3_fields(index_base="a"),
+                            "module-spec-error"),
+    "numeration-a-list": ("hilbert", fk3_fields(numeration=[1, 2]),
+                          "module-spec-error"),
+    "numeration-of-ints": ("hilbert",
+                           fk3_fields(numeration={"members": 3, "reps": 4}),
+                           "module-spec-error"),
+    "cap-true": ("hilbert", {"cap": True}, "scenario-error"),
+    "node-limit-true": ("groupoid", {"node_limit": True}, "scenario-error"),
+    "index-true": ("reflect", {"index": True}, "scenario-error"),
+    "probe-row-true": ("derive", {"modules": [fk3_module_spec("x"),
+                                              fk3_module_spec("y")],
+                                  "cap": 2, "expression": "x1",
+                                  "cartan_probe": [True, 2, 3]},
+                       "scenario-error"),
+    "probe-col-a-string": ("derive", {"expression": "x1",
+                                      "cartan_probe": [1, "2", 3]},
+                           "scenario-error"),
+    "conductor-a-string": ("hilbert", {"field_conductor": "x"},
+                           "scenario-error"),
+    "conductor-a-list": ("hilbert", {"field_conductor": [3]},
+                         "scenario-error"),
+    "conductor-a-float": ("hilbert", {"field_conductor": 1.5},
+                          "scenario-error"),
+    "conductor-true": ("hilbert", {"field_conductor": True},
+                       "scenario-error"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(MALFORMED_SPEC_FIELDS))
 def test_malformed_spec_field_is_refused(tmp_path, capsys, fault):
-    key, value = MALFORMED_SPEC_FIELDS[fault]
-    scenario = json.loads((SCENARIOS / "s3_fk3.json").read_text())
-    scenario["cases"][0]["modules"][0][key] = value
+    task, fields, error = MALFORMED_SPEC_FIELDS[fault]
+    scenario = {"group": FK3_GROUP, "field_conductor": 1, **fk3_fields(),
+                **fields}
     path = write_scenario(tmp_path, scenario)
-    code, payload = refusal_payload(capsys, ["hilbert", path])
+    code, payload = refusal_payload(capsys, [task, path])
     assert code == 2
-    assert payload["error"] == "module-spec-error"
+    assert payload["error"] == error
 
 
 def test_malformed_json_is_refused(tmp_path, capsys):
@@ -327,22 +359,27 @@ def test_interrupt_is_a_structured_exit(tmp_path, capsys, monkeypatch):
 # -- the regression matrix
 
 
-def test_verify_paper_all_pass(capsys):
-    code, report = run_json(capsys, ["verify-paper"])
+@pytest.fixture(scope="module")
+def verify_paper_run(tmp_path_factory):
+    """One `nichols verify-paper --out` run: exit code, stdout, report bytes."""
+    out = tmp_path_factory.mktemp("verify_paper") / "verify_paper.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["verify-paper", "--out", str(out)])
+    return code, stdout.getvalue(), out.read_bytes()
+
+
+def test_verify_paper_all_pass(verify_paper_run):
+    # The golden file is the report of `nichols verify-paper --out`; every
+    # change to the program must leave it byte-identical unless the change
+    # is to the matrix itself.
+    code, _, report = verify_paper_run
     assert code == 0
-    assert report["task"] == "verify-paper"
-    assert report["failed"] == 0
-    assert report["passed"] == 11
-    statuses = {row["check"]: row["status"] for row in report["results"]}
-    assert len(statuses) == 11
-    assert set(statuses.values()) == {"PASS"}
-    locations = [row["location"] for row in report["results"]]
-    assert "Table 1" in locations
+    assert report == (DATA / "verify_paper.json").read_bytes()
 
 
-def test_verify_paper_matrix_lines(capsys):
-    code = cli.main(["verify-paper"])
-    out = capsys.readouterr().out
+def test_verify_paper_matrix_lines(verify_paper_run):
+    code, out, _ = verify_paper_run
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
     assert len(lines) == 11

@@ -2,6 +2,8 @@
 
 import json
 import random
+from itertools import permutations
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
@@ -16,12 +18,14 @@ from nichols.engine import (
 )
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
 from nichols.verify import d9_module as named_d9_module
+from nichols.verify import four_cycle_module
 from nichols.ydmodule import (
     build_M_O_rho,
     diagonal_modules,
     direct_sum,
     one_dim_rep,
 )
+from test_ydmodule import chi_minus_module
 
 Q = CycloField(1)
 
@@ -72,10 +76,46 @@ def test_symmetrizer_degree_two_is_id_plus_c():
     assert symmetrizer_columns(m, 2, words) == expect
 
 
-def test_matsumoto_section_well_defined():
-    m = fk3_module()
-    words = [(0, 1, 2), (1, 0, 2), (2, 1, 0)]
-    symmetrizer_columns(m, 3, words, verify=True)
+def bubble_sort_words(n):
+    """One reduced word per permutation of range(n): the adjacent swaps
+    made while bubble-sorting it."""
+    words = []
+    for perm in permutations(range(n)):
+        p, word = list(perm), []
+        for end in range(n - 1, 0, -1):
+            for k in range(end):
+                if p[k] > p[k + 1]:
+                    p[k], p[k + 1] = p[k + 1], p[k]
+                    word.append(k)
+        words.append(word)
+    return words
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("build, top", [
+    (fk3_module, 4),
+    (four_cycle_module, 4),
+    (d9_module, 3),
+    (a2_family, 4),
+    (lambda: chi_minus_module(field=CycloField(12))[2], 4),
+], ids=["fk3", "four-cycle", "d9", "a2", "chi-minus-z12"])
+def test_symmetrizer_is_sum_of_lifts_of_all_permutations(build, top, inverse):
+    m = build()
+    apply = m.braiding().apply
+    one, zero = m.field.one(), m.field.zero()
+    for n in range(1, top + 1):
+        words = list(iproduct(range(m.dim), repeat=n))
+        expect = {}
+        for w in words:
+            col = {}
+            for reduced in bubble_sort_words(n):
+                x = {w: one}
+                for k in reduced:
+                    x = apply(x, k, inverse)
+                for w2, s in x.items():
+                    col[w2] = col.get(w2, zero) + s
+            expect[w] = {w2: v for w2, v in col.items() if not v.is_zero()}
+        assert symmetrizer_columns(m, n, words, inverse=inverse) == expect
 
 
 def test_fk3_symmetrizer_rank_fixed_points():

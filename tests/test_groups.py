@@ -9,6 +9,7 @@ from nichols.groups import (
     conjugacy_class,
     generated_subgroup,
     group_from_spec,
+    subgroup_generators,
     symmetric_group,
 )
 
@@ -204,7 +205,7 @@ def test_centralizer_of_transposition_in_s4():
     g = s4()
     c = transposition_class(g)
     assert len(c.centralizer) == 4
-    gen = generated_subgroup(g, c.centralizer_generators)
+    gen = generated_subgroup(g, subgroup_generators(g, c.centralizer))
     assert gen == set(c.centralizer)
     assert S4_SIGMA[1] in c.centralizer and S4_SIGMA[6] in c.centralizer
 
