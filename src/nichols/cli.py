@@ -253,10 +253,7 @@ def run_derive(blocks, case, cap, mem_limit):
             raise ScenarioError(message, got=probe)
         row, col, probe_cap = (_int_field(x, message, got=probe)
                                for x in probe)
-        fam = FamilyM(blocks)
-        if len(blocks) == 2 and (row, col) == (1, 2):
-            fam.share_pair_state(0, 1, state)
-        entry = cartan_entry(fam, row - 1, col - 1, cap=probe_cap,
+        entry = cartan_entry(FamilyM(blocks), row - 1, col - 1, cap=probe_cap,
                              mem_limit=mem_limit)
         if isinstance(entry, UnboundedAtCap):
             verdict = f"a[{row},{col}] <= -{entry.reached - 1}"

@@ -106,23 +106,12 @@ class GradedNicholsState:
     every product v_i * (basis word of degree n-1), group degree and
     multidegree per word, and lazily cached action columns per element
     (per degree, or per single word for callers that need only a few).
-
-    bound, when given, is a componentwise multidegree bound (one int or
-    None per block) and keeps only the order ideal of multidegrees below
-    it.  That ideal is a down-set and derivatives lower the multidegree, so
-    every piece inside it equals the unbounded algebra's piece, basis words
-    in the same order; finished stays valid inside the ideal.  Normal forms
-    and products that leave the ideal raise DegreeRangeError.
     """
 
-    def __init__(self, module: YDModule, mem_limit=DEFAULT_MEM_LIMIT,
-                 bound=None):
+    def __init__(self, module: YDModule, mem_limit=DEFAULT_MEM_LIMIT):
         self.module = module
         self.field = module.field
         self.mem_limit = mem_limit
-        if bound is not None and len(bound) != module.theta:
-            raise ValueError("multidegree bound needs one entry per block")
-        self.bound = None if bound is None else tuple(bound)
         self.finished = module.dim == 0
         ident = module.group.identity
         self.words = [[()]]
@@ -154,13 +143,6 @@ class GradedNicholsState:
         while dims and dims[-1] == 0:
             dims.pop()
         return HilbertSeries(dims, self.finished, self.max_degree())
-
-    def _check_within(self, mdeg, what):
-        """Refuse a multidegree outside the order ideal of the bound."""
-        if any(b is not None and a > b for a, b in zip(mdeg, self.bound)):
-            raise DegreeRangeError(f"{what} leaves the computed multidegree "
-                                   "range", multidegree=list(mdeg),
-                                   bound=list(self.bound))
 
     # -- group action on graded pieces
 
@@ -224,40 +206,25 @@ class GradedNicholsState:
         p = len(prev)
         w = self.module.dim
         mprev = self.mdegrees[n - 1]
-        # count only the candidates pass 1 builds: with a bound, v_i * b is
-        # built iff b leaves room for one more letter of v_i's block
-        if self.bound is None:
-            built = w * p
-        else:
-            room = [p if b is None else sum(md[k] < b for md in mprev)
-                    for k, b in enumerate(self.bound)]
-            built = sum(room[self.module.block_of(i)] for i in range(w))
-        if built > self.mem_limit:
+        if w * p > self.mem_limit:
             raise MemoryGuardError(
                 "degree extension exceeds the candidate budget",
-                degree=n, candidates=built, limit=self.mem_limit)
+                degree=n, candidates=w * p, limit=self.mem_limit)
         dprev = self.derivs[n - 1]
         pprev = self.products[n - 1]
         group = self.module.group
         hprev = self.hdegrees[n - 1]
         # pass 1: derivative data per candidate v_i * (basis word), grouped by
         # the (group degree, multidegree) block; the blocks have disjoint
-        # derivative supports, so ranks split blockwise.  A candidate whose
-        # multidegree leaves the bound is skipped before any work on it.
+        # derivative supports, so ranks split blockwise
         cands = []
         blocks = {}
         for i in range(w):
             gi = self.module.coaction[i]
-            acols = None
+            acols = self.action_columns(n - 1, gi)
             mdeg_i = self.module.multidegree(i)
-            blk = self.module.block_of(i)
-            limit = None if self.bound is None else self.bound[blk]
             for bidx in range(p):
                 mdeg = tuple(a + b for a, b in zip(mdeg_i, mprev[bidx]))
-                if limit is not None and mdeg[blk] > limit:
-                    continue
-                if acols is None:
-                    acols = self.action_columns(n - 1, gi)
                 comps = [{} for _ in range(w)]
                 if n > 1:
                     for k in range(w):
@@ -331,11 +298,6 @@ class GradedNicholsState:
     def normal_form(self, word):
         """Coordinates of a free word over the degree-len(word) pivot basis."""
         n = len(word)
-        if self.bound is not None:
-            mdeg = [0] * self.module.theta
-            for letter in word:
-                mdeg[self.module.block_of(letter)] += 1
-            self._check_within(mdeg, "word")
         if n > self.max_degree():
             if self.finished:
                 return {}
@@ -351,11 +313,6 @@ class GradedNicholsState:
         if n > self.max_degree() and not self.finished:
             raise DegreeRangeError("product degree beyond the computed range",
                                    degree=n, computed=self.max_degree())
-        if self.bound is not None:
-            for ma in {self.mdegrees[da][m] for m in ca}:
-                for mb in {self.mdegrees[db][k] for k in cb}:
-                    self._check_within([x + y for x, y in zip(ma, mb)],
-                                       "product")
         out = {}
         for m, am in ca.items():
             _add_scaled(out, self._times_word(self.words[da][m], db, cb), am)

@@ -9,12 +9,23 @@ groupoid, explored breadth-first over isomorphism fingerprints; real
 roots, standardness of the Cartan matrices, and finite-type recognition
 of the resulting Dynkin diagrams are all derived from the explored graph.
 
+Write M_i for block i and M_j for block j.  The Nichols algebra of the
+pair is K # B(M_i), K its right coinvariants, and every chain element y
+lies in K, so y is determined by its right derivatives
+Phi(y) = (d_k y), k running over the basis of M_j, which lie in
+B(M_i) (x) M_j^* (the source paper, Sect. 3; Heckenberger-Schneider,
+*Hopf algebras and root systems*, 2020).  The chain therefore runs on
+Phi-images inside the Nichols algebra of block i alone, by
+Phi_k(ad x_v (y)) = x_v Phi_k(y) - Phi_k(g_v . y) (g_k . x_v) and
+Phi_k(t . y) = sum_l A_j(t)_kl t . Phi_l(y), A_j(t) the action of t on
+M_j; Phi is injective and equivariant there, so the chain's pivots and
+the top chain module are those of the pair algebra.
+
 A Cartan entry and the isomorphism class of the top chain module depend
-only on the isomorphism classes of the two blocks, and the chain lives in
-the multidegrees m alpha_i + alpha_j.  So each chain is computed once per
-pair of block fingerprints, on the pair algebra's order ideal
-{(a, b) : b <= 1}, and shared with every family reflected from the same
-family.
+only on the isomorphism classes of the two blocks.  So each chain is
+computed once per pair of block fingerprints, on one state of B(M_i) per
+fingerprint of block i, and shared with every family reflected from the
+same family.
 
 A Cartan entry that stays nonzero through the configured degree cap is
 reported as UnboundedAtCap, never as a number: reflections along such a
@@ -29,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cyclotomic import _add_scaled, _nonzero
-from .derivations import ad_c
 from .engine import DEFAULT_MEM_LIMIT, GradedNicholsState
 from .errors import ModuleSpecError, ReflectionError, ScenarioError
 from .linalg import eliminate_block
@@ -87,7 +97,8 @@ class _ChainCache:
     from it, keyed by block fingerprints, so isomorphic pairs share it."""
 
     def __init__(self):
-        # (fp_i, fp_j, mem_limit) -> engine state of the pair algebra
+        # (fp, mem_limit) -> engine state of the Nichols algebra of a block
+        # with that fingerprint
         self.states = {}
         # (fp_i, fp_j, cap, mem_limit) -> _Chain, and the top chain module
         self.chains = {}
@@ -136,30 +147,16 @@ class FamilyM:
                 [_renamed(b, f"m{j + 1}_") for j, b in enumerate(self.blocks)])
         return self._assembled
 
-    def pair_state(self, i: int, j: int, mem_limit: int) -> GradedNicholsState:
-        """Engine state of the Nichols algebra of blocks i and j, in that
-        order, on the order ideal {(a, b) : b <= 1} of the adjoint chains
-        unless share_pair_state supplied a full one; one per (fingerprint
-        i, fingerprint j, mem_limit)."""
-        key = (self.fingerprints[i], self.fingerprints[j], mem_limit)
+    def block_state(self, i: int, mem_limit: int) -> GradedNicholsState:
+        """Engine state of the Nichols algebra of block i; one per
+        (fingerprint, mem_limit), built on the first block seen with that
+        fingerprint (its state.module)."""
+        key = (self.fingerprints[i], mem_limit)
         state = self._cache.states.get(key)
         if state is None:
-            pair = direct_sum([_renamed(self.blocks[i], "u"),
-                               _renamed(self.blocks[j], "w")])
             state = self._cache.states[key] = GradedNicholsState(
-                pair, mem_limit=mem_limit, bound=(None, 1))
+                self.blocks[i], mem_limit=mem_limit)
         return state
-
-    def share_pair_state(self, i: int, j: int, state: GradedNicholsState):
-        """Let the adjoint chains of blocks i and j extend an existing state
-        of their pair algebra.  The engine ignores basis labels, so the state
-        of any direct sum of block i and then block j will do."""
-        module = state.module
-        if (module.coaction != self.blocks[i].coaction + self.blocks[j].coaction
-                or module.theta != 2):
-            raise ValueError(f"state is not the pair algebra of blocks {i}, {j}")
-        key = (self.fingerprints[i], self.fingerprints[j], state.mem_limit)
-        self._cache.states[key] = state
 
     def dual(self, i: int) -> YDModule:
         """Dual of block i, labeled as YDModule.dual labels it; computed and
@@ -179,10 +176,13 @@ class FamilyM:
 
 class _Chain(NamedTuple):
     entry: object          # int or UnboundedAtCap
-    state: GradedNicholsState
+    state: GradedNicholsState   # B(M_i), M_i = state.module
+    block: YDModule        # M_j, whose action the Phi-rows use
     degree: int            # degree of the last nonzero chain step
     rows: list             # independent images spanning that step, as
-                           # coord dicts (the pivots among its images)
+                           # Phi-rows (the pivots among its images): per
+                           # basis vector k of M_j, the coords of Phi_k
+                           # over B(M_i) in degree - 1
 
 
 def _check_indices(fam: FamilyM, i: int, j: int):
@@ -194,10 +194,32 @@ def _check_indices(fam: FamilyM, i: int, j: int):
                             index=i)
 
 
+def _flat(phi) -> dict:
+    """A Phi-row as one sparse vector over (k, basis word) columns."""
+    return {(k, w): c for k, comp in enumerate(phi) for w, c in comp.items()}
+
+
+def _phi_act(state: GradedNicholsState, block: YDModule, n: int, t, phi):
+    """Phi(t . y) from the Phi-row phi of y, its entries in degree n:
+    Phi_k(t . y) = sum_l A(t)_kl t . Phi_l(y), with A(t)_kl the coefficient
+    of basis vector k in t . (basis vector l) of block."""
+    out = [{} for _ in phi]
+    for comp, col in zip(phi, block.action_of(t)):
+        if not comp:
+            continue
+        acted = {}
+        for w, c in comp.items():
+            _add_scaled(acted, state.action_column(n, t, w), c)
+        for k, a in col.items():
+            _add_scaled(out[k], acted, a)
+    return [_nonzero(comp) for comp in out]
+
+
 def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
                    mem_limit: int) -> _Chain:
-    """Iterate the braided adjoint of block i on block j inside the pair
-    algebra until a step vanishes or the degree cap blocks certification."""
+    """Iterate the braided adjoint of block i on block j, as Phi-rows over
+    the Nichols algebra of block i, until a step vanishes or the degree cap
+    blocks certification."""
     _check_indices(fam, i, j)
     if cap < 1:
         raise ScenarioError("degree cap must be at least 1", cap=cap)
@@ -208,31 +230,46 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
         cache.hits += 1
         return cached
     cache.misses += 1
-    state = fam.pair_state(i, j, mem_limit)
-    state.extend_to(1)
-    di = fam.blocks[i].dim
-    dj = fam.blocks[j].dim
+    state = fam.block_state(i, mem_limit)
+    ui, uj = state.module, fam.blocks[j]
     one = state.field.one()
-    rows = [{di + k: one} for k in range(dj)]
+    minus = -one
+    # g_k . x_v: column v of the action of g_k on block i
+    shifted = [ui.action_of(g) for g in uj.coaction]
+    # Phi_k(w_l) = delta_kl in degree 0
+    rows = [[{0: one} if k == l else {} for k in range(uj.dim)]
+            for l in range(uj.dim)]
     m = 1
     while True:
         if m + 1 > cap:
-            chain = _Chain(UnboundedAtCap(cap, m), state, m, rows)
+            chain = _Chain(UnboundedAtCap(cap, m), state, uj, m, rows)
             break
-        if not state.finished and state.max_degree() < m + 1:
-            state.extend_degree()
+        # Phi(ad x_v (y)) has its entries in degree m of B(M_i)
+        state.extend_to(m)
+        prods = state.products[m] if m <= state.max_degree() else None
         images = []
-        for v in range(di):
+        for v in range(ui.dim):
             for row in rows:
-                _, coords = ad_c(state, v, (m, row))
-                if coords:
-                    images.append(coords)
+                acted = _phi_act(state, uj, m - 1, ui.coaction[v], row)
+                image = []
+                for k, (comp, z) in enumerate(zip(row, acted)):
+                    acc = {}
+                    if prods is not None:
+                        for w, c in comp.items():
+                            _add_scaled(acc, prods[v, w], c)
+                    if z:
+                        _add_scaled(acc, state.multiply(
+                            (m - 1, z), (1, shifted[k][v]))[1], minus)
+                    image.append(_nonzero(acc))
+                if any(image):
+                    images.append(image)
         if not images:
-            chain = _Chain(1 - m, state, m, rows)
+            chain = _Chain(1 - m, state, uj, m, rows)
             break
-        results = eliminate_block(state.field, images, track=False,
-                                  degree=m + 1, key="adjoint chain")
-        rows = [coords for coords, (kind, _) in zip(images, results)
+        results = eliminate_block(state.field, map(_flat, images),
+                                  track=False, degree=m + 1,
+                                  key="adjoint chain")
+        rows = [image for image, (kind, _) in zip(images, results)
                 if kind == "pivot"]
         m += 1
     cache.chains[key] = chain
@@ -324,32 +361,27 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
 def _top_module(chain: _Chain) -> YDModule:
     """The chain's top step as a module named u, for l_j_max to rename.
 
-    The action of each group generator is built only on the degree-n words
-    that the chain's rows span, one word at a time
-    (GradedNicholsState.action_column), not on the whole degree-n piece,
-    and solved against the rows in one elimination; the module derives
-    every other element's action from the generators.
+    Each row's group degree is that of any word w in Phi_k times g_k.  The
+    action of each group generator on a row is its Phi-image (_phi_act),
+    built only on the words that the rows use (GradedNicholsState.
+    action_column), and solved against the rows in one elimination; the
+    module derives every other element's action from the generators.
     """
-    state, n, rows = chain.state, chain.degree, chain.rows
-    want_mdeg = (n - 1, 1)
+    state, block, rows = chain.state, chain.block, chain.rows
+    n = chain.degree - 1
+    group = state.module.group
     coaction = []
     for row in rows:
-        hdegs = {state.hdegrees[n][w] for w in row}
-        mdegs = {state.mdegrees[n][w] for w in row}
-        if len(hdegs) != 1 or mdegs != {want_mdeg}:
+        hdegs = {group.mul(state.hdegrees[n][w], block.coaction[k])
+                 for k, comp in enumerate(row) for w in comp}
+        if len(hdegs) != 1:
             raise RuntimeError("adjoint chain rows are not homogeneous")
         coaction.append(hdegs.pop())
-    group = state.module.group
-    images = []
-    for t in group.generators:
-        for row in rows:
-            acc = {}
-            for w, cv in row.items():
-                _add_scaled(acc, state.action_column(n, t, w), cv)
-            images.append(_nonzero(acc))
+    images = [_phi_act(state, block, n, t, row)
+              for t in group.generators for row in rows]
     dim = len(rows)
-    results = eliminate_block(state.field, rows + images, degree=n,
-                              key="top chain module")
+    results = eliminate_block(state.field, map(_flat, rows + images),
+                              degree=chain.degree, key="top chain module")
     if any(kind != "pivot" for kind, _ in results[:dim]):
         raise RuntimeError("adjoint chain basis is not independent")
     columns = []

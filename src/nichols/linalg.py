@@ -59,7 +59,8 @@ class FieldOps:
         return x.coeffs[0] if self.phi == 1 else x.coeffs
 
     def lower(self, r) -> CycloNumber:
-        return CycloNumber(self.field, (r,) if self.phi == 1 else r)
+        return CycloNumber(self.field, (_q(r),) if self.phi == 1
+                           else tuple(_q(c) for c in r))
 
     # -- scalar arithmetic on raws
 

@@ -240,5 +240,6 @@ def test_derive_with_probe_builds_one_pair_algebra(monkeypatch, capsys):
     path = str(SCENARIOS / "dn_obstruction.json")
     assert cli.main(["derive", path, "--json"]) == 0
     report = capsys.readouterr().out
-    assert len(built) == 1
+    # the pair algebra for the expression, and B(M_1) for the probe's chain
+    assert [state.module.theta for state in built] == [2, 1]
     assert '"verdict": "a[1,2] <= -2"' in report and '"-v5"' in report

@@ -11,6 +11,8 @@ from nichols import cli
 
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
 DATA = Path(__file__).parent / "data"
+PERFBENCH_SCENARIOS = Path(__file__).resolve().parents[1] / "perfbench" \
+    / "scenarios"
 
 A2_CASE = {"label": "a2", "diagonal": [["z3^1", "1"], ["z3^2", "z3^1"]]}
 
@@ -383,3 +385,20 @@ def test_verify_paper_matrix_lines(verify_paper_run):
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
     assert len(lines) == 11
+
+
+# task -> (scenario, golden report in tests/data): the reports built on
+# adjoint chains, each the stdout of `nichols <task> <scenario> --json`
+CHAIN_GOLDENS = {
+    "cartan": (SCENARIOS / "s4_pairs.json", "cartan_s4_pairs.json"),
+    "derive": (SCENARIOS / "dn_obstruction.json",
+               "derive_dn_obstruction.json"),
+    "roots": (PERFBENCH_SCENARIOS / "diag_roots.json", "roots_diag_roots.json"),
+}
+
+
+@pytest.mark.parametrize("task", sorted(CHAIN_GOLDENS))
+def test_chain_reports_match_golden(task, capsys):
+    scenario, golden = CHAIN_GOLDENS[task]
+    assert cli.main([task, str(scenario), "--json"]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()

@@ -9,10 +9,8 @@ producer defined it element by element, and require equality everywhere.
 import pytest
 
 from nichols.cyclotomic import CycloField
-from nichols.engine import DEFAULT_MEM_LIMIT
-from nichols.groupoid import FamilyM, _adjoint_chain, reflect
+from nichols.groupoid import FamilyM, reflect
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
-from nichols.linalg import FieldOps, IncrementalSpan
 from nichols.verify import (
     SIGMA,
     TAU,
@@ -24,6 +22,7 @@ from nichols.verify import (
     transposition_module,
 )
 from nichols.ydmodule import diagonal_modules
+from test_chain_reference import reference_chain, reference_chain_action
 
 Q = CycloField(1)
 
@@ -112,37 +111,6 @@ def test_corpus_actions_match_the_decompose_formula(name):
         assert module.action_of(t) == reference_induced(cls, chi, t), t
 
 
-def reference_chain_action(chain, t):
-    """Columns of t on the top chain step, solving every row's image
-    against the chain rows."""
-    state, n, rows = chain.state, chain.degree, chain.rows
-    ops = FieldOps(state.field)
-    slots = sorted({w for row in rows for w in row})
-    colpos = {w: c for c, w in enumerate(slots)}
-
-    def raw(vec):
-        out = [ops.zero] * len(slots)
-        for w, val in vec.items():
-            if not val.is_zero():
-                out[colpos[w]] = ops.lift(val)
-        return out
-
-    solver = IncrementalSpan(ops, len(slots), track=True)
-    for row in rows:
-        assert solver.insert(raw(row))[0] == "pivot"
-    cols = []
-    for row in rows:
-        image = {}
-        for w, cv in row.items():
-            for w2, s in state.action_columns(n, t)[w].items():
-                image[w2] = image.get(w2, state.field.zero()) + cv * s
-        kind, data = solver.insert(raw(image))
-        assert kind == "combo"
-        cols.append({r: ops.lower(cf) for r, cf in enumerate(data)
-                     if ops.nonzero(cf)})
-    return cols
-
-
 @pytest.mark.parametrize("label", sorted(REFLECTED))
 def test_reflected_block_actions_match_chain_solves(label):
     _, _, blocks = diagonal_modules(REFLECTED[label])
@@ -160,8 +128,8 @@ def test_reflected_block_actions_match_chain_solves(label):
                              if k in inv[r]} for k in range(primal.dim)]
                     assert block.action_of(t) == want, (i, t)
                 continue
-            chain = _adjoint_chain(fam, i, j, DIAG_ROOTS_CAP,
-                                   DEFAULT_MEM_LIMIT)
+            chain = reference_chain(fam.blocks[i], fam.blocks[j],
+                                    DIAG_ROOTS_CAP)
             for t in g.elements:
                 assert block.action_of(t) == reference_chain_action(chain, t), \
                     (i, j, t)

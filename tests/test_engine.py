@@ -1,10 +1,8 @@
 """Symmetrizer oracle, derivation-quotient engine, and their agreement."""
 
-import json
 import random
 from itertools import permutations
 from itertools import product as iproduct
-from pathlib import Path
 
 import pytest
 
@@ -16,6 +14,7 @@ from nichols.engine import (
     symmetrizer_columns,
     symmetrizer_rank,
 )
+from nichols.groupoid import FamilyM, cartan_entry
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
 from nichols.verify import d9_module as named_d9_module
 from nichols.verify import four_cycle_module
@@ -355,79 +354,13 @@ def test_extend_after_finished_is_noop():
     assert state.series().total == 12
 
 
-# -- the chain ideal {(a, b) : b <= 1}
-
-DIAG_ROOTS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" \
-    / "diag_roots.json"
+# -- the memory guard on an adjoint chain's state
 
 
-def diag_pair(label):
-    cases = json.loads(DIAG_ROOTS.read_text())["cases"]
-    rows, = [c["diagonal"] for c in cases if c["label"] == label]
-    _, _, blocks = diagonal_modules(rows)
-    return direct_sum(blocks)
-
-
-IDEAL_CASES = {
-    "d9-pair": (lambda: direct_sum([named_d9_module("v"),
-                                    named_d9_module("w")]), 3),
-    "fk3-double": (lambda: direct_sum([fk3_module("x"), fk3_module("y")]), 4),
-    "b2-z12": (lambda: diag_pair("b2-z12"), 6),
-    "g2-z8": (lambda: diag_pair("g2-z8"), 6),
-}
-
-
-@pytest.mark.parametrize("case", sorted(IDEAL_CASES))
-def test_bounded_state_is_the_full_state_on_the_ideal(case):
-    build, top = IDEAL_CASES[case]
-    module = build()
-    full = GradedNicholsState(module).extend_to(top)
-    part = GradedNicholsState(module, bound=(None, 1)).extend_to(top)
-    assert part.max_degree() == full.max_degree()
-    assert part.finished == full.finished
-    # pos[n]: index in the full degree-n basis -> index in the bounded one
-    pos = []
-    for n in range(full.max_degree() + 1):
-        keep = [m for m, md in enumerate(full.mdegrees[n]) if md[1] <= 1]
-        pos.append({m: k for k, m in enumerate(keep)})
-        assert part.words[n] == [full.words[n][m] for m in keep]
-        assert part.hdegrees[n] == [full.hdegrees[n][m] for m in keep]
-        assert part.mdegrees[n] == [full.mdegrees[n][m] for m in keep]
-        if n == 0:
-            continue
-        assert part.derivs[n] == [
-            [{pos[n - 1][idx]: v for idx, v in comp.items()}
-             for comp in full.derivs[n][m]] for m in keep]
-        want = {}
-        for (i, b), nf in full.products[n].items():
-            if b in pos[n - 1] and (module.block_of(i) == 0
-                                    or full.mdegrees[n - 1][b][1] == 0):
-                want[i, pos[n - 1][b]] = {pos[n][idx]: v
-                                          for idx, v in nf.items()}
-        assert part.products[n] == want
-
-
-def test_bounded_state_refuses_words_outside_the_ideal():
-    module = direct_sum([fk3_module("x"), fk3_module("y")])
-    part = GradedNicholsState(module, bound=(None, 1)).extend_to(3)
-    y1, y2, x1 = (module.label_index[lab] for lab in ("y1", "y2", "x1"))
-    assert part.normal_form((x1, y1))
-    with pytest.raises(DegreeRangeError):
-        part.normal_form((y1, y2))
-    one = Q.one()
-    with pytest.raises(DegreeRangeError):
-        part.multiply((1, {y1: one}), (1, {y2: one}))
-    assert part.multiply((1, {x1: one}), (1, {y1: one}))[0] == 2
-
-
-def test_memory_guard_counts_only_candidates_inside_the_ideal():
-    # degree 2 of the D9 pair on {(a, b) : b <= 1}: 9 v-letters times 18
-    # words plus 9 w-letters times the 9 v-words, 243 built of 324
-    module = direct_sum([named_d9_module("v"), named_d9_module("w")])
-    part = GradedNicholsState(module, mem_limit=300, bound=(None, 1))
-    assert part.extend_to(2).max_degree() == 2
-    tight = GradedNicholsState(module, mem_limit=200, bound=(None, 1))
-    tight.extend_degree()
+def test_memory_guard_on_adjoint_chain():
+    # the chain of the D9 pair runs in B(M_v): step m = 3 needs degree 3,
+    # 9 letters times dim B(M_v)_2 = 60 candidates
+    fam = FamilyM([named_d9_module("v"), named_d9_module("w")])
     with pytest.raises(MemoryGuardError) as exc:
-        tight.extend_degree()
-    assert exc.value.details == {"degree": 2, "candidates": 243, "limit": 200}
+        cartan_entry(fam, 0, 1, cap=4, mem_limit=300)
+    assert exc.value.details == {"degree": 3, "candidates": 540, "limit": 300}

@@ -577,8 +577,8 @@ def block_identity(block):
     return block.basis_labels, block.blocks, fingerprint(block)
 
 
-def test_groupoid_builds_one_pair_state_per_fingerprint_pair(monkeypatch,
-                                                             caplog):
+def test_groupoid_builds_one_block_state_per_fingerprint(monkeypatch,
+                                                         caplog):
     built = []
     init = engine.GradedNicholsState.__init__
 
@@ -590,7 +590,7 @@ def test_groupoid_builds_one_pair_state_per_fingerprint_pair(monkeypatch,
     with caplog.at_level(logging.DEBUG, logger="nichols.groupoid"):
         graphs = [explore_groupoid(fam, cap=6)
                   for fam in diag_roots_families()]
-    assert len(built) == 112
+    assert len(built) == 32
     assert sum(len(g.nodes) for g in graphs) == 44
     lines = [r.getMessage() for r in caplog.records
              if r.name == "nichols.groupoid"]

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from nichols.cyclotomic import CycloField
-from nichols.linalg import FieldOps, IncrementalSpan
+from nichols.cyclotomic import CycloField, mpq
+from nichols.linalg import FieldOps, IncrementalSpan, eliminate_block
+
+INTEGRAL = (int, type(mpq(1).numerator))
 
 
 def random_cyclo_rows(field, rng, rows, cols):
@@ -203,3 +205,15 @@ def test_incremental_span_expressions():
     assert kinds[2] == ("pivot", 1)
     assert kinds[3][0] == "combo"
     assert [str(ops.lower(c)) for c in kinds[3][1]] == ["3", "5"]
+
+
+def test_exact_combinations_are_canonical():
+    # the exact path computes the combination as 4 * (1/2); it must come
+    # out in cyclotomic's canonical form, an int, not an integral rational
+    f = CycloField(3)
+    vectors = [{c: f.scalar(x) for c, x in v.items()}
+               for v in ({0: 2, 1: 2}, {0: 4, 1: 4})]
+    first, (kind, combo) = eliminate_block(f, vectors)
+    assert first == ("pivot", 0) and kind == "combo"
+    assert combo == {0: f.scalar(2)}
+    assert all(isinstance(x, INTEGRAL) for x in combo[0].coeffs)

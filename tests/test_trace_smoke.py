@@ -35,7 +35,7 @@ def traced_run(tmp_path, *cli_args):
 def test_traced_diag_roots(tmp_path):
     trace = traced_run(tmp_path, "roots", str(
         ROOT / "perfbench" / "scenarios" / "diag_roots.json"))
-    assert trace["counts"]["engine.states_built"] == 112
+    assert trace["counts"]["engine.states_built"] == 32
     # phi(N) > 1 blocks are still eliminated by IncrementalSpan.insert
     assert trace["layers"]["linalg.insert"]["calls"] > 0
 
@@ -43,4 +43,4 @@ def test_traced_diag_roots(tmp_path):
 def test_traced_dn_derive(tmp_path):
     trace = traced_run(tmp_path, "derive", str(
         ROOT / "src" / "nichols" / "scenarios" / "dn_obstruction.json"))
-    assert trace["counts"]["engine.states_built"] == 1
+    assert trace["counts"]["engine.states_built"] == 2
