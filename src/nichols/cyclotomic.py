@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 try:
     from gmpy2 import mpq
@@ -67,45 +68,6 @@ def cyclotomic_modulus(n: int) -> tuple[int, ...]:
         if d < n:
             poly = _int_poly_div_exact(poly, cyclotomic_modulus(d))
     return tuple(poly)
-
-
-# polynomial helpers over the rationals, dense low-first lists
-
-
-def _pdeg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _pdivmod(a, b):
-    db = _pdeg(b)
-    assert db >= 0
-    r = list(a)
-    if _pdeg(r) < db:
-        return [0], r
-    q = [0] * (_pdeg(r) - db + 1)
-    inv_lead = mpq(1) / b[db]
-    for i in range(_pdeg(r), db - 1, -1):
-        c = r[i]
-        if c:
-            f = c * inv_lead
-            q[i - db] = f
-            for j in range(db + 1):
-                r[i - db + j] -= f * b[j]
-    return q, r
-
-
-def _pmulsub(s0, q, s1):
-    # s0 - q*s1
-    out = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
-    for i, qi in enumerate(q):
-        if qi:
-            for j, sj in enumerate(s1):
-                if sj:
-                    out[i + j] -= qi * sj
-    return out
 
 
 class CycloField:
@@ -298,27 +260,26 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloNumber":
-        """Multiplicative inverse via extended Euclid against Phi_N."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        sigma_a(x), a in (Z/N)^* with a != 1, over the norm of x, which is a
+        nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero CycloNumber")
-        phi = self.field.phi
-        if phi == 1 or self.is_rational():
-            coeffs = [0] * phi
+        field = self.field
+        n = field.conductor
+        if self.is_rational():
+            coeffs = [0] * field.phi
             coeffs[0] = _q(mpq(1) / self.coeffs[0])
-            return CycloNumber(self.field, tuple(coeffs))
-        # Euclid over mpq throughout, so that no division meets two ints
-        r0 = [mpq(c) for c in self.field.modulus]
-        r1 = [mpq(c) for c in self.coeffs]
-        s0, s1 = [0], [1]
-        while _pdeg(r1) > 0:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _pmulsub(s0, q, s1)
-        assert _pdeg(r1) == 0, "Phi_N not coprime to a nonzero element"
-        lead = r1[0]
-        u = [c / lead for c in s1]
-        return CycloNumber(self.field,
-                           tuple(_q(c) for c in _reduce(u, self.field)))
+            return CycloNumber(field, tuple(coeffs))
+        prod = (1,) + (0,) * (field.phi - 1)
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                conj = [0] * n
+                for k, c in enumerate(self.coeffs):
+                    conj[a * k % n] += c
+                prod = _mul_coeffs(prod, _reduce(conj, field), field)
+        norm = mpq(_mul_coeffs(self.coeffs, prod, field)[0])
+        return CycloNumber(field, tuple(_q(c / norm) for c in prod))
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -105,10 +105,10 @@ def ad_c(state, v, y):
     for i, si in vc.items():
         xi = (1, {i: state.field.one()})
         t1 = state.multiply(xi, y)
-        acols = state.action_columns(n, state.module.coaction[i])
+        gi = state.module.coaction[i]
         acted = {}
         for m, c in yc.items():
-            _add_scaled(acted, acols[m], c)
+            _add_scaled(acted, state.action_column(n, gi, m), c)
         t2 = state.multiply((n, acted), xi)
         out = add_elements(out, scale_element(si, add_elements(
             t1, scale_element(-state.field.one(), t2))))

@@ -6,8 +6,10 @@ Two independent routes compute graded dimensions:
   minimal coset representatives of S_{n-1} in S_n, which takes n(n-1)/2
   adjacent braidings per word, and take the rank on each tensor degree; and
 * the production engine: extend degree by degree, encoding each candidate
-  v_i * b by its full tuple of right derivatives in the previous degree and
-  extracting a pivot monomial basis by incremental elimination.
+  v_i * b by its right derivatives d_k(v_i b) = v_i d_k(b) + delta_ik g_i . b
+  as one sparse vector over (k, basis word of the previous degree), and
+  extracting a pivot monomial basis by incremental elimination (an element
+  of degree >= 1 is zero exactly when all its right derivatives vanish).
 
 They must agree (rank = graded dimension); the test suite enforces this.
 """
@@ -102,10 +104,10 @@ class GradedNicholsState:
     """Graded model of B(W) built by the derivation-quotient method.
 
     Degree n data: pivot basis words (lexicographically least monomials),
-    right-derivative coordinates of each basis word, the rewrite map for
+    the right-derivative vector of each basis word, the rewrite map for
     every product v_i * (basis word of degree n-1), group degree and
-    multidegree per word, and lazily cached action columns per element
-    (per degree, or per single word for callers that need only a few).
+    multidegree per word, and the action of each group element on single
+    basis words, memoized as it is asked for.
     """
 
     def __init__(self, module: YDModule, mem_limit=DEFAULT_MEM_LIMIT):
@@ -118,14 +120,15 @@ class GradedNicholsState:
         self.word_index = [{(): 0}]
         self.hdegrees = [[ident]]
         self.mdegrees = [[(0,) * module.theta]]
-        # derivs[n][m][k]: sparse coords of the k-th right derivative of the
-        # m-th degree-n basis word, over the degree n-1 basis
-        self.derivs = [[]]
+        # derivs[n][m]: the right derivatives of the m-th degree-n basis word
+        # as one sparse vector, {(k, idx): c} for coefficient c of the
+        # degree n-1 basis word idx in the k-th derivative; the empty word
+        # has none
+        self.derivs = [[{}]]
         # products[n][(i, m)]: normal form of v_i * (degree n-1 basis word m)
         self.products = [None]
+        # (n, t, m) -> column m of the action of t on the degree-n basis
         self._action = {}
-        # (n, t, m) -> column m of action_columns(n, t), for single words
-        self._action_word = {}
         # (n, m, j) -> left derivation by f_j of the m-th degree-n basis
         # word, filled by derivations.partial_left
         self._left_memo = {}
@@ -148,41 +151,24 @@ class GradedNicholsState:
 
     def action_columns(self, n: int, t):
         """Sparse columns of the action of t on the degree-n basis."""
-        key = (n, t)
-        cols = self._action.get(key)
-        if cols is not None:
-            return cols
-        mod = self.module
-        if n == 0:
-            cols = [{0: self.field.one()}]
-        elif n == 1:
-            cols = mod.action_of(t)
-        else:
-            a1 = self.action_columns(1, t)
-            aprev = self.action_columns(n - 1, t)
-            previdx = self.word_index[n - 1]
-            cols = [self._word_column(n, a1[word[0]],
-                                      aprev[previdx[word[1:]]])
-                    for word in self.words[n]]
-        self._action[key] = cols
-        return cols
+        return [self.action_column(n, t, m) for m in range(len(self.words[n]))]
 
     def action_column(self, n: int, t, m: int):
-        """Column m of action_columns(n, t), built only from the columns of
-        the word's tails; memoized per word."""
-        full = self._action.get((n, t))
-        if full is None and n <= 1:
-            full = self.action_columns(n, t)
-        if full is not None:
-            return full[m]
+        """Column m of the action of t on the degree-n basis, built from the
+        columns of the word's first letter and of its tail; memoized."""
         key = (n, t, m)
-        col = self._action_word.get(key)
+        col = self._action.get(key)
         if col is None:
-            word = self.words[n][m]
-            tail = self.action_column(n - 1, t,
-                                      self.word_index[n - 1][word[1:]])
-            col = self._word_column(n, self.action_column(1, t, word[0]), tail)
-            self._action_word[key] = col
+            if n == 0:
+                col = {0: self.field.one()}
+            elif n == 1:
+                col = self.module.action_of(t)[m]
+            else:
+                word = self.words[n][m]
+                tail = self.word_index[n - 1][word[1:]]
+                col = self._word_column(n, self.action_column(1, t, word[0]),
+                                        self.action_column(n - 1, t, tail))
+            self._action[key] = col
         return col
 
     def _word_column(self, n: int, head, tail):
@@ -225,32 +211,27 @@ class GradedNicholsState:
             mdeg_i = self.module.multidegree(i)
             for bidx in range(p):
                 mdeg = tuple(a + b for a, b in zip(mdeg_i, mprev[bidx]))
-                comps = [{} for _ in range(w)]
-                if n > 1:
-                    for k in range(w):
-                        dk = dprev[bidx][k]
-                        if not dk:
-                            continue
-                        comp = comps[k]
-                        for m, c0 in dk.items():
-                            _add_scaled(comp, pprev[i, m], c0)
-                _add_scaled(comps[i], acols[bidx])
-                clean = [_nonzero(comp) for comp in comps]
+                # d_k(v_i b) = v_i d_k(b) + delta_ik g_i . b, per component
+                # k that occurs
+                comps = {}
+                for (k, m), c0 in dprev[bidx].items():
+                    _add_scaled(comps.setdefault(k, {}), pprev[i, m], c0)
+                _add_scaled(comps.setdefault(i, {}), acols[bidx])
+                vec = {(k, idx): c for k in sorted(comps)
+                       for idx, c in comps[k].items() if not c.is_zero()}
                 key = (group.mul(gi, hprev[bidx]), mdeg)
                 blocks.setdefault(key, []).append(len(cands))
-                cands.append((i, bidx, clean, key))
+                cands.append((i, bidx, vec, key))
         # pass 2: incremental rank per block, in candidate order, so the
         # accepted pivots still form the lex-least monomial basis
         pivot_ordinals = []
         block_pivots = {}
         combo_data = {}
         for key, members in blocks.items():
-            vecs = [{(k, idx): val
-                     for k, comp in enumerate(cands[o][2])
-                     for idx, val in comp.items()} for o in members]
             plist = []
             for o, (kind, data) in zip(members, eliminate_block(
-                    self.field, vecs, degree=n, key=key)):
+                    self.field, [cands[o][2] for o in members], degree=n,
+                    key=key)):
                 if kind == "pivot":
                     plist.append(o)
                     pivot_ordinals.append(o)
@@ -266,11 +247,11 @@ class GradedNicholsState:
         new_mdeg = []
         prods = {}
         for o in pivot_ordinals:
-            i, bidx, clean, key = cands[o]
+            i, bidx, vec, key = cands[o]
             word = (i,) + prev[bidx]
             new_index[word] = len(new_words)
             new_words.append(word)
-            new_derivs.append(clean)
+            new_derivs.append(vec)
             new_hdeg.append(key[0])
             new_mdeg.append(key[1])
             prods[i, bidx] = {glob[o]: self.field.one()}
@@ -340,7 +321,8 @@ class GradedNicholsState:
         """Right derivative by the k-th dual vector: degree n -> n-1 coords."""
         out = {}
         for m, c in coords.items():
-            _add_scaled(out, self.derivs[n][m][k], c)
+            _add_scaled(out, {idx: d for (j, idx), d in
+                              self.derivs[n][m].items() if j == k}, c)
         return _nonzero(out)
 
     def multidegree_table(self):

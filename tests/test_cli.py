@@ -387,12 +387,15 @@ def test_verify_paper_matrix_lines(verify_paper_run):
     assert len(lines) == 11
 
 
-# task -> (scenario, golden report in tests/data): the reports built on
-# adjoint chains, each the stdout of `nichols <task> <scenario> --json`
+# task -> (scenario, golden report in tests/data), each the stdout of
+# `nichols <task> <scenario> --json`: the reports built on adjoint chains,
+# and one that runs only the engine (to degree 12 on three 576-dimensional
+# algebras)
 CHAIN_GOLDENS = {
     "cartan": (SCENARIOS / "s4_pairs.json", "cartan_s4_pairs.json"),
     "derive": (SCENARIOS / "dn_obstruction.json",
                "derive_dn_obstruction.json"),
+    "hilbert": (SCENARIOS / "s4_all_three.json", "hilbert_s4_all_three.json"),
     "roots": (PERFBENCH_SCENARIOS / "diag_roots.json", "roots_diag_roots.json"),
 }
 

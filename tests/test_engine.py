@@ -287,6 +287,41 @@ def test_zero_detection_via_derivatives():
             assert nonzero_deriv == bool(coords)
 
 
+def derivative_table(state, n, m):
+    """{(k_n, ..., k_1): scalar} for the m-th degree-n basis word: its
+    derivatives by k_1 first, then k_2, ..., down to degree 0."""
+    table = {}
+    todo = [((), {m: state.field.one()})]
+    while todo:
+        ks, coords = todo.pop()
+        if len(ks) == n:
+            table[tuple(reversed(ks))] = coords[0]
+            continue
+        for k in range(state.module.dim):
+            d = state.derivative(n - len(ks), coords, k)
+            if d:
+                todo.append((ks + (k,), d))
+    return table
+
+
+@pytest.mark.parametrize("build, top", [
+    (fk3_module, 4),
+    (a2_family, 4),
+    (four_cycle_module, 3),
+    (lambda: direct_sum([named_d9_module("v"), named_d9_module("w")]), 2),
+], ids=["fk3", "diag-a2", "four-cycle", "d9-pair"])
+def test_derivatives_match_symmetrizer(build, top):
+    # the iterated right derivatives of a word are the coefficients of its
+    # symmetrizer image, read in reverse
+    module = build()
+    state = GradedNicholsState(module).extend_to(top)
+    for n in range(1, top + 1):
+        words = state.words[n]
+        cols = symmetrizer_columns(module, n, words)
+        for m, word in enumerate(words):
+            assert derivative_table(state, n, m) == cols[word], word
+
+
 def test_homogeneity_of_basis_words():
     w = direct_sum([fk3_module("x"), fk3_module("y")])
     state = GradedNicholsState(w).extend_to(3)

@@ -1,6 +1,7 @@
 """Cached and per-word fast paths on the reflection path, against the
-computations they replace: brute-force centralizer classes, the full
-degree-n action, and fingerprints recomputed on fresh objects."""
+computations they replace: brute-force centralizer classes, the action on
+a word as the product of the acted letters, and fingerprints recomputed on
+fresh objects."""
 
 import pytest
 
@@ -46,20 +47,26 @@ def b2_pair():
 
 
 @pytest.mark.parametrize("make", [d9_pair, b2_pair], ids=["D9", "B2"])
-def test_action_column_matches_full_action(make):
+def test_action_column_matches_acted_letters(make):
     state = GradedNicholsState(make()).extend_to(3)
     top = state.max_degree()
-    elements = state.module.group.elements
-    built = set(state._action)
-    per_word = {(n, t): [state.action_column(n, t, m)
-                         for m in range(len(state.words[n]))]
-                for n in range(top, -1, -1) for t in elements}
-    # the per-word path built no whole piece above degree 1
-    assert all(n <= 1 for n, _ in set(state._action) - built)
-    for (n, t), cols in per_word.items():
-        assert cols == state.action_columns(n, t)
-        # with the whole piece cached, columns are read from it
-        assert state.action_column(n, t, 0) is state.action_columns(n, t)[0]
+    one = (0, {0: state.field.one()})
+    for t in state.module.group.elements:
+        # one column builds at most a head and a tail per degree
+        built = len(state._action)
+        state.action_column(top, t, len(state.words[top]) - 1)
+        assert len(state._action) - built <= 2 * top
+        letters = [(1, col) for col in state.module.action_of(t)]
+        # t . (x_i1 ... x_in) = (t . x_i1) ... (t . x_in), left to right
+        acted = {(): one}
+        for n in range(top + 1):
+            for m, word in enumerate(state.words[n]):
+                for d in range(1, n + 1):
+                    if word[:d] not in acted:
+                        acted[word[:d]] = state.multiply(acted[word[:d - 1]],
+                                                         letters[word[d - 1]])
+                assert state.action_column(n, t, m) == acted[word][1], \
+                    (t, word)
 
 
 def test_fingerprint_is_computed_once_per_module():

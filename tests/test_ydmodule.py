@@ -5,6 +5,7 @@ import pytest
 from nichols.cyclotomic import CycloField
 from nichols.errors import ModuleSpecError
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
+from nichols.verify import fk3_module
 from nichols.ydmodule import (
     BraidingOperator,
     Representation,
@@ -339,6 +340,18 @@ def test_broken_action_is_rejected():
     with pytest.raises(ModuleSpecError):
         YDModule(g, Q, list(reversed(m.coaction)), m.generator_columns,
                  m.basis_labels, m.triples, m.blocks)
+
+
+def test_relation_off_the_cayley_tree_is_checked():
+    # negating the 3-cycle breaks (1 2 3)^3 = 1, which an edge off the
+    # Cayley tree sees
+    m = fk3_module()
+    cycle = (2, 3, 1)
+    cols = dict(m.generator_columns)
+    cols[cycle] = [{i: -c for i, c in col.items()} for col in cols[cycle]]
+    with pytest.raises(ModuleSpecError, match="not a group homomorphism"):
+        YDModule(m.group, m.field, m.coaction, cols, m.basis_labels,
+                 m.triples, m.blocks)
 
 
 def test_module_from_spec_json():
