@@ -43,36 +43,6 @@ def partial_right(state, k: int, x):
     return (n - 1, state.derivative(n, coords, k))
 
 
-def _left_on_word(state, n, m, j):
-    """Coords of the left derivation by f_j of the m-th degree-n basis word."""
-    memo = state._left_memo
-    key = (n, m, j)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    field = state.field
-    word = state.words[n][m]
-    i = word[0]
-    if n == 1:
-        out = {0: field.one()} if j == i else {}
-        memo[key] = out
-        return out
-    tidx = state.word_index[n - 1][word[1:]]
-    out = {tidx: field.one()} if j == i else {}
-    # twisted term: v_i times the derivation by g_i^{-1} . f_j on the tail
-    cols = state.module.action_of(state.module.coaction[i])
-    prods = state.products[n - 1]
-    for b, col in enumerate(cols):
-        rb = col.get(j)
-        if rb is None:
-            continue
-        for m2, c2 in _left_on_word(state, n - 1, tidx, b).items():
-            _add_scaled(out, prods[i, m2], rb * c2)
-    out = _nonzero(out)
-    memo[key] = out
-    return out
-
-
 def partial_left(state, j: int, x):
     """Left derivation by the j-th dual basis vector."""
     n, coords = x
@@ -81,10 +51,7 @@ def partial_left(state, j: int, x):
                                degree=n, computed=state.max_degree())
     if n == 0:
         return (0, {})
-    out = {}
-    for m, c in coords.items():
-        _add_scaled(out, _left_on_word(state, n, m, j), c)
-    return (n - 1, _nonzero(out))
+    return (n - 1, state.left_derivative(n, coords, j))
 
 
 def _as_degree_one(state, v):
@@ -188,7 +155,7 @@ def _eval(state, node):
         if node == "1":
             return (0, {0: state.field.one()})
         return (1, {_label_index(state, node): state.field.one()})
-    if len(node) != 3 or not isinstance(node[0], str):
+    if len(node) != 3 or not all(isinstance(x, str) for x in node[:2]):
         raise ScenarioError("expected (op label expr)", got=node)
     op, arg, inner = node
     x = _eval(state, inner)
@@ -210,6 +177,8 @@ def evaluate_expr(state, text: str):
     d / dl are right / left derivations by the dual of the named basis vector;
     ad / adinv are the braided adjoints; the atom 1 is the unit.
     """
+    if not isinstance(text, str):
+        raise ScenarioError("expression must be a string", got=text)
     tokens = _tokenize(text)
     if not tokens:
         raise ScenarioError("empty expression")

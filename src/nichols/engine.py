@@ -129,8 +129,7 @@ class GradedNicholsState:
         self.products = [None]
         # (n, t, m) -> column m of the action of t on the degree-n basis
         self._action = {}
-        # (n, m, j) -> left derivation by f_j of the m-th degree-n basis
-        # word, filled by derivations.partial_left
+        # (n, m, j) -> left derivative by f_j of the m-th degree-n basis word
         self._left_memo = {}
 
     # -- bookkeeping
@@ -324,6 +323,34 @@ class GradedNicholsState:
             _add_scaled(out, {idx: d for (j, idx), d in
                               self.derivs[n][m].items() if j == k}, c)
         return _nonzero(out)
+
+    def left_derivative(self, n: int, coords, j: int):
+        """Left derivative by the j-th dual vector: degree n -> n-1 coords."""
+        out = {}
+        for m, c in coords.items():
+            _add_scaled(out, self._left_column(n, m, j), c)
+        return _nonzero(out)
+
+    def _left_column(self, n: int, m: int, j: int):
+        """Left derivative by f_j of the m-th degree-n basis word v_i * b:
+        delta_ij b plus v_i times the left derivative of b by g_i^{-1} . f_j;
+        memoized."""
+        key = (n, m, j)
+        col = self._left_memo.get(key)
+        if col is None:
+            word = self.words[n][m]
+            i, tail = word[0], self.word_index[n - 1][word[1:]]
+            col = {tail: self.field.one()} if j == i else {}
+            if n > 1:
+                prods = self.products[n - 1]
+                acts = self.module.action_of(self.module.coaction[i])
+                for b, act in enumerate(acts):
+                    if j in act:
+                        for m2, c2 in self._left_column(n - 1, tail, b).items():
+                            _add_scaled(col, prods[i, m2], act[j] * c2)
+                col = _nonzero(col)
+            self._left_memo[key] = col
+        return col
 
     def multidegree_table(self):
         table = {}

@@ -29,7 +29,9 @@ same family.
 
 A Cartan entry that stays nonzero through the configured degree cap is
 reported as UnboundedAtCap, never as a number: reflections along such a
-row are refused rather than guessed.
+row are refused rather than guessed.  The explored graph stores each
+node's family and Cartan matrix, in the order found, and its edges; the
+uncertified rows and every verdict are read off those.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ DEFAULT_STATE_LIMIT = 20000
 log = logging.getLogger(__name__)
 
 
+@dataclass(frozen=True)
 class UnboundedAtCap:
     """Cartan entry whose adjoint chain was still nonzero at the degree cap.
 
@@ -59,37 +62,11 @@ class UnboundedAtCap:
     known to satisfy a <= 1 - reached without being determined.
     """
 
-    __slots__ = ("cap", "reached")
-
-    def __init__(self, cap: int, reached: int):
-        self.cap = cap
-        self.reached = reached
-
-    def __eq__(self, other):
-        return (isinstance(other, UnboundedAtCap)
-                and self.cap == other.cap and self.reached == other.reached)
-
-    def __hash__(self):
-        return hash(("unbounded", self.cap, self.reached))
-
-    def __repr__(self):
-        return f"UnboundedAtCap(cap={self.cap}, reached={self.reached})"
+    cap: int
+    reached: int
 
     def to_jsonable(self):
         return {"unbounded_at_cap": self.cap, "chain_reached": self.reached}
-
-
-def _renamed(block: YDModule, name: str, labels=None) -> YDModule:
-    """Copy of a one-block module named name, with labels name1, name2, ...
-    unless given; it shares the actions and the cached fingerprint."""
-    if labels is None:
-        labels = [f"{name}{k + 1}" for k in range(block.dim)]
-    out = YDModule(block.group, block.field, block.coaction,
-                   block.generator_columns, labels, block.triples,
-                   [(name, 0, block.dim)], check=False)
-    out._action = block._action
-    out._fingerprint = block._fingerprint
-    return out
 
 
 class _ChainCache:
@@ -144,7 +121,7 @@ class FamilyM:
         alpha_j."""
         if self._assembled is None:
             self._assembled = direct_sum(
-                [_renamed(b, f"m{j + 1}_") for j, b in enumerate(self.blocks)])
+                [b.renamed(f"m{j + 1}_") for j, b in enumerate(self.blocks)])
         return self._assembled
 
     def block_state(self, i: int, mem_limit: int) -> GradedNicholsState:
@@ -166,8 +143,8 @@ class FamilyM:
         if cached is None:
             cached = self._cache.duals[self.fingerprints[i]] = block.dual()
             fingerprint(cached)
-        return _renamed(cached, block.blocks[0][0] + "*",
-                        [lab + "*" for lab in block.basis_labels])
+        return cached.renamed(block.blocks[0][0] + "*",
+                              [lab + "*" for lab in block.basis_labels])
 
     def __repr__(self):
         dims = ",".join(str(b.dim) for b in self.blocks)
@@ -282,6 +259,29 @@ def cartan_entry(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
     return _adjoint_chain(fam, i, j, cap, mem_limit).entry
 
 
+def _gcm_fault(a, exact: bool):
+    """The first fault of a as a generalized Cartan matrix, as (message,
+    details), or None if there is none; unless exact, an off-diagonal entry
+    may also be UnboundedAtCap."""
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        return "Cartan matrix must be square and nonempty", {}
+    for i in range(n):
+        for j in range(n):
+            v, at = a[i][j], {"at": (i + 1, j + 1)}
+            if not isinstance(v, int):
+                if exact or i == j or not isinstance(v, UnboundedAtCap):
+                    return "Cartan entries must be integers", at
+            elif i == j and v != 2:
+                return "Cartan diagonal must equal 2", at
+            elif i != j and v > 0:
+                return "off-diagonal Cartan entries must be <= 0", at
+            elif i != j and isinstance(a[j][i], int) and \
+                    (v == 0) != (a[j][i] == 0):
+                return "zero entries must be symmetric", at
+    return None
+
+
 class CartanData:
     """Cartan matrix of a family; off-diagonal entries may be UnboundedAtCap."""
 
@@ -289,28 +289,10 @@ class CartanData:
         self.entries = [list(row) for row in entries]
         self.theta = len(self.entries)
         self.cap = cap
-        for row in self.entries:
-            if len(row) != self.theta:
-                raise ScenarioError("Cartan matrix must be square")
-        for i in range(self.theta):
-            for j in range(self.theta):
-                v = self.entries[i][j]
-                if i == j:
-                    if v != 2:
-                        raise RuntimeError("Cartan diagonal must equal 2")
-                elif isinstance(v, int):
-                    if v > 0:
-                        raise RuntimeError("off-diagonal Cartan entry above zero")
-                elif not isinstance(v, UnboundedAtCap):
-                    raise ScenarioError("Cartan entries must be integers or "
-                                        "UnboundedAtCap", got=repr(v))
-        for i in range(self.theta):
-            for j in range(i + 1, self.theta):
-                a, b = self.entries[i][j], self.entries[j][i]
-                if isinstance(a, int) and isinstance(b, int):
-                    if (a == 0) != (b == 0):
-                        raise RuntimeError(
-                            "zero Cartan entries must come in symmetric pairs")
+        # only cartan_matrix builds one, so a fault here is a bug
+        fault = _gcm_fault(self.entries, exact=False)
+        if fault is not None:
+            raise RuntimeError(*fault)
 
     def row_exact(self, i: int) -> bool:
         return all(isinstance(v, int) for v in self.entries[i])
@@ -355,7 +337,7 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
     tops = fam._cache.tops
     if key not in tops:
         tops[key] = _top_module(chain)
-    return _renamed(tops[key], name)
+    return tops[key].renamed(name)
 
 
 def _top_module(chain: _Chain) -> YDModule:
@@ -390,10 +372,9 @@ def _top_module(chain: _Chain) -> YDModule:
             raise RuntimeError("group action left the adjoint chain span")
         columns.append(data)
     labels = [f"u{k + 1}" for k in range(dim)]
-    triples = [(0, k, 0) for k in range(dim)]
     gen_columns = {t: columns[k * dim:(k + 1) * dim]
                    for k, t in enumerate(group.generators)}
-    out = YDModule(group, state.field, coaction, gen_columns, labels, triples,
+    out = YDModule(group, state.field, coaction, gen_columns, labels,
                    [("u", 0, dim)], check=True)
     try:
         fingerprint(out)
@@ -405,6 +386,8 @@ def _top_module(chain: _Chain) -> YDModule:
 
 
 def _cartan_row(fam: FamilyM, i: int, cap: int, mem_limit: int):
+    if not 0 <= i < fam.theta:
+        raise ScenarioError("block index out of range", i=i, theta=fam.theta)
     row = [2 if j == i else cartan_entry(fam, i, j, cap, mem_limit)
            for j in range(fam.theta)]
     bad = [j for j, v in enumerate(row) if isinstance(v, UnboundedAtCap)]
@@ -418,8 +401,6 @@ def _cartan_row(fam: FamilyM, i: int, cap: int, mem_limit: int):
 def reflect(fam: FamilyM, i: int, cap: int = DEFAULT_DEGREE_CAP,
             mem_limit: int = DEFAULT_MEM_LIMIT) -> FamilyM:
     """Reflected family: block i dualized, block j the top adjoint module."""
-    if not 0 <= i < fam.theta:
-        raise ScenarioError("block index out of range", i=i, theta=fam.theta)
     _cartan_row(fam, i, cap, mem_limit)
     blocks = [fam.dual(i) if j == i else
               l_j_max(fam, i, j, cap, mem_limit, name=f"u{j + 1}_")
@@ -436,55 +417,53 @@ def _s_from_row(row, i: int):
 def s_matrix(fam: FamilyM, i: int, cap: int = DEFAULT_DEGREE_CAP,
              mem_limit: int = DEFAULT_MEM_LIMIT):
     """Reflection matrix: alpha_j -> alpha_j - a_ij alpha_i, as row tuples."""
-    if not 0 <= i < fam.theta:
-        raise ScenarioError("block index out of range", i=i, theta=fam.theta)
     return _s_from_row(_cartan_row(fam, i, cap, mem_limit), i)
 
 
 @dataclass
 class NodeRecord:
     family: FamilyM
-    key: tuple
     cartan: CartanData = None
+
+    def uncertified_rows(self) -> list:
+        """Rows of the Cartan matrix with an entry open at the degree cap."""
+        return [i for i in range(self.cartan.theta)
+                if not self.cartan.row_exact(i)]
 
 
 @dataclass
 class GroupoidGraph:
-    """Explored reflection groupoid, keyed by family fingerprints."""
+    """Reflection groupoid, keyed by fingerprints in the order found."""
 
     base_key: tuple
     nodes: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)
     edges: dict = field(default_factory=dict)
-    uncertified: dict = field(default_factory=dict)
     cap: int = DEFAULT_DEGREE_CAP
     node_limit: int = DEFAULT_NODE_LIMIT
     partial: bool = False
 
     def node_ids(self) -> dict:
-        return {key: f"n{k}" for k, key in enumerate(self.order)}
+        return {key: f"n{k}" for k, key in enumerate(self.nodes)}
 
     def has_uncertified_rows(self) -> bool:
-        return any(self.uncertified.values())
+        return any(rec.uncertified_rows() for rec in self.nodes.values())
 
     def to_jsonable(self) -> dict:
         ids = self.node_ids()
-        pos = {key: k for k, key in enumerate(self.order)}
         nodes = []
-        for key in self.order:
-            rec = self.nodes[key]
+        for key, rec in self.nodes.items():
             nodes.append({
                 "id": ids[key],
                 "theta": rec.family.theta,
                 "block_dims": [b.dim for b in rec.family.blocks],
                 "fingerprint": str(key),
-                "cartan": rec.cartan.to_jsonable() if rec.cartan else None,
-                "uncertified_rows": [i + 1 for i in
-                                     sorted(self.uncertified.get(key, []))],
+                "cartan": rec.cartan.to_jsonable(),
+                "uncertified_rows": [i + 1 for i in rec.uncertified_rows()],
             })
+        # explore_groupoid adds the edges node by node in the order found,
+        # index ascending, so insertion order is sorted by (node, index)
         edges = []
-        for (key, i), (key2, s) in sorted(
-                self.edges.items(), key=lambda kv: (pos[kv[0][0]], kv[0][1])):
+        for (key, i), (key2, s) in self.edges.items():
             edges.append({"from": ids[key], "index": i + 1, "to": ids[key2],
                           "s_matrix": [list(r) for r in s]})
         return {"base": ids[self.base_key], "degree_cap": self.cap,
@@ -497,27 +476,24 @@ def explore_groupoid(fam: FamilyM, cap: int = DEFAULT_DEGREE_CAP,
                      mem_limit: int = DEFAULT_MEM_LIMIT) -> GroupoidGraph:
     """Breadth-first closure of a family under all certified reflections.
 
-    Uncertified rows are recorded, never reflected.  When the node limit
-    stops a new family from being added the graph is flagged partial and
-    the corresponding edges are omitted.  Every explored family shares
-    fam's chain cache, so each chain is computed once per pair of block
-    fingerprints; the cache grows with the nodes, up to node_limit.
+    Uncertified rows stay in the Cartan matrices, never reflected.  When the
+    node limit stops a new family from being added the graph is flagged
+    partial and the corresponding edges are omitted.  Every explored family
+    shares fam's chain cache, so each chain is computed once per pair of
+    block fingerprints; the cache grows with the nodes, up to node_limit.
     """
     cache = fam._cache
     hits0, misses0 = cache.hits, cache.misses
     graph = GroupoidGraph(base_key=fam.fingerprints, cap=cap,
                           node_limit=node_limit)
-    graph.nodes[fam.fingerprints] = NodeRecord(fam, fam.fingerprints)
-    graph.order.append(fam.fingerprints)
+    graph.nodes[fam.fingerprints] = NodeRecord(fam)
     queue = deque([fam.fingerprints])
     while queue:
         key = queue.popleft()
         rec = graph.nodes[key]
         rec.cartan = cartan_matrix(rec.family, cap, mem_limit)
         for i in range(rec.family.theta):
-            row = rec.cartan.entries[i]
             if not rec.cartan.row_exact(i):
-                graph.uncertified.setdefault(key, []).append(i)
                 continue
             fam2 = reflect(rec.family, i, cap, mem_limit)
             key2 = fam2.fingerprints
@@ -525,10 +501,9 @@ def explore_groupoid(fam: FamilyM, cap: int = DEFAULT_DEGREE_CAP,
                 if len(graph.nodes) >= node_limit:
                     graph.partial = True
                     continue
-                graph.nodes[key2] = NodeRecord(fam2, key2)
-                graph.order.append(key2)
+                graph.nodes[key2] = NodeRecord(fam2)
                 queue.append(key2)
-            graph.edges[key, i] = (key2, _s_from_row(row, i))
+            graph.edges[key, i] = (key2, _s_from_row(rec.cartan.entries[i], i))
     _check_involution(graph)
     log.debug("groupoid: %d nodes, %d edges, chain cache %d hits, %d misses",
               len(graph.nodes), len(graph.edges), cache.hits - hits0,
@@ -613,15 +588,15 @@ def is_standard(graph: GroupoidGraph) -> StandardnessVerdict:
     """Whether every explored node repeats the base Cartan matrix exactly."""
     if graph.partial:
         return StandardnessVerdict("undecided", {"reason": "node-limit"})
+    ids = graph.node_ids()
     if graph.has_uncertified_rows():
-        ids = graph.node_ids()
-        bad = sorted(ids[k] for k, rows in graph.uncertified.items() if rows)
+        bad = sorted(ids[k] for k, rec in graph.nodes.items()
+                     if rec.uncertified_rows())
         return StandardnessVerdict(
             "undecided", {"reason": "uncertified-rows", "nodes": bad})
-    ids = graph.node_ids()
     base = graph.nodes[graph.base_key].cartan
-    for key in graph.order:
-        cd = graph.nodes[key].cartan
+    for key, rec in graph.nodes.items():
+        cd = rec.cartan
         for i in range(cd.theta):
             for j in range(cd.theta):
                 if cd.entries[i][j] != base.entries[i][j]:
@@ -713,30 +688,12 @@ def gcm_finite_type(matrix) -> GCMVerdict:
     components are classified against the A/B/C/D/E/F/G diagrams.
     """
     if isinstance(matrix, CartanData):
-        if not matrix.is_exact():
-            raise ScenarioError(
-                "finite-type recognition needs every Cartan entry exact")
-        a = [list(row) for row in matrix.entries]
-    else:
-        a = [list(row) for row in matrix]
+        matrix = matrix.entries
+    a = [list(row) for row in matrix]
+    fault = _gcm_fault(a, exact=True)
+    if fault is not None:
+        raise ScenarioError(fault[0], **fault[1])
     n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise ScenarioError("Cartan matrix must be square and nonempty")
-    for i in range(n):
-        for j in range(n):
-            v = a[i][j]
-            if not isinstance(v, int):
-                raise ScenarioError("Cartan entries must be integers",
-                                    at=(i + 1, j + 1))
-            if i == j and v != 2:
-                raise ScenarioError("Cartan diagonal must equal 2",
-                                    at=(i + 1, j + 1))
-            if i != j and v > 0:
-                raise ScenarioError("off-diagonal Cartan entries must be <= 0",
-                                    at=(i + 1, j + 1))
-            if i != j and (v == 0) != (a[j][i] == 0):
-                raise ScenarioError("zero entries must be symmetric",
-                                    at=(i + 1, j + 1))
     seen = set()
     labels = []
     for v0 in range(n):

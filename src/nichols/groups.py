@@ -10,13 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from math import gcd
+from math import lcm
 
 from .errors import GroupSpecError
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class FiniteGroup:
@@ -66,7 +62,7 @@ class FiniteGroup:
         if self._exponent is None:
             exp = 1
             for e in self.elements:
-                exp = _lcm(exp, self.element_order(e))
+                exp = lcm(exp, self.element_order(e))
             self._exponent = exp
         return self._exponent
 
@@ -302,15 +298,17 @@ def _perm_cycles(p) -> str:
 
 def build_permutation_group(degree: int, generators) -> FiniteGroup:
     """Group generated by permutations in 1-indexed one-line image notation."""
-    degree = int(degree)
+    try:
+        degree = int(degree)
+        gens = [tuple(int(x) for x in g) for g in generators]
+    except (TypeError, ValueError) as exc:
+        raise GroupSpecError("permutation degree and images must be integers",
+                             degree=degree, generators=generators) from exc
     if degree < 1:
         raise GroupSpecError("degree must be positive", degree=degree)
-    gens = []
-    for g in generators:
-        t = tuple(int(x) for x in g)
+    for t in gens:
         if sorted(t) != list(range(1, degree + 1)):
-            raise GroupSpecError("not a permutation of 1..degree", value=list(g))
-        gens.append(t)
+            raise GroupSpecError("not a permutation of 1..degree", value=list(t))
     identity = tuple(range(1, degree + 1))
 
     def mul(a, b):
@@ -353,7 +351,11 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def build_abelian_group(orders) -> FiniteGroup:
     """Z_{n1} x ... x Z_{nk}, elements as exponent tuples."""
-    orders = [int(n) for n in orders]
+    try:
+        orders = [int(n) for n in orders]
+    except (TypeError, ValueError) as exc:
+        raise GroupSpecError("abelian 'orders' must be a list of integers",
+                             orders=orders) from exc
     if not orders or any(n < 1 for n in orders):
         raise GroupSpecError("abelian orders must be positive", orders=orders)
     k = len(orders)
@@ -393,7 +395,10 @@ def build_abelian_group(orders) -> FiniteGroup:
 
 def build_dihedral(n: int) -> FiniteGroup:
     """D_n for odd n: x^2 = e = y^n, x y x = y^-1; elements (a, b) = x^a y^b."""
-    n = int(n)
+    try:
+        n = int(n)
+    except (TypeError, ValueError) as exc:
+        raise GroupSpecError("dihedral 'n' must be an integer", n=n) from exc
     if n <= 1 or n % 2 == 0:
         raise GroupSpecError("dihedral backend requires odd n > 1", n=n)
 

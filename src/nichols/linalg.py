@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .cyclotomic import CycloField, CycloNumber, _mul_coeffs, _q, mpq
 
@@ -295,7 +295,7 @@ def _eliminate_mod_p(vectors, track):
             do, io = pivot_ints[o]
             q = q.coeffs[0]
             den = q.denominator * do
-            scale = scale * den // gcd(scale, den)
+            scale = lcm(scale, den)
             terms.append((q.numerator, den, io))
         f = scale // dv
         rest = {c: f * x for c, x in iv.items()}
@@ -315,7 +315,7 @@ def _integral(v):
     for x in v.values():
         d = x.coeffs[0].denominator
         if d != 1:
-            den = den * d // gcd(den, d)
+            den = lcm(den, d)
     out = {}
     for c, x in v.items():
         x = x.coeffs[0]

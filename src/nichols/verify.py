@@ -318,7 +318,7 @@ def check_reflection_invariance():
     graph = explore_groupoid(fam, cap=6, node_limit=32)
     assert not graph.partial and not graph.has_uncertified_rows()
     totals = []
-    for key in graph.order:
+    for key in graph.nodes:
         series = hilbert_series(graph.nodes[key].family.assembled(), 10)
         assert series.finished and series.total == 27, (key, series.total)
         totals.append(series.total)

@@ -12,15 +12,11 @@ degree of e_a, and c^{-1}(e_a (x) e_b) = e_b (x) (g_b^{-1} . e_a).
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import lcm
 
 from .cyclotomic import CycloField, _add_scaled, _nonzero
 from .errors import ModuleSpecError
 from .groups import ConjugacyClassData, FiniteGroup, build_abelian_group, conjugacy_class
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _compose(a, b):
@@ -134,7 +130,7 @@ class YDModule:
     """
 
     def __init__(self, group: FiniteGroup, field: CycloField, coaction,
-                 gen_columns, labels, triples, blocks, check=True):
+                 gen_columns, labels, blocks, check=True):
         self.group = group
         self.field = field
         self.coaction = list(coaction)
@@ -144,9 +140,11 @@ class YDModule:
         self._action = _GeneratedAction(group, field, self.dim,
                                         self.generator_columns)
         self.basis_labels = list(labels)
-        self.triples = list(triples)
         self.blocks = list(blocks)  # (name, start, stop) per summand
         self.theta = len(self.blocks)
+        # the summand of each basis vector
+        self._block_of = [b for b, (_, start, stop) in enumerate(self.blocks)
+                          for _ in range(start, stop)]
         self.label_index = {lab: i for i, lab in enumerate(self.basis_labels)}
         if len(self.label_index) != self.dim:
             raise ModuleSpecError("basis labels must be distinct")
@@ -158,11 +156,11 @@ class YDModule:
     # -- structure access
 
     def multidegree(self, i) -> tuple:
-        b = self.triples[i][0]
+        b = self._block_of[i]
         return tuple(1 if j == b else 0 for j in range(self.theta))
 
     def block_of(self, i) -> int:
-        return self.triples[i][0]
+        return self._block_of[i]
 
     def block_indices(self, b) -> range:
         _, start, stop = self.blocks[b]
@@ -208,9 +206,20 @@ class YDModule:
             [g.inv(e) for e in self.coaction],
             gen_columns,
             [lab + "*" for lab in self.basis_labels],
-            list(self.triples),
             [(name + "*", a, b) for name, a, b in self.blocks],
             check=False)
+
+    def renamed(self, name: str, labels=None) -> "YDModule":
+        """Copy of a one-block module named name, with labels name1, name2,
+        ... unless given; it shares the actions and the cached fingerprint."""
+        if labels is None:
+            labels = [f"{name}{k + 1}" for k in range(self.dim)]
+        out = YDModule(self.group, self.field, self.coaction,
+                       self.generator_columns, labels, [(name, 0, self.dim)],
+                       check=False)
+        out._action = self._action
+        out._fingerprint = self._fingerprint
+        return out
 
 
 class BraidingOperator:
@@ -272,12 +281,10 @@ def build_M_O_rho(group: FiniteGroup, cls: ConjugacyClassData, rho: Representati
     field = rho.field
     coaction = [cls.members[i] for i in range(t) for _ in range(d)]
     labels = []
-    triples = []
     for i in range(t):
         for v in range(d):
             suffix = f"_{v}" if d > 1 else ""
             labels.append(f"{name}{index_base + i}{suffix}")
-            triples.append((0, i, v))
 
     gen_columns = {}
     for gen in group.generators:
@@ -289,13 +296,13 @@ def build_M_O_rho(group: FiniteGroup, cls: ConjugacyClassData, rho: Representati
                         for w in range(d))
         gen_columns[gen] = cols
 
-    return YDModule(group, field, coaction, gen_columns, labels, triples,
+    return YDModule(group, field, coaction, gen_columns, labels,
                     [(name, 0, t * d)])
 
 
 def zero_module(group: FiniteGroup, field: CycloField) -> YDModule:
     return YDModule(group, field, [], {gen: [] for gen in group.generators},
-                    [], [], [], check=False)
+                    [], [], check=False)
 
 
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -324,20 +331,16 @@ def direct_sum(parts) -> YDModule:
     coaction = [e for p in parts for e in p.coaction]
     labels = [lab for p in parts for lab in p.basis_labels]
     blocks = []
-    triples = []
     for p, off in zip(parts, offsets):
         for name, a, b in p.blocks:
             blocks.append((name, off + a, off + b))
-        base = len(blocks) - len(p.blocks)
-        for (blk, i, v) in p.triples:
-            triples.append((base + blk, i, v))
     gen_columns = {
         gen: [{off + i: s for i, s in col.items()}
               for p, off in zip(parts, offsets)
               for col in p.generator_columns[gen]]
         for gen in group.generators}
-    return YDModule(group, field, coaction, gen_columns, labels, triples,
-                    blocks, check=False)
+    return YDModule(group, field, coaction, gen_columns, labels, blocks,
+                    check=False)
 
 
 # -- fingerprints
@@ -453,7 +456,7 @@ def module_from_spec(group: FiniteGroup, spec: dict, field: CycloField,
     if not isinstance(rho_spec, dict):
         raise ModuleSpecError("'rho' must be an object", got=rho_spec)
     dim = rho_spec.get("dim", 1)
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ModuleSpecError("rho 'dim' must be a positive integer", dim=dim)
     key = "values" if dim == 1 else "matrices"
     given = rho_spec.get(key)
@@ -473,19 +476,21 @@ def diagonal_modules(q_rows, name="v"):
     q_rows is a theta x theta array of root-of-unity scalar strings; returns
     (group, field, [one-dimensional blocks]) with q_ij = chi_j(g_i).
     """
+    if not isinstance(q_rows, list) or not q_rows or any(
+            not isinstance(r, list) or len(r) != len(q_rows) for r in q_rows):
+        raise ModuleSpecError("diagonal braiding matrix must be a square "
+                              "list of rows", got=q_rows)
     theta = len(q_rows)
-    if theta == 0 or any(len(r) != theta for r in q_rows):
-        raise ModuleSpecError("diagonal braiding matrix must be square")
     conductor = 1
     for row in q_rows:
         for s in row:
             for tok in re.findall(r"z(\d+)", str(s)):
-                conductor = _lcm(conductor, int(tok))
+                conductor = lcm(conductor, int(tok))
     field = CycloField(conductor)
     q = [[field.parse(str(s)) for s in row] for row in q_rows]
     # group exponent: lcm of the multiplicative orders of the entries
     n = 1
-    bound = _lcm(2, conductor)
+    bound = lcm(2, conductor)
     for row in q:
         for v in row:
             acc, order = v, 1
@@ -495,7 +500,7 @@ def diagonal_modules(q_rows, name="v"):
                 if order > bound:
                     raise ModuleSpecError("diagonal entries must be roots of unity",
                                           value=str(v))
-            n = _lcm(n, order)
+            n = lcm(n, order)
     group = build_abelian_group([n] * theta)
     gens = [tuple(1 % n if j == i else 0 for j in range(theta))
             for i in range(theta)]

@@ -25,7 +25,6 @@ from nichols.groupoid import (
     FamilyM,
     UnboundedAtCap,
     _adjoint_chain,
-    _renamed,
     _top_module,
 )
 from nichols.linalg import FieldOps, IncrementalSpan, eliminate_block
@@ -47,8 +46,8 @@ class ReferenceChain(NamedTuple):
 def reference_chain(block_i, block_j, cap):
     """The chain of block_i on block_j by ad_c in the unbounded pair
     algebra, with the program's cap rule."""
-    state = GradedNicholsState(direct_sum([_renamed(block_i, "u"),
-                                           _renamed(block_j, "w")]))
+    state = GradedNicholsState(direct_sum([block_i.renamed("u"),
+                                           block_j.renamed("w")]))
     di = block_i.dim
     one = state.field.one()
     rows = [{di + k: one} for k in range(block_j.dim)]
@@ -188,8 +187,8 @@ def test_chain_dimensions_factor_the_pair_algebra(name):
         d = chain_dims(fam, i, j, top)
         h = GradedNicholsState(blocks[i]).extend_to(top).dims()
         h += [0] * (top + 1 - len(h))
-        pair = GradedNicholsState(direct_sum([_renamed(blocks[i], "u"),
-                                              _renamed(blocks[j], "w")]))
+        pair = GradedNicholsState(direct_sum([blocks[i].renamed("u"),
+                                              blocks[j].renamed("w")]))
         table = pair.extend_to(top + 1).multidegree_table()
         for m in range(top + 1):
             assert table.get(f"{m},1", 0) == \

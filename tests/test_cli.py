@@ -280,6 +280,32 @@ MALFORMED_SPEC_FIELDS = {
                           "scenario-error"),
     "conductor-true": ("hilbert", {"field_conductor": True},
                        "scenario-error"),
+    "rho-dim-true": ("hilbert",
+                     fk3_fields(rho={"dim": True,
+                                     "values": {"2,1,3": "-1"}}),
+                     "module-spec-error"),
+    "abelian-orders-a-string": ("hilbert", {"group": {
+        "type": "abelian", "orders": "ab"}}, "group-spec-error"),
+    "abelian-orders-an-int": ("hilbert", {"group": {
+        "type": "abelian", "orders": 5}}, "group-spec-error"),
+    "permutation-degree-a-string": ("hilbert", {"group": {
+        "type": "permutation", "degree": "x", "generators": [[2, 1, 3]]}},
+        "group-spec-error"),
+    "permutation-generators-an-int": ("hilbert", {"group": {
+        "type": "permutation", "degree": 3, "generators": 5}},
+        "group-spec-error"),
+    "permutation-generators-of-ints": ("hilbert", {"group": {
+        "type": "permutation", "degree": 3, "generators": [5]}},
+        "group-spec-error"),
+    "dihedral-n-a-string": ("hilbert", {"group": {"type": "dihedral",
+                                                  "n": "x"}},
+                            "group-spec-error"),
+    "expression-an-int": ("derive", {"expression": 5}, "scenario-error"),
+    "expression-list-label": ("derive", {"expression": "(d (x1) x2)"},
+                              "scenario-error"),
+    "expression-list-ad-label": ("derive",
+                                 {"expression": "(ad (x1 x2) x2)"},
+                                 "scenario-error"),
 }
 
 
@@ -292,6 +318,17 @@ def test_malformed_spec_field_is_refused(tmp_path, capsys, fault):
     code, payload = refusal_payload(capsys, [task, path])
     assert code == 2
     assert payload["error"] == error
+
+
+MALFORMED_DIAGONAL = {"diagonal-an-int": 5, "diagonal-of-ints": [5]}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_DIAGONAL))
+def test_malformed_diagonal_is_refused(tmp_path, capsys, fault):
+    path = write_scenario(tmp_path, {"diagonal": MALFORMED_DIAGONAL[fault]})
+    code, payload = refusal_payload(capsys, ["hilbert", path])
+    assert code == 2
+    assert payload["error"] == "module-spec-error"
 
 
 def test_malformed_json_is_refused(tmp_path, capsys):
@@ -387,21 +424,35 @@ def test_verify_paper_matrix_lines(verify_paper_run):
     assert len(lines) == 11
 
 
-# task -> (scenario, golden report in tests/data), each the stdout of
-# `nichols <task> <scenario> --json`: the reports built on adjoint chains,
-# and one that runs only the engine (to degree 12 on three 576-dimensional
-# algebras)
+# name -> (task, scenario, golden report in tests/data, extra arguments),
+# each golden the stdout of `nichols <task> <scenario> --json <arguments>`:
+# the reports built on adjoint chains, one that runs only the engine (to
+# degree 12 on three 576-dimensional algebras), and the groupoid reports,
+# whose node order, edge order, uncertified rows and standardness witness
+# are derived from the explored graph
+GROUPOID_CASES = DATA / "groupoid_cases.json"
 CHAIN_GOLDENS = {
-    "cartan": (SCENARIOS / "s4_pairs.json", "cartan_s4_pairs.json"),
-    "derive": (SCENARIOS / "dn_obstruction.json",
-               "derive_dn_obstruction.json"),
-    "hilbert": (SCENARIOS / "s4_all_three.json", "hilbert_s4_all_three.json"),
-    "roots": (PERFBENCH_SCENARIOS / "diag_roots.json", "roots_diag_roots.json"),
+    "cartan": ("cartan", SCENARIOS / "s4_pairs.json", "cartan_s4_pairs.json",
+               []),
+    "derive": ("derive", SCENARIOS / "dn_obstruction.json",
+               "derive_dn_obstruction.json", []),
+    "hilbert": ("hilbert", SCENARIOS / "s4_all_three.json",
+                "hilbert_s4_all_three.json", []),
+    "roots": ("roots", PERFBENCH_SCENARIOS / "diag_roots.json",
+              "roots_diag_roots.json", []),
+    "groupoid": ("groupoid", GROUPOID_CASES, "groupoid_groupoid_cases.json",
+                 []),
+    "groupoid-cap3": ("groupoid", GROUPOID_CASES,
+                      "groupoid_groupoid_cases_cap3.json", ["--cap", "3"]),
+    "groupoid-node-limit2": ("groupoid", GROUPOID_CASES,
+                             "groupoid_groupoid_cases_node_limit2.json",
+                             ["--node-limit", "2"]),
+    "reflect": ("reflect", GROUPOID_CASES, "reflect_groupoid_cases.json", []),
 }
 
 
-@pytest.mark.parametrize("task", sorted(CHAIN_GOLDENS))
-def test_chain_reports_match_golden(task, capsys):
-    scenario, golden = CHAIN_GOLDENS[task]
-    assert cli.main([task, str(scenario), "--json"]) == 0
+@pytest.mark.parametrize("name", sorted(CHAIN_GOLDENS))
+def test_chain_reports_match_golden(name, capsys):
+    task, scenario, golden, extra = CHAIN_GOLDENS[name]
+    assert cli.main([task, str(scenario), "--json", *extra]) == 0
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()

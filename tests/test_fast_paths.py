@@ -78,7 +78,7 @@ def rebuilt(block):
     """The same module data on new objects, with a freshly built group."""
     group = build_abelian_group(block.group.orders)
     return YDModule(group, block.field, block.coaction, block.generator_columns,
-                    block.basis_labels, block.triples, block.blocks,
+                    block.basis_labels, block.blocks,
                     check=False)
 
 

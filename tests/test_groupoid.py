@@ -284,7 +284,7 @@ def test_a2_groupoid_closure_is_standard_type_a2():
     assert not graph.partial
     assert not graph.has_uncertified_rows()
     assert len(graph.nodes) == 6
-    for key in graph.order:
+    for key in graph.nodes:
         assert graph.nodes[key].cartan.entries == [[2, -1], [-1, 2]]
     verdict = is_standard(graph)
     assert verdict.status == "standard"
@@ -324,7 +324,8 @@ def test_fk3_doubled_exploration_refuses_and_flags():
     fam, graph = fk3_doubled_graph()
     assert list(graph.nodes) == [fam.fingerprints]
     assert graph.edges == {}
-    assert graph.uncertified == {fam.fingerprints: [0, 1]}
+    assert {key: rec.uncertified_rows() for key, rec in graph.nodes.items()} \
+        == {fam.fingerprints: [0, 1]}
     verdict = is_standard(graph)
     assert verdict.status == "undecided"
     assert verdict.witness["reason"] == "uncertified-rows"
@@ -346,7 +347,7 @@ def test_nonstandard_family_witness_and_q_oracle_agreement():
     graph = nonstd_graph()
     assert not graph.partial
     assert not graph.has_uncertified_rows()
-    cartans = {str(graph.nodes[key].cartan.entries) for key in graph.order}
+    cartans = {str(graph.nodes[key].cartan.entries) for key in graph.nodes}
     assert cartans == {"[[2, -2], [-5, 2]]", "[[2, -2], [-3, 2]]"}
     verdict = is_standard(graph)
     assert verdict.status == "not-standard"
@@ -355,7 +356,7 @@ def test_nonstandard_family_witness_and_q_oracle_agreement():
     assert verdict.witness["entry"] == (2, 1)
     # every explored node is again diagonal; its Cartan matrix must match
     # the root-of-unity rule applied to its own q-matrix
-    for key in graph.order:
+    for key in graph.nodes:
         rec = graph.nodes[key]
         assert rec.cartan.entries == q_oracle_cartan(rec.family), key
 
@@ -377,7 +378,7 @@ def node_support(graph, key, cache={}):
 
 def test_dimension_invariance_across_a2_and_zero_cartan_edges():
     for graph, want in ((a2_graph(), 27), (zero_graph(), 4)):
-        for key in graph.order:
+        for key in graph.nodes:
             _, _, total = node_support(graph, key)
             assert total == want
 
@@ -501,7 +502,7 @@ def test_gcm_rejects_non_cartan_input():
 
 def test_gcm_contract_holds_on_every_explored_node():
     for graph in (a2_graph(), zero_graph(), nonstd_graph()):
-        for key in graph.order:
+        for key in graph.nodes:
             cd = graph.nodes[key].cartan
             assert cd.is_exact()
             verdict = gcm_finite_type(cd)
@@ -525,8 +526,13 @@ def test_unbounded_at_cap_value_semantics():
     u = UnboundedAtCap(3, 3)
     assert u == UnboundedAtCap(3, 3)
     assert u != UnboundedAtCap(4, 3)
+    assert hash(u) == hash(UnboundedAtCap(3, 3))
     assert u != -2
+    assert u != (3, 3)
+    assert repr(u) == "UnboundedAtCap(cap=3, reached=3)"
     assert u.to_jsonable() == {"unbounded_at_cap": 3, "chain_reached": 3}
+    with pytest.raises(TypeError):
+        json.dumps(u)
 
 
 def test_cartan_data_validation():
@@ -601,7 +607,7 @@ def test_groupoid_builds_one_block_state_per_fingerprint(monkeypatch,
 @pytest.mark.parametrize("case", [0, 1, 2])
 def test_cached_blocks_match_a_fresh_reflection(case):
     graph = explore_groupoid(diag_roots_families()[case], cap=6)
-    for key in graph.order:
+    for key in graph.nodes:
         node = graph.nodes[key].family
         for i in range(node.theta):
             cached = reflect(node, i, cap=6)

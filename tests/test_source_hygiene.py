@@ -1,5 +1,5 @@
-"""Source checks by AST scan: no unused imports, and raw scalars stay inside
-linalg."""
+"""Source checks by AST scan: no unused imports, raw scalars stay inside
+linalg, and no module touches another module's private attributes."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,8 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # linalg's raw-scalar machinery, and the FieldOps conversions to and from it
 LINALG_INTERNALS = {"FieldOps", "IncrementalSpan"}
 RAW_CONVERSIONS = {"lift", "lower"}
+# the names a module's own objects go by where it sets their attributes
+OWNERS = {"self", "cls", "inst"}
 
 
 def _rel(path):
@@ -61,6 +63,33 @@ def raw_scalar_uses(source):
     return sorted(found)
 
 
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def foreign_private_uses(source):
+    """(line, name) for every underscore attribute the module reads or
+    writes without assigning it on self, cls or inst, or defining it in a
+    class body."""
+    tree = ast.parse(source)
+    owned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store) and \
+                isinstance(node.value, ast.Name) and node.value.id in OWNERS:
+            owned.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)):
+                    owned.add(item.name)
+                targets = item.targets if isinstance(item, ast.Assign) else \
+                    [getattr(item, "target", None)]
+                owned.update(t.id for t in targets if isinstance(t, ast.Name))
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and node.attr not in owned)
+
+
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=_rel)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -70,6 +99,11 @@ def test_no_unused_imports(path):
                          ids=_rel)
 def test_raw_scalars_stay_inside_linalg(path):
     assert raw_scalar_uses(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=_rel)
+def test_private_attributes_stay_with_their_module(path):
+    assert foreign_private_uses(path.read_text()) == []
 
 
 def test_scans_catch_what_they_look_for():
@@ -89,3 +123,16 @@ def test_scans_catch_what_they_look_for():
         "z = ops.lower(x)\n") == [(1, "FieldOps"), (2, "FieldOps"),
                                   (3, ".lift"), (4, ".IncrementalSpan"),
                                   (5, ".lower")]
+    assert foreign_private_uses(
+        "class A:\n"
+        "    _shared = {}\n"
+        "    def __init__(self):\n"
+        "        self._memo = {}\n"
+        "        super().__init__()\n"
+        "    def _helper(self):\n"
+        "        return A._shared, self._memo\n"
+        "def copy(a, b):\n"
+        "    b._memo = a._memo\n"
+        "    b._cache = a._helper()\n"
+        "    return b._cache, a._state\n") == [(10, "_cache"), (11, "_cache"),
+                                              (11, "_state")]

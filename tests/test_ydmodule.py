@@ -141,7 +141,8 @@ def test_direct_sum_blocks_and_grading():
     # block of b at the conjugated class position
     for a in range(6):
         for b in range(6):
-            blk, i, _ = w.triples[b]
+            blk, i = divmod(b, 3)
+            assert w.block_of(b) == blk
             k = cls.rack_index(w.coaction[a], i)
             assert br.columns[a, b] == [((3 * blk + k, a), minus)]
 
@@ -339,7 +340,7 @@ def test_broken_action_is_rejected():
     g, cls, m = s3_sgn_module()
     with pytest.raises(ModuleSpecError):
         YDModule(g, Q, list(reversed(m.coaction)), m.generator_columns,
-                 m.basis_labels, m.triples, m.blocks)
+                 m.basis_labels, m.blocks)
 
 
 def test_relation_off_the_cayley_tree_is_checked():
@@ -351,7 +352,7 @@ def test_relation_off_the_cayley_tree_is_checked():
     cols[cycle] = [{i: -c for i, c in col.items()} for col in cols[cycle]]
     with pytest.raises(ModuleSpecError, match="not a group homomorphism"):
         YDModule(m.group, m.field, m.coaction, cols, m.basis_labels,
-                 m.triples, m.blocks)
+                 m.blocks)
 
 
 def test_module_from_spec_json():
