@@ -16,7 +16,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 import traceback
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 from . import SPEC_VERSION
 from .cyclotomic import CycloField
 from .derivations import element_is_zero, evaluate_expr, format_element
-from .engine import DEFAULT_MEM_LIMIT, GradedNicholsState
+from .engine import GradedNicholsState
 from .errors import ScenarioError, WorkbenchError
 from .groupoid import (
     DEFAULT_DEGREE_CAP,
@@ -56,19 +55,6 @@ CASE_KEYS = {"label", "group", "modules", "diagonal", "field_conductor",
 DEFAULT_BLOCK_NAMES = "xyzuvw"
 
 log = logging.getLogger("nichols")
-
-
-def _mem_limit():
-    raw = os.environ.get("NICHOLS_MEM_LIMIT")
-    if raw is None:
-        return DEFAULT_MEM_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ScenarioError("NICHOLS_MEM_LIMIT must be an integer", value=raw)
-    if value < 1:
-        raise ScenarioError("NICHOLS_MEM_LIMIT must be positive", value=value)
-    return value
 
 
 def _int_field(value, message, low=None, high=None, **context):
@@ -177,8 +163,8 @@ def _assembled(blocks):
 # -- task runners; each returns a JSON-able payload for one case
 
 
-def run_hilbert(blocks, case, cap, mem_limit):
-    state = GradedNicholsState(_assembled(blocks), mem_limit=mem_limit)
+def run_hilbert(blocks, case, cap):
+    state = GradedNicholsState(_assembled(blocks))
     state.extend_to(cap)
     series = state.series()
     return {"block_dims": [b.dim for b in blocks],
@@ -188,21 +174,21 @@ def run_hilbert(blocks, case, cap, mem_limit):
             "multidegree_table": state.multidegree_table()}
 
 
-def run_cartan(blocks, case, cap, mem_limit):
-    data = cartan_matrix(FamilyM(blocks), cap, mem_limit=mem_limit)
+def run_cartan(blocks, case, cap):
+    data = cartan_matrix(FamilyM(blocks), cap)
     return {"block_dims": [b.dim for b in blocks],
             "cartan": data.to_jsonable(),
             "exact": data.is_exact(),
             "cap": data.cap}
 
 
-def run_reflect(blocks, case, cap, mem_limit):
+def run_reflect(blocks, case, cap):
     index = case.get("index", 1)
     _int_field(index, "'index' must name a block position", low=1,
                high=len(blocks), index=index, theta=len(blocks))
     fam = FamilyM(blocks)
-    image = reflect(fam, index - 1, cap, mem_limit=mem_limit)
-    s = s_matrix(fam, index - 1, cap, mem_limit=mem_limit)
+    image = reflect(fam, index - 1, cap)
+    s = s_matrix(fam, index - 1, cap)
     return {"index": index,
             "block_dims": [b.dim for b in blocks],
             "reflected_block_dims": [b.dim for b in image.blocks],
@@ -211,9 +197,8 @@ def run_reflect(blocks, case, cap, mem_limit):
             "s_matrix": [list(row) for row in s]}
 
 
-def run_groupoid(blocks, case, cap, mem_limit, node_limit):
-    graph = explore_groupoid(FamilyM(blocks), cap, node_limit=node_limit,
-                             mem_limit=mem_limit)
+def run_groupoid(blocks, case, cap, node_limit):
+    graph = explore_groupoid(FamilyM(blocks), cap, node_limit=node_limit)
     payload = graph.to_jsonable()
     verdict = is_standard(graph)
     payload["standard"] = {"status": verdict.status, "witness": verdict.witness}
@@ -226,20 +211,19 @@ def run_groupoid(blocks, case, cap, mem_limit, node_limit):
     return payload
 
 
-def run_roots(blocks, case, cap, mem_limit, node_limit):
-    graph = explore_groupoid(FamilyM(blocks), cap, node_limit=node_limit,
-                             mem_limit=mem_limit)
+def run_roots(blocks, case, cap, node_limit):
+    graph = explore_groupoid(FamilyM(blocks), cap, node_limit=node_limit)
     roots = real_roots(graph)
     return {"roots": [list(r) for r in roots.sorted_roots()],
             "count": len(roots.roots),
             "partial": roots.partial}
 
 
-def run_derive(blocks, case, cap, mem_limit):
+def run_derive(blocks, case, cap):
     if "expression" not in case:
         raise ScenarioError("derive case needs an 'expression'",
                             case=case.get("label"))
-    state = GradedNicholsState(_assembled(blocks), mem_limit=mem_limit)
+    state = GradedNicholsState(_assembled(blocks))
     state.extend_to(cap)
     value = evaluate_expr(state, case["expression"])
     payload = {"expression": case["expression"],
@@ -253,8 +237,7 @@ def run_derive(blocks, case, cap, mem_limit):
             raise ScenarioError(message, got=probe)
         row, col, probe_cap = (_int_field(x, message, got=probe)
                                for x in probe)
-        entry = cartan_entry(FamilyM(blocks), row - 1, col - 1, cap=probe_cap,
-                             mem_limit=mem_limit)
+        entry = cartan_entry(FamilyM(blocks), row - 1, col - 1, cap=probe_cap)
         if isinstance(entry, UnboundedAtCap):
             verdict = f"a[{row},{col}] <= -{entry.reached - 1}"
             entry_json = entry.to_jsonable()
@@ -292,7 +275,6 @@ def run_scenario(task: str, path: str, cap, node_limit, numeration_path):
         node_limit = scenario.get("node_limit", DEFAULT_NODE_LIMIT)
     _int_field(node_limit, "node_limit must be a positive integer", low=1,
                node_limit=node_limit)
-    mem_limit = _mem_limit()
 
     results = []
     for pos, case in enumerate(_cases_of(scenario)):
@@ -301,17 +283,17 @@ def run_scenario(task: str, path: str, cap, node_limit, numeration_path):
         log.info("running %s on case %s (%d block%s)", task, label,
                  len(blocks), "s" if len(blocks) != 1 else "")
         if task == "hilbert":
-            payload = run_hilbert(blocks, case, cap, mem_limit)
+            payload = run_hilbert(blocks, case, cap)
         elif task == "cartan":
-            payload = run_cartan(blocks, case, cap, mem_limit)
+            payload = run_cartan(blocks, case, cap)
         elif task == "reflect":
-            payload = run_reflect(blocks, case, cap, mem_limit)
+            payload = run_reflect(blocks, case, cap)
         elif task == "groupoid":
-            payload = run_groupoid(blocks, case, cap, mem_limit, node_limit)
+            payload = run_groupoid(blocks, case, cap, node_limit)
         elif task == "roots":
-            payload = run_roots(blocks, case, cap, mem_limit, node_limit)
+            payload = run_roots(blocks, case, cap, node_limit)
         else:
-            payload = run_derive(blocks, case, cap, mem_limit)
+            payload = run_derive(blocks, case, cap)
         results.append({"label": label, **payload})
 
     report = {"spec_version": SPEC_VERSION,

@@ -18,20 +18,6 @@ def element_is_zero(x) -> bool:
     return all(v.is_zero() for v in x[1].values())
 
 
-def add_elements(x, y):
-    if x[0] != y[0] and x[1] and y[1]:
-        raise DegreeRangeError("cannot add elements of different degrees",
-                               degrees=[x[0], y[0]])
-    out = dict(x[1])
-    _add_scaled(out, y[1])
-    return (x[0] if x[1] else y[0], _nonzero(out))
-
-
-def scale_element(s, x):
-    return (x[0], {k: s * v for k, v in x[1].items()} if not s.is_zero()
-            else {})
-
-
 def partial_right(state, k: int, x):
     """Right derivation by the k-th dual basis vector."""
     n, coords = x
@@ -68,18 +54,13 @@ def ad_c(state, v, y):
     """Braided adjoint of a degree-one element: ad_c v(y) = vy - (g.y)v."""
     vc = _as_degree_one(state, v)
     n, yc = y
-    out = (n + 1, {})
+    one = state.field.one()
+    out = {}
     for i, si in vc.items():
-        xi = (1, {i: state.field.one()})
-        t1 = state.multiply(xi, y)
-        gi = state.module.coaction[i]
-        acted = {}
-        for m, c in yc.items():
-            _add_scaled(acted, state.action_column(n, gi, m), c)
-        t2 = state.multiply((n, acted), xi)
-        out = add_elements(out, scale_element(si, add_elements(
-            t1, scale_element(-state.field.one(), t2))))
-    return out
+        _add_scaled(out, state.left_multiply(i, n, yc), si)
+        acted = state.act(n, state.module.coaction[i], yc)
+        _add_scaled(out, state.multiply((n, acted), (1, {i: one}))[1], -si)
+    return (n + 1, _nonzero(out))
 
 
 def ad_c_inv(state, v, y):
@@ -87,17 +68,16 @@ def ad_c_inv(state, v, y):
     vc = _as_degree_one(state, v)
     n, yc = y
     group = state.module.group
-    out = (n + 1, {})
-    minus = -state.field.one()
+    one = state.field.one()
+    out = {}
     for i, si in vc.items():
-        xi = (1, {i: state.field.one()})
-        out = add_elements(out, scale_element(si, state.multiply(xi, y)))
+        _add_scaled(out, state.left_multiply(i, n, yc), si)
         for m, cm in yc.items():
             hinv = group.inv(state.hdegrees[n][m])
-            for a, s in state.module.action_of(hinv)[i].items():
-                t = state.multiply((n, {m: cm * s}), (1, {a: state.field.one()}))
-                out = add_elements(out, scale_element(minus * si, t))
-    return out
+            hv = state.act(1, hinv, {i: one})
+            _add_scaled(out, state.multiply((n, {m: one}), (1, hv))[1],
+                        -si * cm)
+    return (n + 1, _nonzero(out))
 
 
 def nondegeneracy_witness(state, x):

@@ -16,16 +16,32 @@ They must agree (rank = graded dimension); the test suite enforces this.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .cyclotomic import _add_scaled, _nonzero
-from .errors import DegreeRangeError, MemoryGuardError
+from .errors import DegreeRangeError, MemoryGuardError, ScenarioError
 from .linalg import eliminate_block
 from .ydmodule import YDModule
 
 DEFAULT_MEM_LIMIT = 200000
 DEFAULT_ORACLE_BUDGET = 200000
+
+
+def _candidate_limit():
+    """The candidates one degree extension may build: NICHOLS_MEM_LIMIT,
+    read when a state is built, or DEFAULT_MEM_LIMIT when it is unset."""
+    raw = os.environ.get("NICHOLS_MEM_LIMIT")
+    if raw is None:
+        return DEFAULT_MEM_LIMIT
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ScenarioError("NICHOLS_MEM_LIMIT must be an integer", value=raw)
+    if value < 1:
+        raise ScenarioError("NICHOLS_MEM_LIMIT must be positive", value=value)
+    return value
 
 
 def symmetrizer_columns(module: YDModule, n: int, words, inverse=False):
@@ -107,13 +123,15 @@ class GradedNicholsState:
     the right-derivative vector of each basis word, the rewrite map for
     every product v_i * (basis word of degree n-1), group degree and
     multidegree per word, and the action of each group element on single
-    basis words, memoized as it is asked for.
+    basis words, memoized as it is asked for.  Other modules multiply by
+    a letter (left_multiply) and act by a group element (act) rather than
+    read products, derivs or word_index.
     """
 
-    def __init__(self, module: YDModule, mem_limit=DEFAULT_MEM_LIMIT):
+    def __init__(self, module: YDModule):
         self.module = module
         self.field = module.field
-        self.mem_limit = mem_limit
+        self.mem_limit = _candidate_limit()
         self.finished = module.dim == 0
         ident = module.group.identity
         self.words = [[()]]
@@ -180,6 +198,13 @@ class GradedNicholsState:
                 _add_scaled(acc, prods[j, k], s1 * s2)
         return _nonzero(acc)
 
+    def act(self, n: int, t, coords):
+        """t acting on the degree-n element coords, in normal form."""
+        out = {}
+        for m, c in coords.items():
+            _add_scaled(out, self.action_column(n, t, m), c)
+        return _nonzero(out)
+
     # -- the core step
 
     def extend_degree(self) -> "GradedNicholsState":
@@ -222,42 +247,40 @@ class GradedNicholsState:
                 blocks.setdefault(key, []).append(len(cands))
                 cands.append((i, bidx, vec, key))
         # pass 2: incremental rank per block, in candidate order, so the
-        # accepted pivots still form the lex-least monomial basis
-        pivot_ordinals = []
-        block_pivots = {}
-        combo_data = {}
+        # accepted pivots still form the lex-least monomial basis; each
+        # dependent's combination is rewritten over the candidate numbers
+        # of its pivots
+        combos = {}
         for key, members in blocks.items():
-            plist = []
+            pivots = []
             for o, (kind, data) in zip(members, eliminate_block(
                     self.field, [cands[o][2] for o in members], degree=n,
                     key=key)):
                 if kind == "pivot":
-                    plist.append(o)
-                    pivot_ordinals.append(o)
+                    pivots.append(o)
                 else:
-                    combo_data[o] = data
-            block_pivots[key] = plist
-        pivot_ordinals.sort()
-        glob = {o: g for g, o in enumerate(pivot_ordinals)}
+                    combos[o] = {pivots[j]: cf for j, cf in data.items()}
+        # one pass in candidate order numbers the pivots and writes every
+        # product; a dependent's pivots come before it
+        number = {}
         new_words = []
         new_index = {}
         new_derivs = []
         new_hdeg = []
         new_mdeg = []
         prods = {}
-        for o in pivot_ordinals:
-            i, bidx, vec, key = cands[o]
+        for o, (i, bidx, vec, key) in enumerate(cands):
+            combo = combos.get(o)
+            if combo is not None:
+                prods[i, bidx] = {number[p]: cf for p, cf in combo.items()}
+                continue
             word = (i,) + prev[bidx]
-            new_index[word] = len(new_words)
+            number[o] = new_index[word] = len(new_words)
             new_words.append(word)
             new_derivs.append(vec)
             new_hdeg.append(key[0])
             new_mdeg.append(key[1])
-            prods[i, bidx] = {glob[o]: self.field.one()}
-        for o, data in combo_data.items():
-            i, bidx, _, key = cands[o]
-            plist = block_pivots[key]
-            prods[i, bidx] = {glob[plist[j]]: cf for j, cf in data.items()}
+            prods[i, bidx] = {number[o]: self.field.one()}
         self.words.append(new_words)
         self.word_index.append(new_index)
         self.derivs.append(new_derivs)
@@ -298,19 +321,26 @@ class GradedNicholsState:
             _add_scaled(out, self._times_word(self.words[da][m], db, cb), am)
         return (n, _nonzero(out))
 
+    def left_multiply(self, i: int, n: int, coords):
+        """v_i times the degree-n element coords, in normal form; {} past
+        the last degree of a finished algebra."""
+        if n + 1 > self.max_degree():
+            if self.finished:
+                return {}
+            raise DegreeRangeError("product degree beyond the computed range",
+                                   degree=n + 1, computed=self.max_degree())
+        prods = self.products[n + 1]
+        out = {}
+        for m, c in coords.items():
+            _add_scaled(out, prods[i, m], c)
+        return _nonzero(out)
+
     def _times_word(self, word, deg, coords):
         """word * (degree-deg element coords) in normal form, letter by
         letter from the right; {} once the product vanishes or passes the
         last degree of a finished algebra."""
-        top = self.max_degree()
         for letter in reversed(word):
-            if deg >= top:
-                return {}
-            prods = self.products[deg + 1]
-            out = {}
-            for m, c in coords.items():
-                _add_scaled(out, prods[letter, m], c)
-            coords = _nonzero(out)
+            coords = self.left_multiply(letter, deg, coords)
             deg += 1
             if not coords:
                 return {}
@@ -342,12 +372,12 @@ class GradedNicholsState:
             i, tail = word[0], self.word_index[n - 1][word[1:]]
             col = {tail: self.field.one()} if j == i else {}
             if n > 1:
-                prods = self.products[n - 1]
                 acts = self.module.action_of(self.module.coaction[i])
                 for b, act in enumerate(acts):
                     if j in act:
-                        for m2, c2 in self._left_column(n - 1, tail, b).items():
-                            _add_scaled(col, prods[i, m2], act[j] * c2)
+                        _add_scaled(col, self.left_multiply(
+                            i, n - 2, self._left_column(n - 1, tail, b)),
+                            act[j])
                 col = _nonzero(col)
             self._left_memo[key] = col
         return col
@@ -361,9 +391,8 @@ class GradedNicholsState:
         return table
 
 
-def hilbert_series(module: YDModule, cap: int,
-                   mem_limit=DEFAULT_MEM_LIMIT) -> HilbertSeries:
+def hilbert_series(module: YDModule, cap: int) -> HilbertSeries:
     """Graded dimensions of B(module) up to cap or a zero degree."""
-    state = GradedNicholsState(module, mem_limit=mem_limit)
+    state = GradedNicholsState(module)
     state.extend_to(cap)
     return state.series()

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .cyclotomic import _add_scaled, _nonzero
-from .engine import DEFAULT_MEM_LIMIT, GradedNicholsState
+from .engine import GradedNicholsState
 from .errors import ModuleSpecError, ReflectionError, ScenarioError
 from .linalg import eliminate_block
 from .ydmodule import YDModule, _same_group, direct_sum, fingerprint
@@ -74,10 +74,10 @@ class _ChainCache:
     from it, keyed by block fingerprints, so isomorphic pairs share it."""
 
     def __init__(self):
-        # (fp, mem_limit) -> engine state of the Nichols algebra of a block
-        # with that fingerprint
+        # fp -> engine state of the Nichols algebra of a block with that
+        # fingerprint
         self.states = {}
-        # (fp_i, fp_j, cap, mem_limit) -> _Chain, and the top chain module
+        # (fp_i, fp_j, cap) -> _Chain, and the top chain module
         self.chains = {}
         self.tops = {}
         # fp -> dual of a block with that fingerprint
@@ -124,15 +124,14 @@ class FamilyM:
                 [b.renamed(f"m{j + 1}_") for j, b in enumerate(self.blocks)])
         return self._assembled
 
-    def block_state(self, i: int, mem_limit: int) -> GradedNicholsState:
+    def block_state(self, i: int) -> GradedNicholsState:
         """Engine state of the Nichols algebra of block i; one per
-        (fingerprint, mem_limit), built on the first block seen with that
-        fingerprint (its state.module)."""
-        key = (self.fingerprints[i], mem_limit)
-        state = self._cache.states.get(key)
+        fingerprint, built on the first block seen with that fingerprint
+        (its state.module)."""
+        fp = self.fingerprints[i]
+        state = self._cache.states.get(fp)
         if state is None:
-            state = self._cache.states[key] = GradedNicholsState(
-                self.blocks[i], mem_limit=mem_limit)
+            state = self._cache.states[fp] = GradedNicholsState(self.blocks[i])
         return state
 
     def dual(self, i: int) -> YDModule:
@@ -184,16 +183,13 @@ def _phi_act(state: GradedNicholsState, block: YDModule, n: int, t, phi):
     for comp, col in zip(phi, block.action_of(t)):
         if not comp:
             continue
-        acted = {}
-        for w, c in comp.items():
-            _add_scaled(acted, state.action_column(n, t, w), c)
+        acted = state.act(n, t, comp)
         for k, a in col.items():
             _add_scaled(out[k], acted, a)
     return [_nonzero(comp) for comp in out]
 
 
-def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
-                   mem_limit: int) -> _Chain:
+def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
     """Iterate the braided adjoint of block i on block j, as Phi-rows over
     the Nichols algebra of block i, until a step vanishes or the degree cap
     blocks certification."""
@@ -201,13 +197,13 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
     if cap < 1:
         raise ScenarioError("degree cap must be at least 1", cap=cap)
     cache = fam._cache
-    key = (fam.fingerprints[i], fam.fingerprints[j], cap, mem_limit)
+    key = (fam.fingerprints[i], fam.fingerprints[j], cap)
     cached = cache.chains.get(key)
     if cached is not None:
         cache.hits += 1
         return cached
     cache.misses += 1
-    state = fam.block_state(i, mem_limit)
+    state = fam.block_state(i)
     ui, uj = state.module, fam.blocks[j]
     one = state.field.one()
     minus = -one
@@ -223,17 +219,13 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
             break
         # Phi(ad x_v (y)) has its entries in degree m of B(M_i)
         state.extend_to(m)
-        prods = state.products[m] if m <= state.max_degree() else None
         images = []
         for v in range(ui.dim):
             for row in rows:
                 acted = _phi_act(state, uj, m - 1, ui.coaction[v], row)
                 image = []
                 for k, (comp, z) in enumerate(zip(row, acted)):
-                    acc = {}
-                    if prods is not None:
-                        for w, c in comp.items():
-                            _add_scaled(acc, prods[v, w], c)
+                    acc = state.left_multiply(v, m - 1, comp)
                     if z:
                         _add_scaled(acc, state.multiply(
                             (m - 1, z), (1, shifted[k][v]))[1], minus)
@@ -253,10 +245,9 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int,
     return chain
 
 
-def cartan_entry(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
-                 mem_limit: int = DEFAULT_MEM_LIMIT):
+def cartan_entry(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP):
     """Cartan entry a_ij as an integer <= 0, or UnboundedAtCap."""
-    return _adjoint_chain(fam, i, j, cap, mem_limit).entry
+    return _adjoint_chain(fam, i, j, cap).entry
 
 
 def _gcm_fault(a, exact: bool):
@@ -311,15 +302,14 @@ class CartanData:
                 for row in self.entries]
 
 
-def cartan_matrix(fam: FamilyM, cap: int = DEFAULT_DEGREE_CAP,
-                  mem_limit: int = DEFAULT_MEM_LIMIT) -> CartanData:
-    entries = [[2 if i == j else cartan_entry(fam, i, j, cap, mem_limit)
+def cartan_matrix(fam: FamilyM, cap: int = DEFAULT_DEGREE_CAP) -> CartanData:
+    entries = [[2 if i == j else cartan_entry(fam, i, j, cap)
                 for j in range(fam.theta)] for i in range(fam.theta)]
     return CartanData(entries, cap)
 
 
 def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
-            mem_limit: int = DEFAULT_MEM_LIMIT, name: str = "u") -> YDModule:
+            name: str = "u") -> YDModule:
     """The top nonzero adjoint chain step as a standalone module.
 
     Inside the reflected family this block sits at position j with
@@ -328,12 +318,12 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
     cached on the module.  The module is built once per chain and handed
     out under the requested name.
     """
-    chain = _adjoint_chain(fam, i, j, cap, mem_limit)
+    chain = _adjoint_chain(fam, i, j, cap)
     if not isinstance(chain.entry, int):
         raise ReflectionError(
             "Cartan entry not certified finite within the degree cap",
             i=i, j=j, cap=cap, chain_reached=chain.entry.reached)
-    key = (fam.fingerprints[i], fam.fingerprints[j], cap, mem_limit)
+    key = (fam.fingerprints[i], fam.fingerprints[j], cap)
     tops = fam._cache.tops
     if key not in tops:
         tops[key] = _top_module(chain)
@@ -385,10 +375,10 @@ def _top_module(chain: _Chain) -> YDModule:
     return out
 
 
-def _cartan_row(fam: FamilyM, i: int, cap: int, mem_limit: int):
+def _cartan_row(fam: FamilyM, i: int, cap: int):
     if not 0 <= i < fam.theta:
         raise ScenarioError("block index out of range", i=i, theta=fam.theta)
-    row = [2 if j == i else cartan_entry(fam, i, j, cap, mem_limit)
+    row = [2 if j == i else cartan_entry(fam, i, j, cap)
            for j in range(fam.theta)]
     bad = [j for j, v in enumerate(row) if isinstance(v, UnboundedAtCap)]
     if bad:
@@ -398,12 +388,11 @@ def _cartan_row(fam: FamilyM, i: int, cap: int, mem_limit: int):
     return row
 
 
-def reflect(fam: FamilyM, i: int, cap: int = DEFAULT_DEGREE_CAP,
-            mem_limit: int = DEFAULT_MEM_LIMIT) -> FamilyM:
+def reflect(fam: FamilyM, i: int, cap: int = DEFAULT_DEGREE_CAP) -> FamilyM:
     """Reflected family: block i dualized, block j the top adjoint module."""
-    _cartan_row(fam, i, cap, mem_limit)
+    _cartan_row(fam, i, cap)
     blocks = [fam.dual(i) if j == i else
-              l_j_max(fam, i, j, cap, mem_limit, name=f"u{j + 1}_")
+              l_j_max(fam, i, j, cap, name=f"u{j + 1}_")
               for j in range(fam.theta)]
     return FamilyM(blocks, cache=fam._cache)
 
@@ -414,10 +403,9 @@ def _s_from_row(row, i: int):
                        for j in range(theta)) for k in range(theta))
 
 
-def s_matrix(fam: FamilyM, i: int, cap: int = DEFAULT_DEGREE_CAP,
-             mem_limit: int = DEFAULT_MEM_LIMIT):
+def s_matrix(fam: FamilyM, i: int, cap: int = DEFAULT_DEGREE_CAP):
     """Reflection matrix: alpha_j -> alpha_j - a_ij alpha_i, as row tuples."""
-    return _s_from_row(_cartan_row(fam, i, cap, mem_limit), i)
+    return _s_from_row(_cartan_row(fam, i, cap), i)
 
 
 @dataclass
@@ -472,8 +460,7 @@ class GroupoidGraph:
 
 
 def explore_groupoid(fam: FamilyM, cap: int = DEFAULT_DEGREE_CAP,
-                     node_limit: int = DEFAULT_NODE_LIMIT,
-                     mem_limit: int = DEFAULT_MEM_LIMIT) -> GroupoidGraph:
+                     node_limit: int = DEFAULT_NODE_LIMIT) -> GroupoidGraph:
     """Breadth-first closure of a family under all certified reflections.
 
     Uncertified rows stay in the Cartan matrices, never reflected.  When the
@@ -491,11 +478,11 @@ def explore_groupoid(fam: FamilyM, cap: int = DEFAULT_DEGREE_CAP,
     while queue:
         key = queue.popleft()
         rec = graph.nodes[key]
-        rec.cartan = cartan_matrix(rec.family, cap, mem_limit)
+        rec.cartan = cartan_matrix(rec.family, cap)
         for i in range(rec.family.theta):
             if not rec.cartan.row_exact(i):
                 continue
-            fam2 = reflect(rec.family, i, cap, mem_limit)
+            fam2 = reflect(rec.family, i, cap)
             key2 = fam2.fingerprints
             if key2 not in graph.nodes:
                 if len(graph.nodes) >= node_limit:

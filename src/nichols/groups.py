@@ -296,12 +296,20 @@ def _perm_cycles(p) -> str:
     return "".join(out) if out else "e"
 
 
+def _integer(value):
+    """value if it is an int; JSON true and false, floats and strings raise
+    TypeError rather than being truncated or converted."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def build_permutation_group(degree: int, generators) -> FiniteGroup:
     """Group generated by permutations in 1-indexed one-line image notation."""
     try:
-        degree = int(degree)
-        gens = [tuple(int(x) for x in g) for g in generators]
-    except (TypeError, ValueError) as exc:
+        degree = _integer(degree)
+        gens = [tuple(_integer(x) for x in g) for g in generators]
+    except TypeError as exc:
         raise GroupSpecError("permutation degree and images must be integers",
                              degree=degree, generators=generators) from exc
     if degree < 1:
@@ -331,7 +339,7 @@ def build_permutation_group(degree: int, generators) -> FiniteGroup:
                 frontier.append(z)
 
     def parse(value):
-        return tuple(int(x) for x in value)
+        return tuple(_integer(x) for x in value)
 
     return FiniteGroup("permutation", f"perm{degree}", elements, gens, identity,
                        mul, inv, parse, _perm_cycles)
@@ -352,8 +360,8 @@ def symmetric_group(n: int) -> FiniteGroup:
 def build_abelian_group(orders) -> FiniteGroup:
     """Z_{n1} x ... x Z_{nk}, elements as exponent tuples."""
     try:
-        orders = [int(n) for n in orders]
-    except (TypeError, ValueError) as exc:
+        orders = [_integer(n) for n in orders]
+    except TypeError as exc:
         raise GroupSpecError("abelian 'orders' must be a list of integers",
                              orders=orders) from exc
     if not orders or any(n < 1 for n in orders):
@@ -376,7 +384,7 @@ def build_abelian_group(orders) -> FiniteGroup:
         gens = [identity]
 
     def parse(value):
-        value = [int(x) for x in value]
+        value = [_integer(x) for x in value]
         if len(value) != k:
             raise GroupSpecError("exponent tuple has wrong length", value=value)
         return tuple(x % n for x, n in zip(value, orders))
@@ -396,8 +404,8 @@ def build_abelian_group(orders) -> FiniteGroup:
 def build_dihedral(n: int) -> FiniteGroup:
     """D_n for odd n: x^2 = e = y^n, x y x = y^-1; elements (a, b) = x^a y^b."""
     try:
-        n = int(n)
-    except (TypeError, ValueError) as exc:
+        n = _integer(n)
+    except TypeError as exc:
         raise GroupSpecError("dihedral 'n' must be an integer", n=n) from exc
     if n <= 1 or n % 2 == 0:
         raise GroupSpecError("dihedral backend requires odd n > 1", n=n)
@@ -415,7 +423,7 @@ def build_dihedral(n: int) -> FiniteGroup:
     x, y = (1, 0), (0, 1)
 
     def parse(value):
-        a, b = (int(v) for v in value)
+        a, b = (_integer(v) for v in value)
         return (a % 2, b % n)
 
     def display(p):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nichols import cli, engine, linalg
 from nichols.cyclotomic import CycloField
-from nichols.engine import DEFAULT_MEM_LIMIT, GradedNicholsState, symmetrizer_rank
+from nichols.engine import GradedNicholsState, symmetrizer_rank
 from nichols.groupoid import (
     FamilyM,
     _adjoint_chain,
@@ -187,7 +187,7 @@ def chain_data(blocks, cap, with_top):
     fam = FamilyM(blocks)
     out = []
     for i, j in ((0, 1), (1, 0)):
-        chain = _adjoint_chain(fam, i, j, cap, DEFAULT_MEM_LIMIT)
+        chain = _adjoint_chain(fam, i, j, cap)
         # UnboundedAtCap compares cap and reached
         out.append((chain.entry, chain.degree, chain.rows))
         if with_top:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import pytest
 
 from nichols.derivations import ad_c
-from nichols.engine import DEFAULT_MEM_LIMIT, GradedNicholsState
+from nichols.engine import GradedNicholsState
 from nichols.groupoid import (
     FamilyM,
     UnboundedAtCap,
@@ -144,7 +144,7 @@ def test_chain_matches_pair_algebra_reference(name):
     blocks = build()
     fam = FamilyM(blocks)
     for i, j in pairs:
-        chain = _adjoint_chain(fam, i, j, cap, DEFAULT_MEM_LIMIT)
+        chain = _adjoint_chain(fam, i, j, cap)
         ref = reference_chain(blocks[i], blocks[j], cap)
         assert (chain.entry, chain.degree, len(chain.rows)) == \
             (ref.entry, ref.degree, len(ref.rows)), (i, j)
@@ -164,7 +164,7 @@ def chain_dims(fam, i, j, top):
     """d_0, ..., d_top: the dimension of each chain step (ad M_i)^k(M_j)."""
     dims = []
     for cap in range(1, top + 2):
-        chain = _adjoint_chain(fam, i, j, cap, DEFAULT_MEM_LIMIT)
+        chain = _adjoint_chain(fam, i, j, cap)
         dims.append(len(chain.rows) if chain.degree == cap else 0)
     return dims
 

@@ -246,6 +246,10 @@ def test_malformed_rho_is_refused(tmp_path, capsys, fault):
     assert payload["error"] == "module-spec-error"
 
 
+D3_GROUP = {"type": "dihedral", "n": 3}
+D3_MODULE = {"class_rep": [1, 0], "rho": {"values": {"1,0": "-1"}}}
+
+
 def fk3_fields(**spec_fields):
     """Inline fk3 scenario fields whose one module spec takes spec_fields."""
     return {"modules": [dict(fk3_module_spec("x"), **spec_fields)]}
@@ -300,6 +304,26 @@ MALFORMED_SPEC_FIELDS = {
     "dihedral-n-a-string": ("hilbert", {"group": {"type": "dihedral",
                                                   "n": "x"}},
                             "group-spec-error"),
+    # a float or a bool used to be truncated: n 3.9 ran as D3, orders
+    # [true, 2.5] as Z1 x Z2, and class_rep [1.7, 0.2] as (1, 0); the
+    # modules fit the truncated groups
+    "dihedral-n-a-float": ("hilbert", {"group": {"type": "dihedral",
+                                                 "n": 3.9},
+                                       "modules": [D3_MODULE]},
+                           "group-spec-error"),
+    "abelian-orders-bool-and-float": ("hilbert", {"group": {
+        "type": "abelian", "orders": [True, 2.5]}, "modules": [{
+            "class_rep": [0, 1], "rho": {"values": {"0,1": "-1"}}}]},
+        "group-spec-error"),
+    "permutation-degree-a-float": ("hilbert", {"group": dict(
+        FK3_GROUP, degree=3.0)}, "group-spec-error"),
+    "permutation-image-a-float": ("hilbert", {"group": dict(
+        FK3_GROUP, generators=[[2.0, 1, 3], [2, 3, 1]])},
+        "group-spec-error"),
+    "class-rep-of-floats": ("hilbert", {"group": D3_GROUP, "modules": [dict(
+        D3_MODULE, class_rep=[1.7, 0.2])]}, "module-spec-error"),
+    "class-rep-of-bools": ("hilbert", {"group": D3_GROUP, "modules": [dict(
+        D3_MODULE, class_rep=[True, False])]}, "module-spec-error"),
     "expression-an-int": ("derive", {"expression": 5}, "scenario-error"),
     "expression-list-label": ("derive", {"expression": "(d (x1) x2)"},
                               "scenario-error"),
@@ -373,6 +397,19 @@ def test_mem_limit_env(tmp_path, capsys, monkeypatch):
     code, payload = refusal_payload(capsys, ["hilbert", path])
     assert code == 2
     assert payload["error"] == "scenario-error"
+
+
+def test_mem_limit_env_governs_verify_paper(capsys, monkeypatch):
+    # every engine state reads the variable, so the matrix obeys it too
+    monkeypatch.setenv("NICHOLS_MEM_LIMIT", "10")
+    assert cli.main(["verify-paper", "--json"]) == 1
+    rows = {row["check"]: row for row in
+            json.loads(capsys.readouterr().out)["results"]}
+    failed = [row for row in rows.values() if row["status"] == "FAIL"]
+    assert failed
+    assert all("candidate budget" in row["detail"] for row in failed)
+    for name in ("multiplication-table", "finite-type-recognition"):
+        assert rows[name]["status"] == "PASS"
 
 
 def test_bad_cap_is_refused(tmp_path, capsys):

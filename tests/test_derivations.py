@@ -9,14 +9,12 @@ from nichols.cyclotomic import CycloField
 from nichols.derivations import (
     ad_c,
     ad_c_inv,
-    add_elements,
     element_is_zero,
     evaluate_expr,
     format_element,
     nondegeneracy_witness,
     partial_left,
     partial_right,
-    scale_element,
 )
 from nichols.engine import GradedNicholsState, symmetrizer_columns
 from nichols.errors import DegreeRangeError, ScenarioError
@@ -61,6 +59,20 @@ def fk3_double_state(cap=3):
 
 def nf(state, word):
     return (len(word), state.normal_form(word))
+
+
+def add_elements(x, y):
+    """x + y for (degree, coords) elements; a zero element fits any degree."""
+    assert x[0] == y[0] or not x[1] or not y[1], (x[0], y[0])
+    out = dict(x[1])
+    for k, v in y[1].items():
+        out[k] = out[k] + v if k in out else v
+    return (x[0] if x[1] else y[0],
+            {k: v for k, v in out.items() if not v.is_zero()})
+
+
+def scale_element(s, x):
+    return (x[0], {} if s.is_zero() else {k: s * v for k, v in x[1].items()})
 
 
 def combine(state, signed_words):

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from nichols.cyclotomic import CycloField
-from nichols.errors import DegreeRangeError, MemoryGuardError
+from nichols.errors import DegreeRangeError, MemoryGuardError, ScenarioError
 from nichols.engine import (
     GradedNicholsState,
     hilbert_series,
@@ -240,6 +240,14 @@ def test_normal_form_beyond_top_degree():
     partial = GradedNicholsState(fk3_module()).extend_to(2)
     with pytest.raises(DegreeRangeError):
         partial.normal_form((0, 1, 2))
+    # left_multiply: inside the computed range, past the top of a finished
+    # algebra, and beyond the computed range of an unfinished one
+    assert partial.left_multiply(0, 1, {1: Q.one()}) == \
+        partial.normal_form((0, 1))
+    assert state.left_multiply(0, state.max_degree(), {0: Q.one()}) == {}
+    with pytest.raises(DegreeRangeError,
+                       match="product degree beyond the computed range"):
+        partial.left_multiply(0, 2, partial.normal_form((1, 2)))
 
 
 def test_multiply_unital_and_matching_normal_form():
@@ -372,13 +380,24 @@ def test_graded_duality_dims():
     assert sd == sdd
 
 
-def test_memory_guard_on_extension():
+def test_memory_guard_on_extension(monkeypatch):
     w = direct_sum([fk3_module("x"), fk3_module("y")])
-    state = GradedNicholsState(w, mem_limit=100)
+    monkeypatch.setenv("NICHOLS_MEM_LIMIT", "100")
+    state = GradedNicholsState(w)
     state.extend_degree()
     state.extend_degree()
     with pytest.raises(MemoryGuardError):
         state.extend_degree()
+
+
+def test_memory_guard_governs_library_calls(monkeypatch):
+    # every state reads NICHOLS_MEM_LIMIT when it is built
+    monkeypatch.setenv("NICHOLS_MEM_LIMIT", "5")
+    with pytest.raises(MemoryGuardError):
+        hilbert_series(fk3_module(), 4)
+    monkeypatch.setenv("NICHOLS_MEM_LIMIT", "lots")
+    with pytest.raises(ScenarioError):
+        hilbert_series(fk3_module(), 4)
 
 
 def test_extend_after_finished_is_noop():
@@ -392,10 +411,11 @@ def test_extend_after_finished_is_noop():
 # -- the memory guard on an adjoint chain's state
 
 
-def test_memory_guard_on_adjoint_chain():
+def test_memory_guard_on_adjoint_chain(monkeypatch):
     # the chain of the D9 pair runs in B(M_v): step m = 3 needs degree 3,
     # 9 letters times dim B(M_v)_2 = 60 candidates
     fam = FamilyM([named_d9_module("v"), named_d9_module("w")])
+    monkeypatch.setenv("NICHOLS_MEM_LIMIT", "300")
     with pytest.raises(MemoryGuardError) as exc:
-        cartan_entry(fam, 0, 1, cap=4, mem_limit=300)
+        cartan_entry(fam, 0, 1, cap=4)
     assert exc.value.details == {"degree": 3, "candidates": 540, "limit": 300}

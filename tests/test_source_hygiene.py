@@ -1,5 +1,6 @@
 """Source checks by AST scan: no unused imports, raw scalars stay inside
-linalg, and no module touches another module's private attributes."""
+linalg, the engine's tables stay inside the engine, and no module touches
+another module's private attributes."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,8 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # linalg's raw-scalar machinery, and the FieldOps conversions to and from it
 LINALG_INTERNALS = {"FieldOps", "IncrementalSpan"}
 RAW_CONVERSIONS = {"lift", "lower"}
+# GradedNicholsState's tables; other modules use its operations instead
+ENGINE_TABLES = {"products", "derivs", "word_index"}
 # the names a module's own objects go by where it sets their attributes
 OWNERS = {"self", "cls", "inst"}
 
@@ -63,6 +66,15 @@ def raw_scalar_uses(source):
     return sorted(found)
 
 
+def engine_table_reads(source):
+    """(line, name) for every use of an attribute named like an engine
+    table."""
+    return sorted((node.lineno, "." + node.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ENGINE_TABLES)
+
+
 def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
@@ -101,6 +113,12 @@ def test_raw_scalars_stay_inside_linalg(path):
     assert raw_scalar_uses(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "engine.py"],
+                         ids=_rel)
+def test_engine_tables_stay_inside_engine(path):
+    assert engine_table_reads(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=_rel)
 def test_private_attributes_stay_with_their_module(path):
     assert foreign_private_uses(path.read_text()) == []
@@ -123,6 +141,11 @@ def test_scans_catch_what_they_look_for():
         "z = ops.lower(x)\n") == [(1, "FieldOps"), (2, "FieldOps"),
                                   (3, ".lift"), (4, ".IncrementalSpan"),
                                   (5, ".lower")]
+    assert engine_table_reads(
+        "prods = state.products[m]\n"
+        "products = state.multiply(a, b)\n"
+        "d = s.derivs[n][m], s.word_index[n - 1][w]\n") == [
+            (1, ".products"), (3, ".derivs"), (3, ".word_index")]
     assert foreign_private_uses(
         "class A:\n"
         "    _shared = {}\n"

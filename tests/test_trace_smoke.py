@@ -32,15 +32,32 @@ def traced_run(tmp_path, *cli_args):
     return json.loads(trace.read_text())
 
 
+def assert_spanned(trace, names):
+    """Each named layer, which perfbench/run.py:layer_metrics reads, has a
+    span; a renamed function would otherwise zero its metric silently."""
+    missing = [name for name in names
+               if trace["layers"].get(name, {}).get("calls", 0) == 0]
+    assert missing == []
+
+
 def test_traced_diag_roots(tmp_path):
     trace = traced_run(tmp_path, "roots", str(
         ROOT / "perfbench" / "scenarios" / "diag_roots.json"))
     assert trace["counts"]["engine.states_built"] == 32
     # phi(N) > 1 blocks are still eliminated by IncrementalSpan.insert
-    assert trace["layers"]["linalg.insert"]["calls"] > 0
+    assert_spanned(trace, [
+        "groupoid.reflect", "groupoid.l_j_max", "groupoid.real_roots",
+        "groupoid.explore_groupoid", "ydmodule.check_axioms",
+        "ydmodule.fingerprint", "linalg.insert"])
+    assert trace["counts"]["groupoid.nodes"] == 44
+    assert trace["counts"]["groupoid.edges"] == 112
 
 
 def test_traced_dn_derive(tmp_path):
     trace = traced_run(tmp_path, "derive", str(
         ROOT / "src" / "nichols" / "scenarios" / "dn_obstruction.json"))
     assert trace["counts"]["engine.states_built"] == 2
+    assert_spanned(trace, [
+        "cli.build_blocks", "derivations.ad_c", "derivations.evaluate_expr",
+        "engine.action_columns", "engine.extend_degree",
+        "groupoid.cartan_entry"])
