@@ -128,6 +128,9 @@ def _apply_numeration(case: dict, overrides) -> dict:
 def build_blocks(case: dict, pos: int):
     """Realize one case as (label, [irreducible blocks])."""
     label = case.get("label", f"case{pos + 1}")
+    if not isinstance(label, str):
+        raise ScenarioError("case 'label' must be a string", case=pos + 1,
+                            got=label)
     if "diagonal" in case:
         if "group" in case or "modules" in case:
             raise ScenarioError("'diagonal' excludes 'group' and 'modules'",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq
@@ -390,91 +390,64 @@ def _nonzero(vec: dict) -> dict:
     return {k: v for k, v in vec.items() if not v.is_zero()}
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])"
-    r"|(?P<rat>\d+(?:/\d+)?)"
-    r"|(?P<unit>z\d+(?:\^-?\d+)?)"
-    r"|(?P<star>\*))")
-
-_UNIT = re.compile(r"z(\d+)(?:\^(-?\d+))?\Z")
+# The scalar-literal grammar.  A literal is a sum of terms, and every term
+# after the first starts with one or more signs.  A term is a rational p or
+# p/q, a root of unity zM or zM^k, or a rational then a root with an optional
+# '*' between them.  Whitespace may come before any token.
+_ROOT = re.compile(r"z(?P<conductor>\d+)(?:\^(?P<exp>-?\d+))?")
+_TERM = re.compile(
+    r"\s*(?P<signs>(?:[+-]\s*)*)"
+    r"(?:(?P<p>\d+)(?:/(?P<q>\d+))?)?"
+    r"(?:(?(p)\s*\*?\s*)" + _ROOT.pattern + ")?")  # '*' only after a rational
 
 
 def parse_scalar(field: CycloField, text: str) -> CycloNumber:
-    """Parse the textual scalar form, e.g. '1/2 - z3^1' or '-2*z12^5'.
+    """Parse a scalar literal, e.g. '1/2 - z3^1', '-2*z12^5' or '--2 z4'.
 
-    Tokens zM^k with M properly dividing the field conductor embed
-    automatically; any other conductor is an error.
+    A root zM^k with M dividing the field's conductor N is zeta_N^(kN/M);
+    any other M raises ConductorMismatch.  Of several faults the leftmost
+    is reported.
     """
-    total = field.zero()
-    sign = 1
-    rat = None
-    unit = None
-    star = False
-    seen_any = False
-
-    def commit():
-        nonlocal total, sign, rat, unit, star, seen_any
-        if rat is None and unit is None:
-            raise ScalarParseError("empty term in scalar literal", text=text)
-        if star and unit is None:
-            raise ScalarParseError("dangling '*' in scalar literal", text=text)
-        term = field.one() if unit is None else unit
-        if rat is not None:
-            term = term * rat
-        if sign < 0:
-            term = -term
-        total = total + term
-        sign, rat, unit, star, seen_any = 1, None, None, False, True
-
+    n = field.conductor
+    vec = [0] * n  # vec[e] is the coefficient of zeta_N^e
     pos = 0
-    dangling_sign = False
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ScalarParseError("unreadable scalar literal",
-                                   text=text, at=pos)
-        pos = m.end()
-        if m.group("sign"):
-            if rat is not None or unit is not None:
-                commit()
-            dangling_sign = True
-            if m.group("sign") == "-":
-                sign = -sign
-        elif m.group("rat"):
-            dangling_sign = False
-            if rat is not None or unit is not None:
-                raise ScalarParseError("misplaced rational in scalar literal",
-                                       text=text, at=pos)
-            if "/" in m.group("rat"):
-                p, q = m.group("rat").split("/")
-                rat = _q(mpq(int(p)) / mpq(int(q)))
-            else:
-                rat = int(m.group("rat"))
-        elif m.group("star"):
-            if rat is None or unit is not None or star:
-                raise ScalarParseError("misplaced '*' in scalar literal",
-                                       text=text, at=pos)
-            star = True
-        else:
-            dangling_sign = False
-            if unit is not None:
-                raise ScalarParseError("two roots of unity in one term",
-                                       text=text, at=pos)
-            um = _UNIT.match(m.group("unit"))
-            conductor, exp = int(um.group(1)), um.group(2)
-            exp = 1 if exp is None else int(exp)
-            if conductor == field.conductor:
-                unit = field.root_of_unity(exp)
-            elif field.conductor % conductor == 0:
-                unit = CycloField(conductor).root_of_unity(exp).embed(field)
-            else:
+    while True:
+        m = _TERM.match(text, pos)
+        if pos and not m["signs"]:
+            raise ScalarParseError("expected '+' or '-' before the next term "
+                                   "of a scalar literal", text=text, at=pos)
+        if m["p"] is None and m["conductor"] is None:
+            raise ScalarParseError("expected a rational or a root of unity "
+                                   "in a scalar literal", text=text, at=m.end())
+        coeff = 1 if m["p"] is None else int(m["p"])
+        if m["q"] is not None:
+            if not int(m["q"]):
+                raise ScalarParseError("zero denominator in scalar literal",
+                                       text=text, at=m.start("q"))
+            coeff = mpq(coeff) / int(m["q"])
+        exp = 0
+        if m["conductor"] is not None:
+            order = int(m["conductor"])
+            if not order:
+                raise ScalarParseError("root-of-unity conductor must be a "
+                                       "positive integer", text=text,
+                                       at=m.start("conductor"))
+            if n % order:
                 raise ConductorMismatch(
-                    "scalar literal uses a conductor that does not divide the field's",
-                    literal=conductor, field=field.conductor)
-    if dangling_sign:
-        raise ScalarParseError("dangling sign in scalar literal", text=text)
-    if rat is None and unit is None and not seen_any:
-        raise ScalarParseError("empty scalar literal", text=text)
-    if rat is not None or unit is not None:
-        commit()
-    return CycloNumber(field, tuple(_q(c) for c in total.coeffs))
+                    "scalar literal uses a conductor that does not divide "
+                    "the field's", literal=order, field=n)
+            exp = int(m["exp"] or 1) * (n // order) % n
+        vec[exp] += -coeff if m["signs"].count("-") % 2 else coeff
+        pos = m.end()
+        if pos == len(text):
+            return CycloNumber(field, tuple(_q(c) for c in _reduce(vec, field)))
+
+
+def field_of(literals) -> CycloField:
+    """The smallest field in which every literal parses: Q(zeta_N) with N
+    the lcm of the conductors of the roots of unity the literals name."""
+    conductor = 1
+    for text in literals:
+        for m in _ROOT.finditer(text):
+            conductor = lcm(conductor, int(m["conductor"]))
+    return CycloField(conductor)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .cyclotomic import CycloField
 from .derivations import evaluate_expr, format_element
-from .engine import GradedNicholsState, hilbert_series, symmetrizer_rank
+from .engine import (GradedNicholsState, _candidate_limit, hilbert_series,
+                     symmetrizer_rank)
 from .groupoid import (
     FamilyM,
     UnboundedAtCap,
@@ -387,8 +388,11 @@ CHECKS = [
 
 
 def run_checks(names=None):
-    """Run the matrix; mismatches and crashes become FAIL rows."""
+    """Run the matrix; mismatches and crashes become FAIL rows.  A malformed
+    NICHOLS_MEM_LIMIT is a configuration fault, not a failed check: it is
+    refused before any check runs."""
     global _run_memo
+    _candidate_limit()
     rows = []
     _run_memo = {}
     try:

@@ -11,10 +11,9 @@ degree of e_a, and c^{-1}(e_a (x) e_b) = e_b (x) (g_b^{-1} . e_a).
 
 from __future__ import annotations
 
-import re
 from math import lcm
 
-from .cyclotomic import CycloField, _add_scaled, _nonzero
+from .cyclotomic import CycloField, _add_scaled, _nonzero, field_of
 from .errors import ModuleSpecError
 from .groups import ConjugacyClassData, FiniteGroup, build_abelian_group, conjugacy_class
 
@@ -275,6 +274,8 @@ class BraidingOperator:
 def build_M_O_rho(group: FiniteGroup, cls: ConjugacyClassData, rho: Representation,
                   name="x", index_base=1) -> YDModule:
     """Induced module on a conjugacy class with centralizer representation."""
+    if not isinstance(name, str):
+        raise ModuleSpecError("module 'name' must be a string", got=name)
     if sorted(rho.elements) != sorted(cls.centralizer):
         raise ModuleSpecError("representation is not over the class centralizer")
     t, d = cls.size, rho.carrier_dim
@@ -481,16 +482,12 @@ def diagonal_modules(q_rows, name="v"):
         raise ModuleSpecError("diagonal braiding matrix must be a square "
                               "list of rows", got=q_rows)
     theta = len(q_rows)
-    conductor = 1
-    for row in q_rows:
-        for s in row:
-            for tok in re.findall(r"z(\d+)", str(s)):
-                conductor = lcm(conductor, int(tok))
-    field = CycloField(conductor)
-    q = [[field.parse(str(s)) for s in row] for row in q_rows]
+    texts = [[str(s) for s in row] for row in q_rows]
+    field = field_of(s for row in texts for s in row)
+    q = [[field.parse(s) for s in row] for row in texts]
     # group exponent: lcm of the multiplicative orders of the entries
     n = 1
-    bound = lcm(2, conductor)
+    bound = lcm(2, field.conductor)
     for row in q:
         for v in row:
             acc, order = v, 1

@@ -324,6 +324,18 @@ MALFORMED_SPEC_FIELDS = {
         D3_MODULE, class_rep=[1.7, 0.2])]}, "module-spec-error"),
     "class-rep-of-bools": ("hilbert", {"group": D3_GROUP, "modules": [dict(
         D3_MODULE, class_rep=[True, False])]}, "module-spec-error"),
+    # a non-string name or label used to run, with labels like "['x']1"
+    "name-a-list": ("hilbert", fk3_fields(name=["x"]), "module-spec-error"),
+    "name-an-object": ("hilbert", fk3_fields(name={"a": 1}),
+                       "module-spec-error"),
+    "label-a-list": ("hilbert", {"label": [1]}, "scenario-error"),
+    # a zero denominator or conductor used to exit 1 with a traceback
+    "rho-zero-denominator": ("hilbert",
+                             fk3_fields(rho={"values": {"2,1,3": "1/0"}}),
+                             "scalar-parse-error"),
+    "rho-zero-conductor": ("hilbert",
+                           fk3_fields(rho={"values": {"2,1,3": "z0^1"}}),
+                           "scalar-parse-error"),
     "expression-an-int": ("derive", {"expression": 5}, "scenario-error"),
     "expression-list-label": ("derive", {"expression": "(d (x1) x2)"},
                               "scenario-error"),
@@ -344,15 +356,20 @@ def test_malformed_spec_field_is_refused(tmp_path, capsys, fault):
     assert payload["error"] == error
 
 
-MALFORMED_DIAGONAL = {"diagonal-an-int": 5, "diagonal-of-ints": [5]}
+MALFORMED_DIAGONAL = {
+    "diagonal-an-int": (5, "module-spec-error"),
+    "diagonal-of-ints": ([5], "module-spec-error"),
+    "zero-denominator": ([["1/0"]], "scalar-parse-error"),
+}
 
 
 @pytest.mark.parametrize("fault", sorted(MALFORMED_DIAGONAL))
 def test_malformed_diagonal_is_refused(tmp_path, capsys, fault):
-    path = write_scenario(tmp_path, {"diagonal": MALFORMED_DIAGONAL[fault]})
+    diagonal, error = MALFORMED_DIAGONAL[fault]
+    path = write_scenario(tmp_path, {"diagonal": diagonal})
     code, payload = refusal_payload(capsys, ["hilbert", path])
     assert code == 2
-    assert payload["error"] == "module-spec-error"
+    assert payload["error"] == error
 
 
 def test_malformed_json_is_refused(tmp_path, capsys):
@@ -410,6 +427,14 @@ def test_mem_limit_env_governs_verify_paper(capsys, monkeypatch):
     assert all("candidate budget" in row["detail"] for row in failed)
     for name in ("multiplication-table", "finite-type-recognition"):
         assert rows[name]["status"] == "PASS"
+
+
+def test_malformed_mem_limit_refuses_verify_paper(capsys, monkeypatch):
+    # a configuration fault, not nine failed checks
+    monkeypatch.setenv("NICHOLS_MEM_LIMIT", "lots")
+    code, payload = refusal_payload(capsys, ["verify-paper"])
+    assert code == 2
+    assert payload["error"] == "scenario-error"
 
 
 def test_bad_cap_is_refused(tmp_path, capsys):

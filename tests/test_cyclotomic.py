@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from nichols.cyclotomic import CycloField, cyclotomic_modulus, parse_scalar
+from nichols.cyclotomic import (CycloField, cyclotomic_modulus, field_of,
+                                parse_scalar)
 from nichols.errors import ConductorMismatch, ScalarParseError
 
 SUPPORTED = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 24]
@@ -129,11 +130,16 @@ def test_parse_examples():
     f12 = CycloField(12)
     assert parse_scalar(f12, "z3^1") == f12.root_of_unity(4)
     assert parse_scalar(f12, "-1") == f12.rational(-1)
+    # the smallest field every literal parses in
+    assert field_of(["1/2 - z3^1", "2 z4", "5"]) == f12
+    assert field_of(["1", "-1/2"]) == CycloField(1)
 
 
 def test_parse_rejects_garbage():
     f = CycloField(3)
-    for bad in ["", "1 +", "* z3", "z3^1 z3^2", "2 2", "q"]:
+    # a zero denominator or conductor used to escape as ZeroDivisionError
+    for bad in ["", "1 +", "* z3", "z3^1 z3^2", "2 2", "q", "1/0", "z0",
+                "z0^1", "2*", "-", "1 ", "2 z3 z3"]:
         with pytest.raises(ScalarParseError):
             parse_scalar(f, bad)
     with pytest.raises(ConductorMismatch):

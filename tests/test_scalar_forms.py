@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nichols import linalg
-from nichols.cyclotomic import CycloField, CycloNumber, mpq
+from nichols.cyclotomic import CycloField, CycloNumber, mpq, parse_scalar
 from nichols.linalg import (MODULUS, FieldOps, _rational_reconstruction,
                             eliminate_block)
 
@@ -101,6 +101,50 @@ def test_parse_scalar_rational_and_field_inv_are_canonical(n, data):
     inv = ops.inv(ops.lift(b))
     assert all(canonical(c) for c in leaves(inv)), inv
     assert ops.lower(inv) == b.inv()
+
+
+WHITESPACE = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def literals(draw):
+    """A field, a well-formed scalar literal and its value, computed term by
+    term with field arithmetic rather than by any parser."""
+    n = draw(CONDUCTORS)
+    field = CycloField(n)
+    text, value = "", field.zero()
+    for i in range(draw(st.integers(1, 4))):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=min(i, 1),
+                              max_size=3))
+        p, q = draw(st.integers(0, 40)), draw(st.integers(1, 9))
+        m = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        k = draw(st.one_of(st.none(), st.integers(-30, 30)))
+        shape = draw(st.sampled_from(["rational", "root", "star", "juxtaposed"]))
+        rat = str(p) if q == 1 and draw(st.booleans()) else f"{p}/{q}"
+        root = f"z{m}" if k is None else f"z{m}^{k}"
+        text += "".join(draw(WHITESPACE) + s for s in signs) + draw(WHITESPACE)
+        if shape == "rational":
+            text += rat
+        elif shape == "root":
+            text += root
+        else:
+            star = "*" if shape == "star" else ""
+            text += rat + draw(WHITESPACE) + star + draw(WHITESPACE) + root
+        term = field.one() if shape == "root" else field.rational(p, q)
+        if shape != "rational":
+            exp = 1 if k is None else k
+            term = term * CycloField(m).root_of_unity(exp).embed(field)
+        value = value - term if signs.count("-") % 2 else value + term
+    return field, text, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(literals())
+def test_parse_scalar_matches_field_arithmetic(case):
+    field, text, value = case
+    parsed = parse_scalar(field, text)
+    assert parsed == value, text
+    assert all(canonical(c) for c in parsed.coeffs), parsed.coeffs
 
 
 @st.composite

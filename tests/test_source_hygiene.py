@@ -1,6 +1,7 @@
 """Source checks by AST scan: no unused imports, raw scalars stay inside
-linalg, the engine's tables stay inside the engine, and no module touches
-another module's private attributes."""
+linalg, the engine's tables stay inside the engine, regular expressions stay
+inside cyclotomic, and no module touches another module's private
+attributes."""
 
 import ast
 from pathlib import Path
@@ -75,6 +76,18 @@ def engine_table_reads(source):
                   and node.attr in ENGINE_TABLES)
 
 
+def regex_imports(source):
+    """(line, module) for every import of re."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name == "re")
+        elif isinstance(node, ast.ImportFrom) and node.module == "re":
+            found.append((node.lineno, "re"))
+    return sorted(found)
+
+
 def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
@@ -119,8 +132,20 @@ def test_engine_tables_stay_inside_engine(path):
     assert engine_table_reads(path.read_text()) == []
 
 
+# the scalar-literal grammar has one owner, cyclotomic; a second module that
+# scans literal text (say, for conductors) is a second copy of that grammar
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "cyclotomic.py"], ids=_rel)
+def test_only_cyclotomic_uses_regular_expressions(path):
+    assert regex_imports(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=_rel)
 def test_private_attributes_stay_with_their_module(path):
+    assert regex_imports(
+        "import os, re\n"
+        "from re import findall\n"
+        "import regex\n") == [(1, "re"), (2, "re")]
     assert foreign_private_uses(path.read_text()) == []
 
 
@@ -146,6 +171,10 @@ def test_scans_catch_what_they_look_for():
         "products = state.multiply(a, b)\n"
         "d = s.derivs[n][m], s.word_index[n - 1][w]\n") == [
             (1, ".products"), (3, ".derivs"), (3, ".word_index")]
+    assert regex_imports(
+        "import os, re\n"
+        "from re import findall\n"
+        "import regex\n") == [(1, "re"), (2, "re")]
     assert foreign_private_uses(
         "class A:\n"
         "    _shared = {}\n"
