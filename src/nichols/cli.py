@@ -19,6 +19,7 @@ import logging
 import sys
 import traceback
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import SPEC_VERSION
 from .cyclotomic import CycloField
@@ -43,15 +44,10 @@ from .groups import group_from_spec
 from .verify import run_checks
 from .ydmodule import diagonal_modules, direct_sum, module_from_spec
 
-TASKS = ("hilbert", "cartan", "reflect", "groupoid", "roots", "derive")
-DEFAULT_CAPS = {"hilbert": 12, "cartan": DEFAULT_DEGREE_CAP,
-                "reflect": DEFAULT_DEGREE_CAP, "groupoid": DEFAULT_DEGREE_CAP,
-                "roots": DEFAULT_DEGREE_CAP, "derive": 4}
-SCENARIO_KEYS = {"task", "description", "cap", "node_limit", "cases",
-                 "label", "group", "modules", "diagonal", "field_conductor",
-                 "name", "index", "expression", "cartan_probe"}
 CASE_KEYS = {"label", "group", "modules", "diagonal", "field_conductor",
              "name", "index", "expression", "cartan_probe"}
+SCENARIO_KEYS = CASE_KEYS | {"task", "description", "cap", "node_limit",
+                             "cases"}
 DEFAULT_BLOCK_NAMES = "xyzuvw"
 
 log = logging.getLogger("nichols")
@@ -73,23 +69,30 @@ def _check_keys(obj, allowed, where):
                                 where=where, allowed=sorted(allowed))
 
 
-def load_scenario(path: str) -> tuple[dict, str]:
-    """Parse a scenario file; returns (scenario, sha256 of the file bytes)."""
+def _read_json(path: str, what: str):
+    """(parsed JSON, file bytes) of the what file at path."""
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
-        raise ScenarioError("cannot read scenario file", path=path,
+        raise ScenarioError(f"cannot read {what} file", path=path,
                             reason=str(err))
-    digest = hashlib.sha256(raw).hexdigest()
     try:
-        scenario = json.loads(raw)
+        return json.loads(raw), raw
     except json.JSONDecodeError as err:
-        raise ScenarioError("scenario file is not valid JSON", path=path,
+        raise ScenarioError(f"{what} file is not valid JSON", path=path,
                             line=err.lineno, column=err.colno, reason=err.msg)
+    except ValueError as err:  # not UTF-8, or more digits than int() takes
+        raise ScenarioError(f"{what} file is not valid JSON", path=path,
+                            reason=str(err))
+
+
+def load_scenario(path: str) -> tuple[dict, str]:
+    """Parse a scenario file; returns (scenario, sha256 of the file bytes)."""
+    scenario, raw = _read_json(path, "scenario")
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object", path=path)
     _check_keys(scenario, SCENARIO_KEYS, "scenario")
-    return scenario, digest
+    return scenario, hashlib.sha256(raw).hexdigest()
 
 
 def _cases_of(scenario: dict) -> list[dict]:
@@ -252,7 +255,96 @@ def run_derive(blocks, case, cap):
     return payload
 
 
+# -- per-task summaries for the terminal and CSV rows for --out
+
+
+def _hilbert_summary(result):
+    dims = ",".join(str(d) for d in result["dims"])
+    total = result["total"]
+    return (f"{result['label']}: dims {dims} total "
+            f"{'unfinished at cap' if total is None else total}")
+
+
+def _hilbert_csv(results):
+    rows = [["label", "degree", "dim"]]
+    for result in results:
+        for degree, dim in enumerate(result["dims"]):
+            rows.append([result["label"], str(degree), str(dim)])
+        total = result["total"]
+        rows.append([result["label"], "total",
+                     "" if total is None else str(total)])
+    return rows
+
+
+def _cartan_summary(result):
+    return (f"{result['label']}: cartan {result['cartan']} "
+            f"exact={result['exact']}")
+
+
+def _cartan_csv(results):
+    rows = [["label", "row", "col", "entry"]]
+    for result in results:
+        for i, row in enumerate(result["cartan"]):
+            for j, entry in enumerate(row):
+                text = str(entry) if isinstance(entry, int) else \
+                    f"unbounded-at-cap-{entry['unbounded_at_cap']}"
+                rows.append([result["label"], str(i + 1), str(j + 1), text])
+    return rows
+
+
+def _reflect_summary(result):
+    return (f"{result['label']}: reflected at {result['index']}, block "
+            f"dims {result['reflected_block_dims']}, "
+            f"s={result['s_matrix']}")
+
+
+def _groupoid_summary(result):
+    return (f"{result['label']}: nodes={len(result['nodes'])} "
+            f"edges={len(result['edges'])} "
+            f"partial={result['partial']} "
+            f"standard={result['standard']['status']} "
+            f"finite_type={result['finite_type']}")
+
+
+def _roots_summary(result):
+    return (f"{result['label']}: {result['count']} real roots "
+            f"partial={result['partial']}")
+
+
+def _derive_summary(result):
+    text = f"{result['label']}: {result['expression']} = {result['value']}"
+    if "cartan_probe" in result:
+        text += f"\n{result['label']}: {result['cartan_probe']['verdict']}"
+    return text
+
+
+class Task(NamedTuple):
+    """What the CLI knows of one task, all but its runner run_<task>."""
+
+    help: str
+    summary: Callable  # one result -> its human summary
+    default_cap: int = DEFAULT_DEGREE_CAP
+    takes_node_limit: bool = False
+    csv: Callable | None = None  # all results -> CSV rows, header first
+
+
+TASKS = {
+    "hilbert": Task("graded dimensions of the Nichols algebra of a case",
+                    _hilbert_summary, default_cap=12, csv=_hilbert_csv),
+    "cartan": Task("Cartan matrix of a family via braided adjoint chains",
+                   _cartan_summary, csv=_cartan_csv),
+    "reflect": Task("reflect a family at one block", _reflect_summary),
+    "groupoid": Task("explore the reflection groupoid to closure",
+                     _groupoid_summary, takes_node_limit=True),
+    "roots": Task("real roots collected from the reflection groupoid",
+                  _roots_summary, takes_node_limit=True),
+    "derive": Task("evaluate a derivation/adjoint expression",
+                   _derive_summary, default_cap=4),
+}
+
+
 def run_scenario(task: str, path: str, cap, node_limit, numeration_path):
+    spec = TASKS[task]
     scenario, digest = load_scenario(path)
     declared = scenario.get("task")
     if declared is not None and declared != task:
@@ -260,43 +352,27 @@ def run_scenario(task: str, path: str, cap, node_limit, numeration_path):
                             scenario_task=declared, subcommand=task)
     overrides = None
     if numeration_path is not None:
-        try:
-            overrides = json.loads(Path(numeration_path).read_text())
-        except OSError as err:
-            raise ScenarioError("cannot read numeration file",
-                                path=numeration_path, reason=str(err))
-        except json.JSONDecodeError as err:
-            raise ScenarioError("numeration file is not valid JSON",
-                                path=numeration_path, reason=err.msg)
+        overrides, _ = _read_json(numeration_path, "numeration")
         if not isinstance(overrides, list):
             raise ScenarioError("numeration file must be a list with one "
                                 "entry (or null) per module")
     if cap is None:
-        cap = scenario.get("cap", DEFAULT_CAPS[task])
+        cap = scenario.get("cap", spec.default_cap)
     _int_field(cap, "cap must be a positive integer", low=1, cap=cap)
     if node_limit is None:
         node_limit = scenario.get("node_limit", DEFAULT_NODE_LIMIT)
     _int_field(node_limit, "node_limit must be a positive integer", low=1,
                node_limit=node_limit)
-
+    limits = (cap, node_limit) if spec.takes_node_limit else (cap,)
+    # looked up by name, not kept in TASKS, so that a caller can replace it
+    runner = globals()[f"run_{task}"]
     results = []
     for pos, case in enumerate(_cases_of(scenario)):
         case = _apply_numeration(case, overrides)
         label, blocks = build_blocks(case, pos)
         log.info("running %s on case %s (%d block%s)", task, label,
                  len(blocks), "s" if len(blocks) != 1 else "")
-        if task == "hilbert":
-            payload = run_hilbert(blocks, case, cap)
-        elif task == "cartan":
-            payload = run_cartan(blocks, case, cap)
-        elif task == "reflect":
-            payload = run_reflect(blocks, case, cap)
-        elif task == "groupoid":
-            payload = run_groupoid(blocks, case, cap, node_limit)
-        elif task == "roots":
-            payload = run_roots(blocks, case, cap, node_limit)
-        else:
-            payload = run_derive(blocks, case, cap)
+        payload = runner(blocks, case, *limits)
         results.append({"label": label, **payload})
 
     report = {"spec_version": SPEC_VERSION,
@@ -305,7 +381,7 @@ def run_scenario(task: str, path: str, cap, node_limit, numeration_path):
               "scenario_sha256": digest,
               "cap": cap,
               "results": results}
-    if task in ("groupoid", "roots"):
+    if spec.takes_node_limit:
         report["node_limit"] = node_limit
     return report
 
@@ -317,85 +393,30 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_rows(report: dict):
-    task = report["task"]
-    if task == "hilbert":
-        rows = [["label", "degree", "dim"]]
-        for result in report["results"]:
-            for degree, dim in enumerate(result["dims"]):
-                rows.append([result["label"], str(degree), str(dim)])
-            total = result["total"]
-            rows.append([result["label"], "total",
-                         "" if total is None else str(total)])
-        return rows
-    if task == "cartan":
-        rows = [["label", "row", "col", "entry"]]
-        for result in report["results"]:
-            for i, row in enumerate(result["cartan"]):
-                for j, entry in enumerate(row):
-                    text = str(entry) if isinstance(entry, int) else \
-                        f"unbounded-at-cap-{entry['unbounded_at_cap']}"
-                    rows.append([result["label"], str(i + 1), str(j + 1),
-                                 text])
-        return rows
-    return None
-
-
-def _human_lines(report: dict):
-    task = report["task"]
-    lines = []
-    for result in report["results"]:
-        label = result["label"]
-        if task == "hilbert":
-            dims = ",".join(str(d) for d in result["dims"])
-            total = result["total"]
-            lines.append(f"{label}: dims {dims} total "
-                         f"{'unfinished at cap' if total is None else total}")
-        elif task == "cartan":
-            lines.append(f"{label}: cartan {result['cartan']} "
-                         f"exact={result['exact']}")
-        elif task == "reflect":
-            lines.append(f"{label}: reflected at {result['index']}, block "
-                         f"dims {result['reflected_block_dims']}, "
-                         f"s={result['s_matrix']}")
-        elif task == "groupoid":
-            lines.append(f"{label}: nodes={len(result['nodes'])} "
-                         f"edges={len(result['edges'])} "
-                         f"partial={result['partial']} "
-                         f"standard={result['standard']['status']} "
-                         f"finite_type={result['finite_type']}")
-        elif task == "roots":
-            lines.append(f"{label}: {result['count']} real roots "
-                         f"partial={result['partial']}")
-        else:
-            lines.append(f"{label}: {result['expression']} = "
-                         f"{result['value']}")
-            if "cartan_probe" in result:
-                lines.append(f"{label}: {result['cartan_probe']['verdict']}")
-    return lines
-
-
-def emit_report(report: dict, args) -> None:
+def emit_report(report: dict, args, summary, csv=None) -> None:
+    """Write the report where args say; summary(result) is the human text
+    of one result, csv(results) the rows of the CSV beside --out."""
     text = render_report(report)
     if args.out:
         out = Path(args.out)
         out.write_text(text)
         log.info("wrote %s", out)
-        rows = _csv_rows(report)
-        if rows is not None:
+        if csv is not None:
+            rows = csv(report["results"])
             csv_path = out.with_suffix(".csv")
             csv_path.write_text("\n".join(",".join(row) for row in rows)
                                 + "\n")
             log.info("wrote %s", csv_path)
     if args.json:
         sys.stdout.write(text)
-    elif report["task"] == "verify-paper":
-        for row in report["results"]:
-            print(f"{row['status']:4} {row['check']} [{row['location']}] "
-                  f"{row['detail']}")
     else:
-        for line in _human_lines(report):
-            print(line)
+        for result in report["results"]:
+            print(summary(result))
+
+
+def _check_summary(row):
+    return (f"{row['status']:4} {row['check']} [{row['location']}] "
+            f"{row['detail']}")
 
 
 def _cmd_verify(args) -> int:
@@ -408,14 +429,15 @@ def _cmd_verify(args) -> int:
               "results": rows,
               "passed": len(rows) - failed,
               "failed": failed}
-    emit_report(report, args)
+    emit_report(report, args, _check_summary)
     return 0 if failed == 0 else 1
 
 
 def _cmd_task(args) -> int:
     report = run_scenario(args.command, args.scenario, args.cap,
                           getattr(args, "node_limit", None), args.numeration)
-    emit_report(report, args)
+    task = TASKS[args.command]
+    emit_report(report, args, task.summary, task.csv)
     return 0
 
 
@@ -425,32 +447,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic workbench for Nichols algebras of "
                     "semisimple Yetter-Drinfeld modules over finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-    help_by_task = {
-        "hilbert": "graded dimensions of the Nichols algebra of a case",
-        "cartan": "Cartan matrix of a family via braided adjoint chains",
-        "reflect": "reflect a family at one block",
-        "groupoid": "explore the reflection groupoid to closure",
-        "roots": "real roots collected from the reflection groupoid",
-        "derive": "evaluate a derivation/adjoint expression",
-    }
-    for task in TASKS:
-        p = sub.add_parser(task, help=help_by_task[task])
+    csv_tasks = "/".join(name for name, task in TASKS.items() if task.csv)
+    for name, task in TASKS.items():
+        p = sub.add_parser(name, help=task.help)
+        p.set_defaults(func=_cmd_task)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--cap", type=int, default=None,
                        help="degree cap (default: scenario value or "
-                            f"{DEFAULT_CAPS[task]})")
-        if task in ("groupoid", "roots"):
+                            f"{task.default_cap})")
+        if task.takes_node_limit:
             p.add_argument("--node-limit", type=int, default=None,
                            help="exploration budget in nodes")
         p.add_argument("--json", action="store_true",
                        help="print the JSON report to stdout")
         p.add_argument("--out", default=None,
-                       help="write the JSON report (and CSV for hilbert/"
-                            "cartan) to this path")
+                       help=f"write the JSON report (and CSV for {csv_tasks})"
+                            " to this path")
         p.add_argument("--numeration", default=None,
                        help="JSON file with per-module numeration overrides")
     v = sub.add_parser("verify-paper",
                        help="run the built-in regression matrix")
+    v.set_defaults(func=_cmd_verify)
     v.add_argument("--json", action="store_true",
                    help="print the JSON report to stdout")
     v.add_argument("--out", default=None,
@@ -463,13 +480,11 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     try:
-        if args.command == "verify-paper":
-            return _cmd_verify(args)
-        return _cmd_task(args)
+        return args.func(args)
     except WorkbenchError as err:
         refusal = json.dumps(err.payload(), sort_keys=True, default=str)
         print(f"refused: {err.message}", file=sys.stderr)
-        if getattr(args, "json", False):
+        if args.json:
             sys.stdout.write(refusal + "\n")
         else:
             print(refusal, file=sys.stderr)

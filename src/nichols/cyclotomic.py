@@ -401,6 +401,15 @@ _TERM = re.compile(
     r"(?:(?(p)\s*\*?\s*)" + _ROOT.pattern + ")?")  # '*' only after a rational
 
 
+def _digits(m, group: str) -> int:
+    """The integer that group of match m spells."""
+    try:
+        return int(m[group])
+    except ValueError:  # more digits than the interpreter converts
+        raise ScalarParseError("digit run too long in scalar literal",
+                               at=m.start(group)) from None
+
+
 def parse_scalar(field: CycloField, text: str) -> CycloNumber:
     """Parse a scalar literal, e.g. '1/2 - z3^1', '-2*z12^5' or '--2 z4'.
 
@@ -419,15 +428,16 @@ def parse_scalar(field: CycloField, text: str) -> CycloNumber:
         if m["p"] is None and m["conductor"] is None:
             raise ScalarParseError("expected a rational or a root of unity "
                                    "in a scalar literal", text=text, at=m.end())
-        coeff = 1 if m["p"] is None else int(m["p"])
+        coeff = 1 if m["p"] is None else _digits(m, "p")
         if m["q"] is not None:
-            if not int(m["q"]):
+            denominator = _digits(m, "q")
+            if not denominator:
                 raise ScalarParseError("zero denominator in scalar literal",
                                        text=text, at=m.start("q"))
-            coeff = mpq(coeff) / int(m["q"])
+            coeff = mpq(coeff) / denominator
         exp = 0
         if m["conductor"] is not None:
-            order = int(m["conductor"])
+            order = _digits(m, "conductor")
             if not order:
                 raise ScalarParseError("root-of-unity conductor must be a "
                                        "positive integer", text=text,
@@ -436,7 +446,7 @@ def parse_scalar(field: CycloField, text: str) -> CycloNumber:
                 raise ConductorMismatch(
                     "scalar literal uses a conductor that does not divide "
                     "the field's", literal=order, field=n)
-            exp = int(m["exp"] or 1) * (n // order) % n
+            exp = (_digits(m, "exp") if m["exp"] else 1) * (n // order) % n
         vec[exp] += -coeff if m["signs"].count("-") % 2 else coeff
         pos = m.end()
         if pos == len(text):
@@ -449,5 +459,5 @@ def field_of(literals) -> CycloField:
     conductor = 1
     for text in literals:
         for m in _ROOT.finditer(text):
-            conductor = lcm(conductor, int(m["conductor"]))
+            conductor = lcm(conductor, _digits(m, "conductor"))
     return CycloField(conductor)

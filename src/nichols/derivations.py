@@ -80,23 +80,6 @@ def ad_c_inv(state, v, y):
     return (n + 1, _nonzero(out))
 
 
-def nondegeneracy_witness(state, x):
-    """Lex-least dual-index word whose iterated left derivation of x is a
-    nonzero scalar; None only if x is zero."""
-    n = x[0]
-    if element_is_zero(x):
-        return None
-    if n == 0:
-        return ()
-    for j in range(state.module.dim):
-        y = partial_left(state, j, x)
-        if not element_is_zero(y):
-            rest = nondegeneracy_witness(state, y)
-            return (j,) + rest
-    raise ScenarioError("nonzero element with all left derivations zero",
-                        degree=n)
-
-
 # -- tiny s-expression surface for regression scripts
 
 

@@ -237,10 +237,6 @@ class ConjugacyClassData:
         gamma = g.mul(g.inv(self.reps[k]), u)
         return k, gamma
 
-    def rack_index(self, t, j: int) -> int:
-        """Index of t |> members[j]."""
-        return self._member_index[self.group.conjugate(t, self.members[j])]
-
 
 def conjugacy_class(group: FiniteGroup, s, numeration=None) -> ConjugacyClassData:
     """Build ConjugacyClassData for the class of s.

@@ -190,7 +190,7 @@ def eliminate_block(field: CycloField, vectors, track: bool = True,
         log.debug("degree %s block %s fell back to exact elimination: %s",
                   degree, key, results)
     ops = FieldOps(field)
-    lower, nonzero = ops.lower, ops.nonzero
+    lift, lower, nonzero = ops.lift, ops.lower, ops.nonzero
     cols = sorted({c for v in vectors for c in v})
     colpos = {c: i for i, c in enumerate(cols)}
     span = IncrementalSpan(ops, len(cols), track=track)
@@ -198,7 +198,7 @@ def eliminate_block(field: CycloField, vectors, track: bool = True,
     for v in vectors:
         row = [ops.zero] * len(cols)
         for c, x in v.items():
-            row[colpos[c]] = x.coeffs[0] if rational else x.coeffs
+            row[colpos[c]] = lift(x)
         kind, data = span.insert(row)
         if kind == "combo" and track:
             data = {o: lower(cf) for o, cf in enumerate(data) if nonzero(cf)}

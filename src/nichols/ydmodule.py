@@ -301,11 +301,6 @@ def build_M_O_rho(group: FiniteGroup, cls: ConjugacyClassData, rho: Representati
                     [(name, 0, t * d)])
 
 
-def zero_module(group: FiniteGroup, field: CycloField) -> YDModule:
-    return YDModule(group, field, [], {gen: [] for gen in group.generators},
-                    [], [], check=False)
-
-
 def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Whether two group objects describe the same group presentation."""
     return a is b or (a.backend == b.backend and a.elements == b.elements

@@ -336,6 +336,10 @@ MALFORMED_SPEC_FIELDS = {
     "rho-zero-conductor": ("hilbert",
                            fk3_fields(rho={"values": {"2,1,3": "z0^1"}}),
                            "scalar-parse-error"),
+    # so did a digit run past the interpreter's limit
+    "rho-long-digit-run": ("hilbert",
+                           fk3_fields(rho={"values": {"2,1,3": "1" * 5000}}),
+                           "scalar-parse-error"),
     "expression-an-int": ("derive", {"expression": 5}, "scenario-error"),
     "expression-list-label": ("derive", {"expression": "(d (x1) x2)"},
                               "scenario-error"),
@@ -360,6 +364,8 @@ MALFORMED_DIAGONAL = {
     "diagonal-an-int": (5, "module-spec-error"),
     "diagonal-of-ints": ([5], "module-spec-error"),
     "zero-denominator": ([["1/0"]], "scalar-parse-error"),
+    # a conductor past the interpreter's digit limit used to exit 1
+    "long-conductor": ([["z" + "1" * 5000]], "scalar-parse-error"),
 }
 
 
@@ -378,6 +384,24 @@ def test_malformed_json_is_refused(tmp_path, capsys):
     code, payload = refusal_payload(capsys, ["hilbert", str(path)])
     assert code == 2
     assert payload["details"]["line"] == 1
+
+
+# each used to exit 1 with a traceback, in either file
+UNREADABLE_JSON = {"not-utf8": b"\x80\x81{}",
+                   "number-past-digit-limit": b"[" + b"1" * 5000 + b"]"}
+
+
+@pytest.mark.parametrize("which", ["scenario", "numeration"])
+@pytest.mark.parametrize("fault", sorted(UNREADABLE_JSON))
+def test_unreadable_json_is_refused(tmp_path, capsys, fault, which):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE_JSON[fault])
+    argv = ["hilbert", str(bad)] if which == "scenario" else \
+        ["hilbert", str(SCENARIOS / "s3_fk3.json"), "--numeration", str(bad)]
+    code, payload = refusal_payload(capsys, argv)
+    assert code == 2
+    assert payload["error"] == "scenario-error"
+    assert payload["message"] == f"{which} file is not valid JSON"
 
 
 def test_missing_file_is_refused(capsys):
@@ -518,3 +542,53 @@ def test_chain_reports_match_golden(name, capsys):
     task, scenario, golden, extra = CHAIN_GOLDENS[name]
     assert cli.main([task, str(scenario), "--json", *extra]) == 0
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+# -- the CLI surface: human summaries, CSV files and --help text
+#
+# tests/data/cli_surface.json pins what a user reads.  "summary" and "csv"
+# hold the stdout and the CSV file (null where the task writes none) of
+# `nichols <argv> --out report.json` for each task below, and the stdout of
+# `nichols verify-paper --out ...`; "help" holds the stdout of
+# `nichols [command] --help` with COLUMNS=80, under "nichols" for the top
+# level.
+SURFACE_RUNS = {
+    "hilbert": ["hilbert", SCENARIOS / "s3_fk3.json"],
+    "cartan": ["cartan", "--cap", "3", SCENARIOS / "s4_pairs.json"],
+    "reflect": ["reflect", GROUPOID_CASES],
+    "groupoid": ["groupoid", GROUPOID_CASES],
+    "roots": ["roots", PERFBENCH_SCENARIOS / "diag_roots.json"],
+    "derive": ["derive", SCENARIOS / "dn_obstruction.json"],
+}
+# help entry -> the arguments before --help
+HELP_ARGV = {"nichols": [], **{command: [command] for command in
+                                [*SURFACE_RUNS, "verify-paper"]}}
+
+
+@pytest.fixture(scope="module")
+def cli_surface():
+    return json.loads((DATA / "cli_surface.json").read_text())
+
+
+@pytest.mark.parametrize("task", sorted(SURFACE_RUNS))
+def test_summary_and_csv_match_golden(task, tmp_path, capsys, cli_surface):
+    out = tmp_path / "report.json"
+    assert cli.main([*map(str, SURFACE_RUNS[task]), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == cli_surface["summary"][task]
+    csv_path = out.with_suffix(".csv")
+    csv_text = csv_path.read_text() if csv_path.exists() else None
+    assert csv_text == cli_surface["csv"][task]
+
+
+def test_verify_paper_summary_matches_golden(verify_paper_run, cli_surface):
+    _, out, _ = verify_paper_run
+    assert out == cli_surface["summary"]["verify-paper"]
+
+
+@pytest.mark.parametrize("command", sorted(HELP_ARGV))
+def test_help_matches_golden(command, capsys, monkeypatch, cli_surface):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        cli.main([*HELP_ARGV[command], "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == cli_surface["help"][command]

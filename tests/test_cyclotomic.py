@@ -137,11 +137,18 @@ def test_parse_examples():
 
 def test_parse_rejects_garbage():
     f = CycloField(3)
-    # a zero denominator or conductor used to escape as ZeroDivisionError
+    # a zero denominator or conductor used to escape as ZeroDivisionError,
+    # and a digit run past the interpreter's limit as ValueError
+    long_run = "1" * 5000
     for bad in ["", "1 +", "* z3", "z3^1 z3^2", "2 2", "q", "1/0", "z0",
-                "z0^1", "2*", "-", "1 ", "2 z3 z3"]:
+                "z0^1", "2*", "-", "1 ", "2 z3 z3", long_run, "1/" + long_run,
+                "z" + long_run, "z3^-" + long_run]:
         with pytest.raises(ScalarParseError):
             parse_scalar(f, bad)
+    with pytest.raises(ScalarParseError):
+        CycloField(1).parse(long_run)
+    with pytest.raises(ScalarParseError):
+        field_of(["z" + long_run])
     with pytest.raises(ConductorMismatch):
         parse_scalar(f, "z5^1")
 

@@ -1,12 +1,14 @@
 """Source checks by AST scan: no unused imports, raw scalars stay inside
 linalg, the engine's tables stay inside the engine, regular expressions stay
-inside cyclotomic, and no module touches another module's private
-attributes."""
+inside cyclotomic, no module touches another module's private attributes,
+and every public function is used by the program itself."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from nichols.cli import TASKS
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "nichols").glob("*.py"))
@@ -19,6 +21,17 @@ RAW_CONVERSIONS = {"lift", "lower"}
 ENGINE_TABLES = {"products", "derivs", "word_index"}
 # the names a module's own objects go by where it sets their attributes
 OWNERS = {"self", "cls", "inst"}
+# public functions and methods that nothing in src/nichols refers to (names
+# that begin with an underscore, dunders among them, are not public)
+UNREFERENCED_ALLOWED = {
+    # public scalar API: zeta_N^k, and an element from its coefficients
+    "root_of_unity", "element",
+    # waits on ROADMAP items 1 and 8: perfbench/tracer.py spans it by name
+    "normal_form",
+    # cli.run_scenario looks each runner up by name when it runs, so that a
+    # caller can replace it (perfbench/child.py's setup mode does)
+    *(f"run_{task}" for task in TASKS),
+}
 
 
 def _rel(path):
@@ -115,6 +128,26 @@ def foreign_private_uses(source):
                   and node.attr not in owned)
 
 
+def unreferenced_functions(sources):
+    """(file, line, name) for every public function or method defined in
+    sources, a dict file -> source text, whose name no code in sources reads
+    outside the function's own body."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    uses = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                used = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(used, []).append((name, node.lineno))
+    return sorted(
+        (name, node.lineno, node.name)
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and all(where == name and node.lineno <= line <= node.end_lineno
+                for where, line in uses.get(node.name, ())))
+
+
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=_rel)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -147,6 +180,12 @@ def test_private_attributes_stay_with_their_module(path):
         "from re import findall\n"
         "import regex\n") == [(1, "re"), (2, "re")]
     assert foreign_private_uses(path.read_text()) == []
+
+
+# code that only its own unit tests call belongs in tests/
+def test_public_functions_are_used_by_the_program():
+    found = unreferenced_functions({_rel(p): p.read_text() for p in SOURCES})
+    assert [f for f in found if f[2] not in UNREFERENCED_ALLOWED] == []
 
 
 def test_scans_catch_what_they_look_for():
@@ -188,3 +227,17 @@ def test_scans_catch_what_they_look_for():
         "    b._cache = a._helper()\n"
         "    return b._cache, a._state\n") == [(10, "_cache"), (11, "_cache"),
                                               (11, "_state")]
+    assert unreferenced_functions({
+        "a.py": "def used(n):\n"
+                "    return n\n"
+                "def recursive(n):\n"
+                "    return recursive(n - 1)\n"
+                "class C:\n"
+                "    def method(self):\n"
+                "        return used(1)\n"
+                "    def __len__(self):\n"
+                "        return 0\n"
+                "    def _private(self):\n"
+                "        return 1\n",
+        "b.py": "from a import C\n"
+                "C().method()\n"}) == [("a.py", 3, "recursive")]

@@ -16,10 +16,16 @@ from nichols.ydmodule import (
     fingerprint,
     module_from_spec,
     one_dim_rep,
-    zero_module,
 )
+from test_groups import rack_index
 
 Q = CycloField(1)
+
+
+def zero_module(group, field):
+    """The zero YD module: no basis, no coaction, empty generator columns."""
+    return YDModule(group, field, [], {gen: [] for gen in group.generators},
+                    [], [], check=False)
 
 
 def s3_sgn_module(field=Q, name="x"):
@@ -56,7 +62,7 @@ def test_s3_sgn_shape_and_braiding():
     br = m.braiding()
     for a in range(3):
         for b in range(3):
-            k = cls.rack_index(m.coaction[a], b)
+            k = rack_index(cls, m.coaction[a], b)
             assert br.columns[a, b] == [((k, a), Q.rational(-1))]
     br.check()
 
@@ -85,9 +91,9 @@ def test_braiding_apply_lifts_c_to_any_slot():
     br = m.braiding()
     one = Q.one()
     for a, b, c in [(0, 1, 2), (2, 2, 0), (1, 0, 1)]:
-        k = cls.rack_index(m.coaction[b], c)
+        k = rack_index(cls, m.coaction[b], c)
         assert br.apply({(a, b, c): one}, 1) == {(a, k, b): -one}
-        k = cls.rack_index(m.coaction[a], b)
+        k = rack_index(cls, m.coaction[a], b)
         assert br.apply({(a, b, c): one}, 0) == {(k, a, c): -one}
         assert br.apply(br.apply({(a, b, c): one}, 1), 1, inverse=True) == \
             {(a, b, c): one}
@@ -143,7 +149,7 @@ def test_direct_sum_blocks_and_grading():
         for b in range(6):
             blk, i = divmod(b, 3)
             assert w.block_of(b) == blk
-            k = cls.rack_index(w.coaction[a], i)
+            k = rack_index(cls, w.coaction[a], i)
             assert br.columns[a, b] == [((3 * blk + k, a), minus)]
 
 
@@ -374,7 +380,7 @@ def test_chi_minus_action_values():
     assert u.action_of(tau1)[0] == {0: minus}
     # reflections move every index with scalar -1 (chi_- is odd on tau_1^{+-1})
     sigma1 = (2, 1, 3, 4)
-    assert u.action_of(sigma1)[0] == {cls.rack_index(sigma1, 0): minus}
+    assert u.action_of(sigma1)[0] == {rack_index(cls, sigma1, 0): minus}
 
 
 def test_dihedral_sgn_module():
