@@ -224,9 +224,12 @@ class CycloNumber:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not CycloNumber or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.field.phi == 1:
+            return CycloNumber(self.field, (self.coeffs[0] + other.coeffs[0],))
         return CycloNumber(self.field,
                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -249,9 +252,10 @@ class CycloNumber:
         return CycloNumber(self.field, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not CycloNumber or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self.coeffs, other.coeffs
         if self.field.phi == 1:
             return CycloNumber(self.field, (a[0] * b[0],))
@@ -378,16 +382,24 @@ def _add_scaled(acc: dict, vec: dict, c=None) -> None:
         for k, v in vec.items():
             cur = acc.get(k)
             acc[k] = v if cur is None else cur + v
-    else:
-        for k, v in vec.items():
+        return
+    # over Q, where every operand has c's field, work on the coefficients
+    field = c.field if type(c) is CycloNumber and c.field.phi == 1 else None
+    s = c.coeffs[0] if field else None
+    for k, v in vec.items():
+        cur = acc.get(k)
+        if v.field is field and (cur is None or cur.field is field):
+            x = s * v.coeffs[0]
+            acc[k] = CycloNumber(field, (x,) if cur is None
+                                 else (cur.coeffs[0] + x,))
+        else:
             term = c * v
-            cur = acc.get(k)
             acc[k] = term if cur is None else cur + term
 
 
 def _nonzero(vec: dict) -> dict:
-    """vec without its zero entries."""
-    return {k: v for k, v in vec.items() if not v.is_zero()}
+    """vec without its zero entries (over Q the first coefficient decides)."""
+    return {k: v for k, v in vec.items() if v.coeffs[0] or any(v.coeffs)}
 
 
 # The scalar-literal grammar.  A literal is a sum of terms, and every term

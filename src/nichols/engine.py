@@ -242,7 +242,8 @@ class GradedNicholsState:
                     _add_scaled(comps.setdefault(k, {}), pprev[i, m], c0)
                 _add_scaled(comps.setdefault(i, {}), acols[bidx])
                 vec = {(k, idx): c for k in sorted(comps)
-                       for idx, c in comps[k].items() if not c.is_zero()}
+                       for idx, c in comps[k].items()
+                       if c.coeffs[0] or any(c.coeffs)}
                 key = (group.mul(gi, hprev[bidx]), mdeg)
                 blocks.setdefault(key, []).append(len(cands))
                 cands.append((i, bidx, vec, key))

@@ -5,11 +5,14 @@ oracle, adjoint chains and top chain modules) goes through eliminate_block:
 one block of sparse {column: CycloNumber} vectors in, and for each vector
 either a new pivot or its exact combination over the earlier pivots out,
 as a sparse {ordinal: CycloNumber} dict; pivoting is first-nonzero in
-column order, deterministic across runs and platforms.  Over Q it works
-modulo a fixed prime and certifies every dependency exactly.
-IncrementalSpan, exact dense elimination one vector at a time, is its
-fallback: for any block it cannot certify, and for every block when
-phi(N) > 1.
+the columns' own sort order, deterministic across runs and platforms.
+Over Q it works modulo a fixed prime: rows stay unreduced until their
+leading column is reached, each vector keeps only its reduction steps,
+and a combination is back-solved from them for dependents alone.  An empty
+vector is answered directly; every other dependent is certified by an
+exact integer check over Q.  IncrementalSpan, exact dense elimination one
+vector at a time, is the fallback: for any block it cannot certify, and
+for every block when phi(N) > 1.
 
 Inside this module rows hold "raw" scalars (a bare rational when
 phi(N) = 1, a coefficient tuple otherwise), in the canonical form of
@@ -173,13 +176,16 @@ def eliminate_block(field: CycloField, vectors, track: bool = True,
     over the earlier pivots, ordinals ascending and zeros omitted; it is
     None unless track.  The results are what IncrementalSpan.insert returns
     when fed the same vectors.  When phi(N) = 1 the block is eliminated
-    modulo MODULUS; a vector independent mod p is independent over Q, and
-    every vector found dependent has its combination rebuilt by rational
-    reconstruction and checked exactly over Q.  So the pivots are the same
-    greedy ones and the combinations, unique over independent pivots, are
-    the same exact ones.  A block that fails any step is eliminated again
-    with IncrementalSpan, as is every block when phi(N) > 1; degree and key
-    only label the DEBUG line logged for such a fallback.
+    modulo MODULUS, the columns in their own sort order; a vector
+    independent mod p is independent over Q.  An empty vector is the empty
+    combination.  Every other vector found dependent has its combination
+    back-solved from its reduction steps, rebuilt by rational
+    reconstruction and checked exactly over Q in integers.  So the pivots
+    are the same greedy ones, whatever the column order, and the
+    combinations, unique over independent pivots, are the same exact ones.
+    A block that fails any step is eliminated again with IncrementalSpan,
+    as is every block when phi(N) > 1; degree and key only label the DEBUG
+    line logged for such a fallback.
     """
     vectors = list(vectors)
     rational = field.phi == 1
@@ -210,73 +216,76 @@ def _eliminate_mod_p(vectors, track):
     """eliminate_block over Q via GF(MODULUS), or the reason it cannot be
     certified: "denominator", "reconstruction" or "check"."""
     p = MODULUS
-    colidx = {}
     den_inv = {1: 1}
     lead = {}       # column -> index of the pivot row leading there
-    rows = []       # pivot rows mod p, leading entry 1, in echelon form
-    exprs = []      # each pivot row as a combination of pivot vectors mod p
-    pivots = []     # the pivot vectors, by ordinal
+    tails = []      # each pivot row mod p past its leading 1
+    steps = []      # each pivot row's reductions [(row, factor)], and the
+    invs = []       # inverse of its leading entry before scaling to 1
+    pivots = []     # the pivot vectors; a pivot's ordinal is its row index
     results = []
     dependents = []
     for v in vectors:
-        row = {}
-        for c, x in v.items():
-            x = x.coeffs[0]
-            d = x.denominator
-            inv = den_inv.get(d)
-            if inv is None:
-                if d % p == 0:
-                    return "denominator"
-                inv = den_inv[d] = pow(d, -1, p)
-            r = x.numerator * inv % p
-            if r:
-                row[colidx.setdefault(c, len(colidx))] = r
-        # row = v - sum(combo[o] * pivots[o]) throughout
-        combo = {}
+        if not v:
+            results.append(("combo", {} if track else None))
+            continue
+        xs = {c: x.coeffs[0] for c, x in v.items()}
+        row = dict(xs)
+        for c, x in xs.items():
+            if type(x) is not int:
+                d = x.denominator
+                inv = den_inv.get(d)
+                if inv is None:
+                    if d % p == 0:
+                        return "denominator"
+                    inv = den_inv[d] = pow(d, -1, p)
+                row[c] = x.numerator * inv
+        # row = v - sum(f * row k for k, f in done) mod p throughout, its
+        # entries reduced only when the heap pops their column
+        done = []
         heap = list(row)
         heapify(heap)
-        lead_col = None
         while heap:
             c = heappop(heap)
-            f = row[c]
+            f = row.pop(c) % p
             if not f:
                 continue
             k = lead.get(c)
             if k is None:
-                lead_col = c
                 break
-            for c2, y in rows[k].items():
+            done.append((k, f))
+            for c2, y in tails[k].items():
                 old = row.get(c2)
                 if old is None:
                     heappush(heap, c2)
-                    row[c2] = -f * y % p
+                    row[c2] = -f * y
                 else:
-                    row[c2] = (old - f * y) % p
-            for o, e in exprs[k].items():
-                combo[o] = (combo.get(o, 0) + f * e) % p
-        if lead_col is None:
-            dependents.append((len(results), v, combo))
+                    row[c2] = old - f * y
+        else:
+            dependents.append((len(results), xs, done))
             results.append(None)
             continue
         inv = pow(f, -1, p)
-        expr = {o: -e * inv % p for o, e in combo.items() if e}
-        expr[len(pivots)] = inv
-        lead[lead_col] = len(rows)
-        rows.append({c2: y * inv % p for c2, y in row.items() if y})
-        exprs.append(expr)
+        tail = {}
+        for c2, y in row.items():
+            y = y * inv % p
+            if y:
+                tail[c2] = y
+        lead[c] = len(tails)
+        tails.append(tail)
+        steps.append(done)
+        invs.append(inv)
         results.append(("pivot", len(pivots)))
-        pivots.append(v)
-    # a pivot has a nonzero entry, and only a vector with pivots before it
-    # has a nonzero combination
-    field = next(iter(pivots[0].values())).field if pivots else None
+        pivots.append(xs)
+    # only a vector with pivots before it has a nonzero combination
+    field = next(x.field for v in vectors for x in v.values()) \
+        if pivots else None
     lifted = {}
     pivot_ints = {}
-    for slot, v, combo in dependents:
+    for slot, xs, done in dependents:
+        combo = _back_solve(done, steps, invs)
         coeffs = {}
         for o in sorted(combo):
             r = combo[o]
-            if not r:
-                continue
             q = lifted.get(r)
             if q is None:
                 q = _rational_reconstruction(r)
@@ -286,19 +295,18 @@ def _eliminate_mod_p(vectors, track):
             coeffs[o] = q
         # v == sum(q * pivot) over Q, checked in integers: with each vector
         # written as an integer vector over one denominator, clear them all
-        dv, iv = _integral(v)
+        # (rest may be xs itself, which nothing reads again)
+        dv, rest = _integral(xs)
         terms = []
-        scale = dv
         for o, q in coeffs.items():
             if o not in pivot_ints:
                 pivot_ints[o] = _integral(pivots[o])
             do, io = pivot_ints[o]
             q = q.coeffs[0]
-            den = q.denominator * do
-            scale = lcm(scale, den)
-            terms.append((q.numerator, den, io))
-        f = scale // dv
-        rest = {c: f * x for c, x in iv.items()}
+            terms.append((q.numerator, q.denominator * do, io))
+        scale = lcm(dv, *{den for _, den, _ in terms})
+        if scale != dv:
+            rest = {c: scale // dv * x for c, x in rest.items()}
         for num, den, io in terms:
             f = scale // den * num
             for c, x in io.items():
@@ -309,24 +317,52 @@ def _eliminate_mod_p(vectors, track):
     return results
 
 
-def _integral(v):
-    """A sparse vector over Q as (common denominator, integer vector)."""
-    den = 1
-    for x in v.values():
-        d = x.coeffs[0].denominator
-        if d != 1:
-            den = lcm(den, d)
-    out = {}
-    for c, x in v.items():
-        x = x.coeffs[0]
-        out[c] = x.numerator * (den // x.denominator)
-    return den, out
+def _back_solve(done, steps, invs):
+    """A dependent's combination {ordinal: residue} over the pivots mod p,
+    from its reductions done: the vector is sum(f * row k for k, f in done),
+    and row k is invs[k] * (pivot k - sum(f * row j for j, f in steps[k])),
+    so the rows are expanded into pivots from the last one down.  A row
+    leads in one column, which a reduction meets once, so done names each
+    row at most once."""
+    p = MODULUS
+    acc = dict(done)
+    heap = [-k for k in acc]
+    heapify(heap)
+    combo = {}
+    while heap:
+        k = -heappop(heap)
+        a = acc.pop(k) * invs[k] % p
+        if not a:
+            continue
+        combo[k] = a
+        for j, f in steps[k]:
+            old = acc.get(j)
+            if old is None:
+                heappush(heap, -j)
+                acc[j] = -a * f
+            else:
+                acc[j] = old - a * f
+    return combo
+
+
+def _integral(xs):
+    """A sparse vector of rationals as (common denominator, integer
+    vector); xs itself when its entries are integers."""
+    den = lcm(*{x.denominator for x in xs.values()})
+    if den == 1:
+        return 1, xs
+    return den, {c: x.numerator * (den // x.denominator)
+                 for c, x in xs.items()}
 
 
 def _rational_reconstruction(r: int):
     """Wang's rational reconstruction: the fraction a/b congruent to r mod
     MODULUS with |a|, b <= RECONSTRUCTION_BOUND, or None if there is none."""
     bound = RECONSTRUCTION_BOUND
+    if r <= bound:
+        return r
+    if MODULUS - r <= bound:
+        return r - MODULUS
     r0, r1, t0, t1 = MODULUS, r, 0, 1
     while r1 > bound:
         q = r0 // r1

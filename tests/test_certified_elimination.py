@@ -20,7 +20,13 @@ from nichols.groupoid import (
     explore_groupoid,
     real_roots,
 )
-from nichols.linalg import MODULUS, FieldOps, IncrementalSpan, eliminate_block
+from nichols.linalg import (
+    MODULUS,
+    RECONSTRUCTION_BOUND,
+    FieldOps,
+    IncrementalSpan,
+    eliminate_block,
+)
 from nichols.verify import (
     corpus,
     d9_module,
@@ -102,6 +108,39 @@ def blocks(draw):
 def test_same_sequence_as_incremental_span(vectors, track):
     assert eliminate_block(Q, over_q(vectors), track) == \
         exact_sequence(vectors, track)
+
+
+def _distinct(keys):
+    """Seven distinct column keys, one for each column blocks() draws."""
+    return st.lists(keys, min_size=7, max_size=7, unique=True)
+
+
+# the column keys of the callers: the engine's (derivative k, basis word
+# index) and the symmetrizer's words of one length, in an order unrelated
+# to the int columns they replace
+COLUMN_KEYS = {
+    "engine": _distinct(st.tuples(st.integers(0, 3), st.integers(0, 30))),
+    "words": st.integers(2, 4).flatmap(lambda n: _distinct(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks(), st.sampled_from(sorted(COLUMN_KEYS)).flatmap(
+    COLUMN_KEYS.get), st.booleans())
+def test_same_sequence_over_tuple_columns(vectors, keys, track):
+    vectors = [{keys[c]: x for c, x in v.items()} for v in vectors]
+    exact = exact_sequence(vectors, track)
+    assert eliminate_block(Q, over_q(vectors), track) == exact
+    # with small entries and every combination within the bound, the mod-p
+    # path itself must certify the block rather than fall back
+    coeffs = [q.coeffs[0] for kind, combo in exact_sequence(vectors)
+              if kind == "combo" for q in combo.values()]
+    if all(abs(x) <= 6 and x.denominator <= 5
+           for v in vectors for x in v.values()) and \
+            all(abs(q.numerator) <= RECONSTRUCTION_BOUND
+                and q.denominator <= RECONSTRUCTION_BOUND for q in coeffs):
+        assert linalg._eliminate_mod_p(over_q(vectors), track) == exact
 
 
 # -- adversarial blocks: each must fall back and still be exact

@@ -1,9 +1,19 @@
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
-from nichols.cyclotomic import (CycloField, cyclotomic_modulus, field_of,
-                                parse_scalar)
+from nichols.cyclotomic import (
+    CycloField,
+    CycloNumber,
+    _add_scaled,
+    _mul_coeffs,
+    _nonzero,
+    cyclotomic_modulus,
+    field_of,
+    parse_scalar,
+)
 from nichols.errors import ConductorMismatch, ScalarParseError
 
 SUPPORTED = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 24]
@@ -169,3 +179,114 @@ def test_division_and_pow():
     assert (f.one() + z) / (f.one() + z) == f.one()
     with pytest.raises(ZeroDivisionError):
         f.zero().inv()
+
+
+# -- the scalar fast paths: same field object, and conductor one
+
+def twin(field):
+    """A second CycloField object with field's conductor (the constructor
+    hands out one object per conductor)."""
+    other = object.__new__(CycloField)
+    other.__dict__.update(vars(field), _zero=None, _one=None)
+    return other
+
+
+def same(x, y):
+    """Equal coefficients of equal types, in the same field object."""
+    return (x.field is y.field and x.coeffs == y.coeffs
+            and [type(c) for c in x.coeffs] == [type(c) for c in y.coeffs])
+
+
+def product(x, y):
+    """x * y for CycloNumbers of one conductor, from the coefficients."""
+    if x.field.phi == 1:
+        return CycloNumber(x.field, (x.coeffs[0] * y.coeffs[0],))
+    return CycloNumber(x.field, _mul_coeffs(x.coeffs, y.coeffs, x.field))
+
+
+def total(x, y):
+    return CycloNumber(x.field,
+                       tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+
+
+SCALARS = [0, 3, -2, Fraction(-2, 5), Fraction(6, 3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12])
+def test_products_and_sums_across_field_objects(n):
+    rng = random.Random(n)
+    f = CycloField(n)
+    g = twin(f)
+    assert g is not f and g == f
+    for _ in range(10):
+        a = random_element(f, rng) * f.rational(1, rng.randint(1, 4))
+        b = CycloNumber(g, random_element(f, rng).coeffs)
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            assert same(x * y, product(x, y))
+            assert same(x + y, total(x, y))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("s", SCALARS)
+def test_products_and_sums_with_rationals(n, s):
+    f = CycloField(n)
+    a = f.element([Fraction(1, 2)] + [-1] * (f.phi - 1))
+    lifted = f.scalar(s)
+    for got in (a * s, s * a):
+        assert same(got, product(a, lifted))
+    for got in (a + s, s + a):
+        assert same(got, total(a, lifted))
+
+
+@pytest.mark.parametrize("left,right", [(1, 2), (2, 1), (3, 4), (3, 6)])
+def test_conductor_mismatch_survives_the_fast_paths(left, right):
+    a = CycloField(left).one()
+    b = CycloField(right).one()
+    for op in (operator.mul, operator.add):
+        with pytest.raises(ConductorMismatch):
+            op(a, b)
+    with pytest.raises(ConductorMismatch):
+        _add_scaled({}, {0: b}, a)
+    with pytest.raises(ConductorMismatch):
+        _add_scaled({0: a}, {0: b})
+
+
+def reference_add_scaled(acc, vec, c):
+    """acc + c * vec as _add_scaled computed it before its fast path: each
+    term in the field of c (or of the vector entry, for a rational or no c),
+    each sum in the field of the entry already there."""
+    out = dict(acc)
+    for k, v in vec.items():
+        if c is None:
+            term = v
+        elif isinstance(c, CycloNumber):
+            term = product(c, v)
+        else:
+            term = product(v, v.field.scalar(c))
+        out[k] = term if k not in out else total(out[k], term)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12])
+@pytest.mark.parametrize("scale", ["none", "same", "twin", "rational"])
+def test_add_scaled_and_nonzero_match_the_generic_path(n, scale):
+    rng = random.Random(10 * n)
+    f = CycloField(n)
+    g = twin(f)
+    for trial in range(10):
+        def number(field):
+            return CycloNumber(field, random_element(f, rng, span=2).coeffs)
+        c = {"none": None, "same": number(f), "twin": number(g),
+             "rational": rng.choice(SCALARS)}[scale]
+        # entries from both field objects, some of them zero or cancelling
+        acc = {k: number(rng.choice((f, g))) for k in range(0, 8, 2)}
+        vec = {k: number(rng.choice((f, g))) for k in range(0, 8, 3)}
+        acc[6] = CycloNumber(f, (0,) * f.phi)
+        want = reference_add_scaled(acc, vec, c)
+        got = dict(acc)
+        _add_scaled(got, vec, c)
+        assert list(got) == list(want)
+        assert all(same(got[k], want[k]) for k in want)
+        kept = {k: v for k, v in want.items() if any(v.coeffs)}
+        assert _nonzero(got) == kept
+        assert all(_nonzero(got)[k] is got[k] for k in kept)

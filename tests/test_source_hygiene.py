@@ -175,10 +175,6 @@ def test_only_cyclotomic_uses_regular_expressions(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=_rel)
 def test_private_attributes_stay_with_their_module(path):
-    assert regex_imports(
-        "import os, re\n"
-        "from re import findall\n"
-        "import regex\n") == [(1, "re"), (2, "re")]
     assert foreign_private_uses(path.read_text()) == []
 
 
