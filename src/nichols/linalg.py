@@ -6,11 +6,11 @@ one block of sparse {column: CycloNumber} vectors in, and for each vector
 either a new pivot or its exact combination over the earlier pivots out,
 as a sparse {ordinal: CycloNumber} dict; pivoting is first-nonzero in
 the columns' own sort order, deterministic across runs and platforms.
-Over Q it works modulo a fixed prime: rows stay unreduced until their
-leading column is reached, each vector keeps only its reduction steps,
-and a combination is back-solved from them for dependents alone.  An empty
-vector is answered directly; every other dependent is certified by an
-exact integer check over Q.  IncrementalSpan, exact dense elimination one
+Over Q it works modulo a fixed prime: a row entry stays unreduced until
+elimination reaches its column, each vector keeps only its reduction
+steps, and a combination is back-solved from them for dependents alone.
+An empty vector is answered directly; every other dependent is certified
+by an exact integer check over Q.  IncrementalSpan, exact dense elimination one
 vector at a time, is the fallback: for any block it cannot certify, and
 for every block when phi(N) > 1.
 
