@@ -162,15 +162,11 @@ def build_blocks(case: dict, pos: int):
     return label, blocks
 
 
-def _assembled(blocks):
-    return blocks[0] if len(blocks) == 1 else direct_sum(blocks)
-
-
 # -- task runners; each returns a JSON-able payload for one case
 
 
 def run_hilbert(blocks, case, cap):
-    state = GradedNicholsState(_assembled(blocks))
+    state = GradedNicholsState(direct_sum(blocks))
     state.extend_to(cap)
     series = state.series()
     return {"block_dims": [b.dim for b in blocks],
@@ -229,7 +225,7 @@ def run_derive(blocks, case, cap):
     if "expression" not in case:
         raise ScenarioError("derive case needs an 'expression'",
                             case=case.get("label"))
-    state = GradedNicholsState(_assembled(blocks))
+    state = GradedNicholsState(direct_sum(blocks))
     state.extend_to(cap)
     value = evaluate_expr(state, case["expression"])
     payload = {"expression": case["expression"],

@@ -79,18 +79,19 @@ def _word_key(module: YDModule, word):
     return h, tuple(mdeg)
 
 
-def symmetrizer_rank(module: YDModule, n: int, inverse=False,
-                     budget=DEFAULT_ORACLE_BUDGET) -> int:
+def symmetrizer_rank(module: YDModule, n: int, inverse=False) -> int:
     """Rank of the degree-n symmetrizer, eliminated blockwise.
 
     The symmetrizer preserves the total group degree and the Z^theta
-    multidegree of a word, so the rank splits over those blocks.
+    multidegree of a word, so the rank splits over those blocks; dim^n
+    may not exceed DEFAULT_ORACLE_BUDGET.
     """
     if n < 1:
         raise DegreeRangeError("symmetrizer needs degree >= 1", degree=n)
-    if module.dim ** n > budget:
+    if module.dim ** n > DEFAULT_ORACLE_BUDGET:
         raise MemoryGuardError("tensor degree exceeds the oracle budget",
-                               dim=module.dim, degree=n, budget=budget)
+                               dim=module.dim, degree=n,
+                               budget=DEFAULT_ORACLE_BUDGET)
     blocks = {}
     for word in iproduct(range(module.dim), repeat=n):
         blocks.setdefault(_word_key(module, word), []).append(word)
@@ -119,13 +120,14 @@ class HilbertSeries:
 class GradedNicholsState:
     """Graded model of B(W) built by the derivation-quotient method.
 
-    Degree n data: pivot basis words (lexicographically least monomials),
-    the right-derivative vector of each basis word, the rewrite map for
-    every product v_i * (basis word of degree n-1), group degree and
-    multidegree per word, and the action of each group element on single
-    basis words, memoized as it is asked for.  Other modules multiply by
-    a letter (left_multiply) and act by a group element (act) rather than
-    read products, derivs or word_index.
+    Degree n data: pivot basis words (lexicographically least monomials)
+    and the degree n-1 index of each word's tail (all but its first
+    letter), the right-derivative vector of each basis word, the rewrite
+    map for every product v_i * (basis word of degree n-1), group degree
+    and multidegree per word, and the action of each group element on
+    single basis words, memoized as it is asked for.  Other modules
+    multiply by a letter (left_multiply) and act by a group element (act)
+    rather than read products, derivs or tails.
     """
 
     def __init__(self, module: YDModule):
@@ -135,7 +137,8 @@ class GradedNicholsState:
         self.finished = module.dim == 0
         ident = module.group.identity
         self.words = [[()]]
-        self.word_index = [{(): 0}]
+        # tails[n][m]: index of words[n][m][1:] among the degree n-1 words
+        self.tails = [[None]]
         self.hdegrees = [[ident]]
         self.mdegrees = [[(0,) * module.theta]]
         # derivs[n][m]: the right derivatives of the m-th degree-n basis word
@@ -181,10 +184,9 @@ class GradedNicholsState:
             elif n == 1:
                 col = self.module.action_of(t)[m]
             else:
-                word = self.words[n][m]
-                tail = self.word_index[n - 1][word[1:]]
-                col = self._word_column(n, self.action_column(1, t, word[0]),
-                                        self.action_column(n - 1, t, tail))
+                col = self._word_column(
+                    n, self.action_column(1, t, self.words[n][m][0]),
+                    self.action_column(n - 1, t, self.tails[n][m]))
             self._action[key] = col
         return col
 
@@ -265,7 +267,7 @@ class GradedNicholsState:
         # product; a dependent's pivots come before it
         number = {}
         new_words = []
-        new_index = {}
+        new_tails = []
         new_derivs = []
         new_hdeg = []
         new_mdeg = []
@@ -275,15 +277,15 @@ class GradedNicholsState:
             if combo is not None:
                 prods[i, bidx] = {number[p]: cf for p, cf in combo.items()}
                 continue
-            word = (i,) + prev[bidx]
-            number[o] = new_index[word] = len(new_words)
-            new_words.append(word)
+            number[o] = len(new_words)
+            new_words.append((i,) + prev[bidx])
+            new_tails.append(bidx)
             new_derivs.append(vec)
             new_hdeg.append(key[0])
             new_mdeg.append(key[1])
             prods[i, bidx] = {number[o]: self.field.one()}
         self.words.append(new_words)
-        self.word_index.append(new_index)
+        self.tails.append(new_tails)
         self.derivs.append(new_derivs)
         self.hdegrees.append(new_hdeg)
         self.mdegrees.append(new_mdeg)
@@ -369,8 +371,7 @@ class GradedNicholsState:
         key = (n, m, j)
         col = self._left_memo.get(key)
         if col is None:
-            word = self.words[n][m]
-            i, tail = word[0], self.word_index[n - 1][word[1:]]
+            i, tail = self.words[n][m][0], self.tails[n][m]
             col = {tail: self.field.one()} if j == i else {}
             if n > 1:
                 acts = self.module.action_of(self.module.coaction[i])

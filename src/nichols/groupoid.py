@@ -77,9 +77,8 @@ class _ChainCache:
         # fp -> engine state of the Nichols algebra of a block with that
         # fingerprint
         self.states = {}
-        # (fp_i, fp_j, cap) -> _Chain, and the top chain module
+        # (fp_i, fp_j, cap) -> _Chain
         self.chains = {}
-        self.tops = {}
         # fp -> dual of a block with that fingerprint
         self.duals = {}
         self.hits = 0
@@ -114,15 +113,12 @@ class FamilyM:
         self.field = fld
         self.fingerprints = tuple(fingerprint(b)[0] for b in blocks)
         self._cache = _ChainCache() if cache is None else cache
-        self._assembled = None
 
     def assembled(self) -> YDModule:
         """Direct sum of all blocks, relabeled so block j has multidegree
         alpha_j."""
-        if self._assembled is None:
-            self._assembled = direct_sum(
-                [b.renamed(f"m{j + 1}_") for j, b in enumerate(self.blocks)])
-        return self._assembled
+        return direct_sum(
+            [b.renamed(f"m{j + 1}_") for j, b in enumerate(self.blocks)])
 
     def block_state(self, i: int) -> GradedNicholsState:
         """Engine state of the Nichols algebra of block i; one per
@@ -150,7 +146,8 @@ class FamilyM:
         return f"FamilyM(theta={self.theta}, dims=[{dims}])"
 
 
-class _Chain(NamedTuple):
+@dataclass
+class _Chain:
     entry: object          # int or UnboundedAtCap
     state: GradedNicholsState   # B(M_i), M_i = state.module
     block: YDModule        # M_j, whose action the Phi-rows use
@@ -159,6 +156,7 @@ class _Chain(NamedTuple):
                            # Phi-rows (the pivots among its images): per
                            # basis vector k of M_j, the coords of Phi_k
                            # over B(M_i) in degree - 1
+    top: YDModule = None   # that step as a module, built by l_j_max
 
 
 def _check_indices(fam: FamilyM, i: int, j: int):
@@ -323,11 +321,9 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
         raise ReflectionError(
             "Cartan entry not certified finite within the degree cap",
             i=i, j=j, cap=cap, chain_reached=chain.entry.reached)
-    key = (fam.fingerprints[i], fam.fingerprints[j], cap)
-    tops = fam._cache.tops
-    if key not in tops:
-        tops[key] = _top_module(chain)
-    return tops[key].renamed(name)
+    if chain.top is None:
+        chain.top = _top_module(chain)
+    return chain.top.renamed(name)
 
 
 def _top_module(chain: _Chain) -> YDModule:
@@ -530,15 +526,14 @@ def _mat_mul(a, b):
                        for c in range(theta)) for r in range(theta))
 
 
-def real_roots(graph: GroupoidGraph,
-               state_limit: int = DEFAULT_STATE_LIMIT) -> RootSet:
+def real_roots(graph: GroupoidGraph) -> RootSet:
     """All images of the simple roots under composed edge matrices.
 
     The walk enumerates (node, transport) pairs, so distinct morphisms into
     the base along different paths are all collected.  The set is flagged
     partial when the graph is partial, any row stayed uncertified, or the
-    walk would exceed state_limit pairs; it then holds the roots collected
-    so far.
+    walk would exceed DEFAULT_STATE_LIMIT pairs; it then holds the roots
+    collected so far.
     """
     base = graph.base_key
     theta = graph.nodes[base].family.theta
@@ -555,7 +550,7 @@ def real_roots(graph: GroupoidGraph,
             key2, s = edge
             nxt = (key2, _mat_mul(t, s))
             if nxt not in states:
-                if len(states) >= state_limit:
+                if len(states) >= DEFAULT_STATE_LIMIT:
                     partial = True
                     queue.clear()
                     break

@@ -37,29 +37,51 @@ def _transpose(cols, dim):
     return out
 
 
-class _GeneratedAction:
-    """A linear action given on generators as sparse columns.
+class Representation:
+    """A linear action of a group on field^dim, given on generating elements.
 
+    generator_columns maps each generating element to its sparse columns.
     The action of t is the product along t's breadth-first Cayley-graph word
-    (group.cayley_tree), memoized.  sweep checks the relations
-    A(gen * t) = A(gen) * A(t) for every reached t and every generator, which
-    makes t -> A(t) a homomorphism on the generated subgroup; the edges of
-    the tree hold by construction and are skipped.
+    (group.cayley_tree), memoized.  check_relations checks the relations
+    A(gen * t) = A(gen) * A(t) for every reached t and every generator,
+    which makes t -> A(t) a homomorphism on the generated subgroup; the
+    edges of the tree hold by construction and are skipped.
     """
 
     def __init__(self, group: FiniteGroup, field: CycloField, dim: int,
-                 gen_columns: dict):
-        for cols in gen_columns.values():
+                 generator_columns: dict):
+        for cols in generator_columns.values():
             if len(cols) != dim or any(i not in range(dim)
                                        for col in cols for i in col):
                 raise ModuleSpecError("generator action has the wrong shape",
                                       dim=dim)
         self.group = group
-        self.gen_columns = gen_columns
-        self.tree = group.cayley_tree(gen_columns)
+        self.field = field
+        self.dim = dim
+        self.generator_columns = generator_columns
+        self.tree = group.cayley_tree(generator_columns)
         self._memo = {group.identity: [{i: field.one()} for i in range(dim)]}
 
-    def of(self, t):
+    @classmethod
+    def of_subgroup(cls, group: FiniteGroup, elements, field: CycloField,
+                    generator_columns: dict) -> "Representation":
+        """The representation of the subgroup with the given elements,
+        refused unless its generating elements reach exactly those elements
+        and respect every relation."""
+        if not generator_columns:
+            raise ModuleSpecError("representation needs at least one generator matrix")
+        dims = {len(cols) for cols in generator_columns.values()}
+        if len(dims) != 1:
+            raise ModuleSpecError("generator matrices must be square of equal size")
+        rho = cls(group, field, dims.pop(), dict(generator_columns))
+        if set(rho.tree) != set(elements):
+            raise ModuleSpecError("matrices given on a non-generating set")
+        rho.check_relations("generator matrices violate a relation")
+        return rho
+
+    def action_of(self, t) -> list:
+        """Sparse columns of the action of t: one {row: scalar} per basis
+        vector, rows ascending, zeros omitted."""
         memo = self._memo
         cols = memo.get(t)
         if cols is None:
@@ -69,48 +91,18 @@ class _GeneratedAction:
                 t = self.tree[t][1]
                 cols = memo.get(t)
             for u in reversed(path):
-                cols = memo[u] = _compose(self.gen_columns[self.tree[u][0]],
-                                          cols)
+                cols = memo[u] = _compose(
+                    self.generator_columns[self.tree[u][0]], cols)
         return cols
 
-    def sweep(self, message: str):
+    def check_relations(self, message: str):
         g = self.group
-        for gen, a in self.gen_columns.items():
+        for gen, a in self.generator_columns.items():
             for t in sorted(self.tree):
                 gt = g.mul(gen, t)
                 if self.tree[gt] != (gen, t) and \
-                        self.of(gt) != _compose(a, self.of(t)):
+                        self.action_of(gt) != _compose(a, self.action_of(t)):
                     raise ModuleSpecError(message, at=g.element_str(t))
-
-
-class Representation:
-    """Representation of a subgroup, given on generating elements.
-
-    gen_columns maps each generating element to its sparse columns; the
-    action of every other element is derived from them, and the constructor
-    checks that the generators reach exactly the subgroup's elements and
-    respect every relation.
-    """
-
-    def __init__(self, group: FiniteGroup, elements, field: CycloField,
-                 gen_columns: dict):
-        self.group = group
-        self.elements = sorted(elements)
-        self.field = field
-        if not gen_columns:
-            raise ModuleSpecError("representation needs at least one generator matrix")
-        dims = {len(cols) for cols in gen_columns.values()}
-        if len(dims) != 1:
-            raise ModuleSpecError("generator matrices must be square of equal size")
-        self.carrier_dim = dims.pop()
-        self._action = _GeneratedAction(group, field, self.carrier_dim,
-                                        dict(gen_columns))
-        if set(self._action.tree) != set(self.elements):
-            raise ModuleSpecError("matrices given on a non-generating set")
-        self._action.sweep("generator matrices violate a relation")
-
-    def action_of(self, e):
-        return self._action.of(e)
 
 
 def one_dim_rep(group: FiniteGroup, elements, values: dict) -> Representation:
@@ -119,25 +111,22 @@ def one_dim_rep(group: FiniteGroup, elements, values: dict) -> Representation:
         raise ModuleSpecError("representation needs at least one generator matrix")
     field = next(iter(values.values())).field
     cols = {e: [{} if v.is_zero() else {0: v}] for e, v in values.items()}
-    return Representation(group, elements, field, cols)
+    return Representation.of_subgroup(group, elements, field, cols)
 
 
-class YDModule:
-    """Finite-dimensional Yetter-Drinfeld module with homogeneous basis.
+class YDModule(Representation):
+    """Finite-dimensional Yetter-Drinfeld module with homogeneous basis: a
+    representation of the group with a group degree (coaction) per basis
+    vector.
 
     gen_columns maps every generator of the group to its sparse columns.
     """
 
     def __init__(self, group: FiniteGroup, field: CycloField, coaction,
                  gen_columns, labels, blocks, check=True):
-        self.group = group
-        self.field = field
         self.coaction = list(coaction)
-        self.dim = len(self.coaction)
-        self.generator_columns = {gen: gen_columns[gen]
-                                  for gen in group.generators}
-        self._action = _GeneratedAction(group, field, self.dim,
-                                        self.generator_columns)
+        super().__init__(group, field, len(self.coaction),
+                         {gen: gen_columns[gen] for gen in group.generators})
         self.basis_labels = list(labels)
         self.blocks = list(blocks)  # (name, start, stop) per summand
         self.theta = len(self.blocks)
@@ -165,11 +154,6 @@ class YDModule:
         _, start, stop = self.blocks[b]
         return range(start, stop)
 
-    def action_of(self, t) -> list:
-        """Sparse columns of the action of t: one {row: scalar} per basis
-        vector, rows ascending, zeros omitted."""
-        return self._action.of(t)
-
     # -- axioms
 
     def check_axioms(self):
@@ -177,7 +161,7 @@ class YDModule:
         ident = [{i: self.field.one()} for i in range(self.dim)]
         if self.generator_columns.get(g.identity, ident) != ident:
             raise ModuleSpecError("identity must act as the identity matrix")
-        self._action.sweep("action is not a group homomorphism")
+        self.check_relations("action is not a group homomorphism")
         for gen, cols in self.generator_columns.items():
             for j, col in enumerate(cols):
                 want = g.conjugate(gen, self.coaction[j])
@@ -216,7 +200,7 @@ class YDModule:
         out = YDModule(self.group, self.field, self.coaction,
                        self.generator_columns, labels, [(name, 0, self.dim)],
                        check=False)
-        out._action = self._action
+        out._memo = self._memo
         out._fingerprint = self._fingerprint
         return out
 
@@ -225,7 +209,6 @@ class BraidingOperator:
     """The braiding c and its inverse on M (x) M, kept as sparse columns."""
 
     def __init__(self, module: YDModule):
-        self.module = module
         m, g = module, module.group
         self.columns = {}
         self.inverse_columns = {}
@@ -251,34 +234,15 @@ class BraidingOperator:
                 out[w2] = term if acc is None else acc + term
         return _nonzero(out)
 
-    def check(self):
-        m = self.module
-        one = m.field.one()
-        apply = self.apply
-        for a in range(m.dim):
-            for b in range(m.dim):
-                v = apply(apply({(a, b): one}), inverse=True)
-                if v != {(a, b): one}:
-                    raise ModuleSpecError("braiding inverse check failed", pair=(a, b))
-        # braid equation c_0 c_1 c_0 = c_1 c_0 c_1 on basis triples
-        for a in range(m.dim):
-            for b in range(m.dim):
-                for c in range(m.dim):
-                    start = {(a, b, c): one}
-                    lhs = apply(apply(apply(start, 0), 1), 0)
-                    rhs = apply(apply(apply(start, 1), 0), 1)
-                    if lhs != rhs:
-                        raise ModuleSpecError("braid equation failed", triple=(a, b, c))
-
 
 def build_M_O_rho(group: FiniteGroup, cls: ConjugacyClassData, rho: Representation,
                   name="x", index_base=1) -> YDModule:
     """Induced module on a conjugacy class with centralizer representation."""
     if not isinstance(name, str):
         raise ModuleSpecError("module 'name' must be a string", got=name)
-    if sorted(rho.elements) != sorted(cls.centralizer):
+    if set(rho.tree) != set(cls.centralizer):
         raise ModuleSpecError("representation is not over the class centralizer")
-    t, d = cls.size, rho.carrier_dim
+    t, d = cls.size, rho.dim
     field = rho.field
     coaction = [cls.members[i] for i in range(t) for _ in range(d)]
     labels = []
@@ -308,10 +272,13 @@ def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
 
 
 def direct_sum(parts) -> YDModule:
-    """Concatenate blocks; block j of the result carries multidegree alpha_j."""
+    """Concatenate blocks; block j of the result carries multidegree alpha_j.
+    A single nonzero part is returned as it is."""
     parts = [p for p in parts if p.dim > 0]
     if not parts:
         raise ModuleSpecError("direct sum needs at least one nonzero part")
+    if len(parts) == 1:
+        return parts[0]
     group = parts[0].group
     field = parts[0].field
     for p in parts[1:]:
@@ -462,7 +429,7 @@ def module_from_spec(group: FiniteGroup, spec: dict, field: CycloField,
     cols = {_spec_element(group, k, "rho"):
             _spec_columns(field, [[v]] if dim == 1 else v, dim)
             for k, v in given.items()}
-    rho = Representation(group, cls.centralizer, field, cols)
+    rho = Representation.of_subgroup(group, cls.centralizer, field, cols)
     return build_M_O_rho(group, cls, rho, name=name, index_base=index_base)
 
 

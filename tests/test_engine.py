@@ -1,11 +1,14 @@
 """Symmetrizer oracle, derivation-quotient engine, and their agreement."""
 
+import json
 import random
 from itertools import permutations
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
+from nichols import cli, engine
 from nichols.cyclotomic import CycloField
 from nichols.errors import DegreeRangeError, MemoryGuardError, ScenarioError
 from nichols.engine import (
@@ -16,6 +19,7 @@ from nichols.engine import (
 )
 from nichols.groupoid import FamilyM, cartan_entry
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
+from nichols.verify import corpus
 from nichols.verify import d9_module as named_d9_module
 from nichols.verify import four_cycle_module
 from nichols.ydmodule import (
@@ -133,9 +137,11 @@ def test_oracle_rank_profiles_frozen():
         [2, 4, 4, 5, 4, 4]
 
 
-def test_oracle_budget_guard():
+def test_oracle_budget_guard(monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_ORACLE_BUDGET", 1000)
     with pytest.raises(MemoryGuardError):
-        symmetrizer_rank(d9_module(), 8, budget=1000)
+        symmetrizer_rank(d9_module(), 4)
+    assert symmetrizer_rank(fk3_module(), 4) == 1
 
 
 # -- engine vs oracle
@@ -345,6 +351,30 @@ def test_homogeneity_of_basis_words():
             assert state.mdegrees[n][m] == tuple(md)
     table = state.multidegree_table()
     assert sum(table.values()) == sum(state.dims())
+
+
+S4_ALL_THREE = Path(cli.__file__).parent / "scenarios" / "s4_all_three.json"
+
+
+def tail_corpus():
+    """The verify corpus and the three S4 modules of s4_all_three.json."""
+    cases = json.loads(S4_ALL_THREE.read_text())["cases"]
+    named = corpus() + [(case["label"], cli.build_blocks(case, pos)[1][0])
+                        for pos, case in enumerate(cases)]
+    return [pytest.param(name, module, id=name) for name, module in named]
+
+
+@pytest.mark.parametrize("name, module", tail_corpus())
+def test_basis_words_are_a_letter_times_the_word_at_their_tail(name, module):
+    # every algebra here but fk3-double is finite, of top degree below 14
+    state = GradedNicholsState(module).extend_to(
+        5 if name == "fk3-double" else 14)
+    assert state.finished or name == "fk3-double"
+    for n in range(1, state.max_degree() + 1):
+        assert len(state.tails[n]) == len(state.words[n])
+        for m, word in enumerate(state.words[n]):
+            tail = state.words[n - 1][state.tails[n][m]]
+            assert word == (word[0],) + tail, (name, n, m)
 
 
 def test_action_on_graded_pieces():

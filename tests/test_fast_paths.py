@@ -5,6 +5,7 @@ fresh objects."""
 
 import pytest
 
+from nichols import groupoid
 from nichols.engine import GradedNicholsState
 from nichols.groupoid import FamilyM, explore_groupoid, real_roots, reflect
 from nichols.groups import build_abelian_group, build_dihedral, symmetric_group
@@ -92,12 +93,13 @@ def test_reflected_fingerprints_match_rebuilt_copies(rows):
         assert tuple(fingerprint(c)[0] for c in copies) == image.fingerprints
 
 
-def test_real_roots_at_state_limit_are_flagged_partial():
+def test_real_roots_at_state_limit_are_flagged_partial(monkeypatch):
     _, _, blocks = diagonal_modules(A2_ROWS)
     graph = explore_groupoid(FamilyM(blocks), cap=6)
     full = real_roots(graph)
     assert not full.partial
-    cut = real_roots(graph, state_limit=1)
+    monkeypatch.setattr(groupoid, "DEFAULT_STATE_LIMIT", 1)
+    cut = real_roots(graph)
     assert cut.partial
     assert cut.roots == {(1, 0), (0, 1)}
     assert cut.roots <= full.roots

@@ -18,7 +18,7 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 LINALG_INTERNALS = {"FieldOps", "IncrementalSpan"}
 RAW_CONVERSIONS = {"lift", "lower"}
 # GradedNicholsState's tables; other modules use its operations instead
-ENGINE_TABLES = {"products", "derivs", "word_index"}
+ENGINE_TABLES = {"products", "derivs", "tails"}
 # the names a module's own objects go by where it sets their attributes
 OWNERS = {"self", "cls", "inst"}
 # public functions and methods that nothing in src/nichols refers to (names
@@ -204,8 +204,8 @@ def test_scans_catch_what_they_look_for():
     assert engine_table_reads(
         "prods = state.products[m]\n"
         "products = state.multiply(a, b)\n"
-        "d = s.derivs[n][m], s.word_index[n - 1][w]\n") == [
-            (1, ".products"), (3, ".derivs"), (3, ".word_index")]
+        "d = s.derivs[n][m], s.tails[n][m]\n") == [
+            (1, ".products"), (3, ".derivs"), (3, ".tails")]
     assert regex_imports(
         "import os, re\n"
         "from re import findall\n"

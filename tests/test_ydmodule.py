@@ -28,6 +28,28 @@ def zero_module(group, field):
                     [], [], check=False)
 
 
+def check_braiding(module, br=None):
+    """Refuse a braiding (module.braiding() unless given) whose inverse
+    columns do not invert it or that breaks the braid equation
+    c_0 c_1 c_0 = c_1 c_0 c_1 on basis triples."""
+    br = module.braiding() if br is None else br
+    one = module.field.one()
+    apply = br.apply
+    for a in range(module.dim):
+        for b in range(module.dim):
+            v = apply(apply({(a, b): one}), inverse=True)
+            if v != {(a, b): one}:
+                raise ModuleSpecError("braiding inverse check failed", pair=(a, b))
+    for a in range(module.dim):
+        for b in range(module.dim):
+            for c in range(module.dim):
+                start = {(a, b, c): one}
+                lhs = apply(apply(apply(start, 0), 1), 0)
+                rhs = apply(apply(apply(start, 1), 0), 1)
+                if lhs != rhs:
+                    raise ModuleSpecError("braid equation failed", triple=(a, b, c))
+
+
 def s3_sgn_module(field=Q, name="x"):
     # even coset reps make every braiding scalar equal to -1
     g = symmetric_group(3)
@@ -64,7 +86,7 @@ def test_s3_sgn_shape_and_braiding():
         for b in range(3):
             k = rack_index(cls, m.coaction[a], b)
             assert br.columns[a, b] == [((k, a), Q.rational(-1))]
-    br.check()
+    check_braiding(m)
 
 
 def test_trivial_class_module():
@@ -81,9 +103,9 @@ def test_braiding_checks_pass():
     _, _, m = s3_sgn_module()
     w = direct_sum([m, s3_sgn_module(name="y")[2]])
     w.check_axioms()
-    w.braiding().check()
+    check_braiding(w)
     _, _, u = chi_minus_module()
-    u.braiding().check()
+    check_braiding(u)
 
 
 def test_braiding_apply_lifts_c_to_any_slot():
@@ -104,7 +126,7 @@ def test_braiding_check_rejects_a_broken_inverse():
     br = BraidingOperator(m)
     br.columns[0, 1] = [(img, 2 * s) for img, s in br.columns[0, 1]]
     with pytest.raises(ModuleSpecError, match="braiding inverse check failed"):
-        br.check()
+        check_braiding(m, br)
 
 
 def test_braiding_check_rejects_a_broken_braid_equation():
@@ -121,13 +143,13 @@ def test_braiding_check_rejects_a_broken_braid_equation():
             assert br.apply(br.apply({(a, b): one}), inverse=True) == \
                 {(a, b): one}
     with pytest.raises(ModuleSpecError, match="braid equation failed"):
-        br.check()
+        check_braiding(m, br)
 
 
 def test_braiding_at_larger_conductor_matches():
     _, _, m1 = chi_minus_module(field=Q)
     _, _, m12 = chi_minus_module(field=CycloField(12))
-    m12.braiding().check()
+    check_braiding(m12)
     cols1 = {k: [(t, str(s)) for t, s in v] for k, v in m1.braiding().columns.items()}
     cols12 = {k: [(t, str(s)) for t, s in v] for k, v in m12.braiding().columns.items()}
     assert cols1 == cols12
@@ -175,7 +197,7 @@ def test_diagonal_realization():
     for i in range(2):
         for j in range(2):
             assert br.columns[i, j] == [((j, i), q[i][j])]
-    br.check()
+    check_braiding(w)
     w.check_axioms()
 
 
@@ -210,7 +232,7 @@ def test_dual_axioms_and_braiding():
     _, _, u = chi_minus_module()
     d = u.dual()
     d.check_axioms()
-    d.braiding().check()
+    check_braiding(d)
     w = direct_sum([s3_sgn_module(name="x")[2], s3_sgn_module(name="y")[2]])
     wd = w.dual()
     wd.check_axioms()
@@ -270,7 +292,8 @@ def test_fingerprint_rejects_reducible():
     g = symmetric_group(3)
     cls = conjugacy_class(g, g.identity)
     i2 = [{0: Q.one()}, {1: Q.one()}]
-    rho = Representation(g, cls.centralizer, Q, {e: i2 for e in g.generators})
+    rho = Representation.of_subgroup(g, cls.centralizer, Q,
+                                     {e: i2 for e in g.generators})
     m = build_M_O_rho(g, cls, rho)
     with pytest.raises(ModuleSpecError):
         fingerprint(m)
@@ -291,7 +314,7 @@ def test_two_dim_centralizer_representation():
         cols = m.action_of(t)
         assert str(sum((cols[i].get(i, Q.zero()) for i in range(2)),
                        Q.zero())) == trace
-    m.braiding().check()
+    check_braiding(m)
     assert fingerprint(m) is not None
 
 
@@ -321,16 +344,29 @@ def test_representation_relation_violation():
     g = symmetric_group(3)
     cls = conjugacy_class(g, g.identity)
     minus = [{0: Q.rational(-1)}]
-    with pytest.raises(ModuleSpecError):
-        Representation(g, cls.centralizer, Q,
-                       {(2, 1, 3): minus, (2, 3, 1): minus})
+    with pytest.raises(ModuleSpecError, match="violate a relation"):
+        Representation.of_subgroup(g, cls.centralizer, Q,
+                                   {(2, 1, 3): minus, (2, 3, 1): minus})
 
 
 def test_representation_needs_generating_set():
     g = symmetric_group(3)
     cls = conjugacy_class(g, (2, 1, 3))
-    with pytest.raises(ModuleSpecError):
+    with pytest.raises(ModuleSpecError, match="non-generating set"):
         one_dim_rep(g, cls.centralizer, {g.identity: Q.one()})
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({}, "at least one generator matrix"),
+    ({(2, 1, 3): [{0: Q.one()}], (2, 3, 1): [{0: Q.one()}, {1: Q.one()}]},
+     "square of equal size"),
+    ({(2, 1, 3): [{1: Q.one()}], (2, 3, 1): [{0: Q.one()}]}, "wrong shape"),
+], ids=["no-generators", "unequal-sizes", "row-out-of-range"])
+def test_representation_refuses_malformed_generator_matrices(columns,
+                                                             message):
+    g = symmetric_group(3)
+    with pytest.raises(ModuleSpecError, match=message):
+        Representation.of_subgroup(g, g.elements, Q, columns)
 
 
 def test_build_requires_matching_centralizer():
@@ -338,7 +374,7 @@ def test_build_requires_matching_centralizer():
     cls = conjugacy_class(g, (2, 1, 3))
     other = conjugacy_class(g, g.identity)
     rho = one_dim_rep(g, other.centralizer, {e: Q.one() for e in g.generators})
-    with pytest.raises(ModuleSpecError):
+    with pytest.raises(ModuleSpecError, match="not over the class centralizer"):
         build_M_O_rho(g, cls, rho)
 
 
@@ -397,4 +433,4 @@ def test_dihedral_sgn_module():
     # t . v_i = sgn(t) v_{t |> i} for reflections t
     for j in range(9):
         assert m.action_of((1, j))[2] == {(2 * j - 2) % 9: Q.rational(-1)}
-    m.braiding().check()
+    check_braiding(m)
