@@ -10,6 +10,12 @@ Two independent routes compute graded dimensions:
   as one sparse vector over (k, basis word of the previous degree), and
   extracting a pivot monomial basis by incremental elimination (an element
   of degree >= 1 is zero exactly when all its right derivatives vanish).
+  The pivot basis is the lex-least monomials, which are closed under
+  prefixes: lex order on words of one length is compatible with
+  multiplication on both sides and the relations are homogeneous, so a
+  word in the span of smaller words stays so when multiplied by a letter.
+  Hence a candidate whose prefix v_i * b[:-1] is not a basis word is
+  dependent, and it is written by right multiplication, not eliminated.
 
 They must agree (rank = graded dimension); the test suite enforces this.
 """
@@ -30,7 +36,7 @@ DEFAULT_ORACLE_BUDGET = 200000
 
 
 def _candidate_limit():
-    """The candidates one degree extension may build: NICHOLS_MEM_LIMIT,
+    """The candidates one degree extension may consider: NICHOLS_MEM_LIMIT,
     read when a state is built, or DEFAULT_MEM_LIMIT when it is unset."""
     raw = os.environ.get("NICHOLS_MEM_LIMIT")
     if raw is None:
@@ -125,7 +131,10 @@ class GradedNicholsState:
     letter), the right-derivative vector of each basis word, the rewrite
     map for every product v_i * (basis word of degree n-1), group degree
     and multidegree per word, and the action of each group element on
-    single basis words, memoized as it is asked for.  Other modules
+    single basis words, memoized as it is asked for.  Only a candidate
+    whose prefix v_i * b[:-1] is a basis word gets a derivative vector; the
+    others, and multiply and normal_form, go through the memoized product
+    of each basis word with each letter on the right.  Other modules
     multiply by a letter (left_multiply) and act by a group element (act)
     rather than read products, derivs or tails.
     """
@@ -152,6 +161,8 @@ class GradedNicholsState:
         self._action = {}
         # (n, m, j) -> left derivative by f_j of the m-th degree-n basis word
         self._left_memo = {}
+        # (n, m, l) -> the m-th degree-n basis word times v_l, degree n+1
+        self._right = {}
 
     # -- bookkeeping
 
@@ -226,16 +237,31 @@ class GradedNicholsState:
         pprev = self.products[n - 1]
         group = self.module.group
         hprev = self.hdegrees[n - 1]
-        # pass 1: derivative data per candidate v_i * (basis word), grouped by
-        # the (group degree, multidegree) block; the blocks have disjoint
-        # derivative supports, so ranks split blockwise
+        tprev = self.tails[n - 1]
+        if n > 1:
+            # pre[b]: degree n-2 index of prev[b] without its last letter;
+            # heads: (first letter, tail index) of each degree n-1 word
+            at = {word: m for m, word in enumerate(self.words[n - 2])}
+            pre = [at[word[:-1]] for word in prev]
+            heads = set(zip((word[0] for word in prev), tprev))
+        # pass 1: derivative data per candidate v_i * (basis word) whose
+        # prefix v_i * prev[b][:-1] is a basis word, grouped by the (group
+        # degree, multidegree) block; the blocks have disjoint derivative
+        # supports, so ranks split blockwise.  The other candidates are
+        # dependent (basis words are closed under prefixes) and skipped.
         cands = []
+        skipped = []
         blocks = {}
         for i in range(w):
             gi = self.module.coaction[i]
-            acols = self.action_columns(n - 1, gi)
+            acols = None
             mdeg_i = self.module.multidegree(i)
             for bidx in range(p):
+                if n > 1 and (i, pre[bidx]) not in heads:
+                    skipped.append((i, bidx))
+                    continue
+                if acols is None:
+                    acols = self.action_columns(n - 1, gi)
                 mdeg = tuple(a + b for a, b in zip(mdeg_i, mprev[bidx]))
                 # d_k(v_i b) = v_i d_k(b) + delta_ik g_i . b, per component
                 # k that occurs
@@ -264,7 +290,7 @@ class GradedNicholsState:
                 else:
                     combos[o] = {pivots[j]: cf for j, cf in data.items()}
         # one pass in candidate order numbers the pivots and writes every
-        # product; a dependent's pivots come before it
+        # built candidate's product; a dependent's pivots come before it
         number = {}
         new_words = []
         new_tails = []
@@ -284,6 +310,22 @@ class GradedNicholsState:
             new_hdeg.append(key[0])
             new_mdeg.append(key[1])
             prods[i, bidx] = {number[o]: self.field.one()}
+        # a skipped candidate v_i * b is NF(v_i * b[:-1]) * v_l, l = b[-1];
+        # a word v_j * t of that normal form times v_l is v_j * (t * v_l),
+        # a sum of lex-smaller candidates, so in candidate order every
+        # product read here is already written; equal scalars share one
+        # object, as in eliminate_block's combinations
+        shared = {}
+        for i, bidx in skipped:
+            letter = prev[bidx][-1]
+            out = {}
+            for m, c in pprev[i, pre[bidx]].items():
+                j = prev[m][0]
+                for k, d in self._right_column(
+                        n - 2, tprev[m], letter).items():
+                    _add_scaled(out, prods[j, k], c * d)
+            prods[i, bidx] = {k: shared.setdefault(v.coeffs, v)
+                              for k, v in _nonzero(out).items()}
         self.words.append(new_words)
         self.tails.append(new_tails)
         self.derivs.append(new_derivs)
@@ -309,19 +351,22 @@ class GradedNicholsState:
                 return {}
             raise DegreeRangeError("word degree beyond the computed range",
                                    degree=n, computed=self.max_degree())
-        return self._times_word(word, 0, {0: self.field.one()})
+        return self._right_multiply(0, {0: self.field.one()}, word)
 
     def multiply(self, a, b):
         """Product of (degree, coords) elements, in normal form."""
         da, ca = a
         db, cb = b
         n = da + db
-        if n > self.max_degree() and not self.finished:
+        if n > self.max_degree():
+            if self.finished:
+                return (n, {})
             raise DegreeRangeError("product degree beyond the computed range",
                                    degree=n, computed=self.max_degree())
         out = {}
-        for m, am in ca.items():
-            _add_scaled(out, self._times_word(self.words[da][m], db, cb), am)
+        for m, bm in cb.items():
+            _add_scaled(out, self._right_multiply(da, ca, self.words[db][m]),
+                        bm)
         return (n, _nonzero(out))
 
     def left_multiply(self, i: int, n: int, coords):
@@ -338,16 +383,32 @@ class GradedNicholsState:
             _add_scaled(out, prods[i, m], c)
         return _nonzero(out)
 
-    def _times_word(self, word, deg, coords):
-        """word * (degree-deg element coords) in normal form, letter by
-        letter from the right; {} once the product vanishes or passes the
-        last degree of a finished algebra."""
-        for letter in reversed(word):
-            coords = self.left_multiply(letter, deg, coords)
-            deg += 1
-            if not coords:
-                return {}
+    def _right_multiply(self, n: int, coords, word):
+        """The degree-n element coords times a word, letter by letter from
+        the left, in normal form; the product's degree must be computed."""
+        for letter in word:
+            out = {}
+            for m, c in coords.items():
+                _add_scaled(out, self._right_column(n, m, letter), c)
+            coords = _nonzero(out)
+            n += 1
         return coords
+
+    def _right_column(self, n: int, m: int, letter: int):
+        """The m-th degree-n basis word v_i * b times v_letter, in normal
+        form: v_i * (b * v_letter), by associativity; memoized, so only
+        asked for while the degree n+1 products are complete."""
+        key = (n, m, letter)
+        col = self._right.get(key)
+        if col is None:
+            if n == 0:
+                col = self.products[1][letter, 0]
+            else:
+                col = self.left_multiply(
+                    self.words[n][m][0], n,
+                    self._right_column(n - 1, self.tails[n][m], letter))
+            self._right[key] = col
+        return col
 
     def derivative(self, n: int, coords, k: int):
         """Right derivative by the k-th dual vector: degree n -> n-1 coords."""
