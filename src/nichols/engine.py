@@ -2,9 +2,12 @@
 
 Two independent routes compute graded dimensions:
 
-* the quantum symmetrizer oracle: build S_n from S_{n-1} through the
-  minimal coset representatives of S_{n-1} in S_n, which takes n(n-1)/2
-  adjacent braidings per word, and take the rank on each tensor degree; and
+* the quantum symmetrizer oracle: S_n = T_n (S_{n-1} (x) id), with T_n
+  the sum over the minimal coset representatives of S_{n-1} in S_n, so
+  im S_n = T_n(im S_{n-1} (x) V); walk the degrees keeping one spanning
+  image S_m(w) per lex-least word w, and take the rank of each degree
+  from braidings and linear algebra alone (the budget guard still counts
+  the dim^n tensor words); and
 * the production engine: extend degree by degree, encoding each candidate
   v_i * b by its right derivatives d_k(v_i b) = v_i d_k(b) + delta_ik g_i . b
   as one sparse vector over (k, basis word of the previous degree), and
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product as iproduct
+from operator import add, itemgetter
 
 from .cyclotomic import _add_scaled, _nonzero
 from .errors import DegreeRangeError, MemoryGuardError, ScenarioError
@@ -50,47 +53,22 @@ def _candidate_limit():
     return value
 
 
-def symmetrizer_columns(module: YDModule, n: int, words, inverse=False):
-    """Images of the given basis words under the degree-n quantum symmetrizer.
+def symmetrizer_image(module: YDModule, n: int, inverse=False):
+    """(word, S_n(word)) for the lex-least words whose images span im S_n,
+    in lex order; each image is a sparse vector over tensor words.
 
-    Uses S_m = (1 + c_{m-2} + c_{m-3}c_{m-2} + ... + c_0...c_{m-2})
-    (S_{m-1} (x) id) for m = 2..n: every permutation is uniquely a minimal
-    coset representative of S_{m-1} times an element of S_{m-1}, with
-    lengths adding, so each lift is counted once.
-    """
-    apply = module.braiding().apply
-    one = module.field.one()
-    cols = {}
-    for w in words:
-        vec = {w: one}
-        for m in range(2, n + 1):
-            x = vec
-            total = dict(vec)
-            for k in range(m - 2, -1, -1):
-                x = apply(x, k, inverse)
-                _add_scaled(total, x)
-            vec = _nonzero(total)
-        cols[w] = vec
-    return cols
-
-
-def _word_key(module: YDModule, word):
-    """Invariant of the symmetrizer action: total group degree and multidegree."""
-    g = module.group
-    h = g.identity
-    mdeg = [0] * module.theta
-    for i in word:
-        h = g.mul(h, module.coaction[i])
-        mdeg[module.block_of(i)] += 1
-    return h, tuple(mdeg)
-
-
-def symmetrizer_rank(module: YDModule, n: int, inverse=False) -> int:
-    """Rank of the degree-n symmetrizer, eliminated blockwise.
-
-    The symmetrizer preserves the total group degree and the Z^theta
-    multidegree of a word, so the rank splits over those blocks; dim^n
-    may not exceed DEFAULT_ORACLE_BUDGET.
+    Walks m = 2..n through S_m = T_m (S_{m-1} (x) id), where T_m = 1 +
+    c_{m-2} + c_{m-3}c_{m-2} + ... + c_0...c_{m-2}: every permutation is
+    uniquely a minimal coset representative of S_{m-1} times an element of
+    S_{m-1}, with lengths adding, so each lift is counted once.  Hence
+    im S_m = T_m(im S_{m-1} (x) V), spanned by T_m(S_{m-1}(w) (x) v_l) =
+    S_m(w l) for the kept words w of degree m-1 and every letter l.  S_m
+    preserves the total group degree and the Z^theta multidegree of a word,
+    so each degree is eliminated blockwise, candidates in lex order.  A word
+    in the span of lex-smaller ones modulo ker S_{m-1} stays so modulo
+    ker S_m when a letter is appended, so the kept words are the lex-least
+    basis words of B^m = T^m / ker S_m.  n must be >= 1, and the budget
+    guard counts the dim^n tensor words, not the vectors built.
     """
     if n < 1:
         raise DegreeRangeError("symmetrizer needs degree >= 1", degree=n)
@@ -98,16 +76,38 @@ def symmetrizer_rank(module: YDModule, n: int, inverse=False) -> int:
         raise MemoryGuardError("tensor degree exceeds the oracle budget",
                                dim=module.dim, degree=n,
                                budget=DEFAULT_ORACLE_BUDGET)
-    blocks = {}
-    for word in iproduct(range(module.dim), repeat=n):
-        blocks.setdefault(_word_key(module, word), []).append(word)
-    rank = 0
-    for key, words in blocks.items():
-        cols = symmetrizer_columns(module, n, words, inverse=inverse)
-        rank += sum(kind == "pivot" for kind, _ in eliminate_block(
-            module.field, [cols[w] for w in words], track=False, degree=n,
-            key=key))
-    return rank
+    g, apply, one = module.group, module.braiding().apply, module.field.one()
+    # per letter: its group degree and its multidegree (a unit vector)
+    letters = [(l, module.coaction[l],
+                tuple(int(b == module.block_of(l)) for b in range(module.theta)))
+               for l in range(module.dim)]
+    image = [((l,), {(l,): one}, (h, e)) for l, h, e in letters]
+    for m in range(2, n + 1):
+        blocks = {}
+        for word, col, (h, mdeg) in image:
+            for l, hl, e in letters:
+                x = {w + (l,): s for w, s in col.items()}
+                total = dict(x)
+                for k in range(m - 2, -1, -1):
+                    x = apply(x, k, inverse)
+                    _add_scaled(total, x)
+                key = (g.mul(h, hl), tuple(map(add, mdeg, e)))
+                blocks.setdefault(key, []).append(
+                    (word + (l,), _nonzero(total), key))
+        image = []
+        for key, cands in blocks.items():
+            results = eliminate_block(module.field, [c[1] for c in cands],
+                                      track=False, degree=m, key=key)
+            image += [c for c, (kind, _) in zip(cands, results)
+                      if kind == "pivot"]
+        image.sort(key=itemgetter(0))
+    return [(word, col) for word, col, _ in image]
+
+
+def symmetrizer_rank(module: YDModule, n: int, inverse=False) -> int:
+    """Rank of the degree-n quantum symmetrizer: the number of words that
+    symmetrizer_image keeps, so dim^n may not exceed DEFAULT_ORACLE_BUDGET."""
+    return len(symmetrizer_image(module, n, inverse=inverse))
 
 
 @dataclass

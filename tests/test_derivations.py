@@ -15,7 +15,7 @@ from nichols.derivations import (
     partial_left,
     partial_right,
 )
-from nichols.engine import GradedNicholsState, symmetrizer_columns
+from nichols.engine import GradedNicholsState
 from nichols.errors import DegreeRangeError, ScenarioError
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
 from nichols.ydmodule import (
@@ -24,6 +24,7 @@ from nichols.ydmodule import (
     direct_sum,
     one_dim_rep,
 )
+from test_engine import symmetrizer_columns
 
 Q = CycloField(1)
 

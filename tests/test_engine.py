@@ -3,7 +3,6 @@
 import json
 import random
 from itertools import permutations
-from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,7 @@ from nichols.errors import DegreeRangeError, MemoryGuardError, ScenarioError
 from nichols.engine import (
     GradedNicholsState,
     hilbert_series,
-    symmetrizer_columns,
+    symmetrizer_image,
     symmetrizer_rank,
 )
 from nichols.groupoid import FamilyM, cartan_entry
@@ -60,25 +59,6 @@ def a2_family():
 # -- the oracle itself
 
 
-def test_symmetrizer_degree_one_is_identity():
-    m = fk3_module()
-    words = [(a,) for a in range(3)]
-    assert symmetrizer_columns(m, 1, words) == {w: {w: Q.one()} for w in words}
-
-
-def test_symmetrizer_degree_two_is_id_plus_c():
-    m = fk3_module()
-    words = [(a, b) for a in range(3) for b in range(3)]
-    expect = {w: {w: Q.one()} for w in words}
-    for (a, b), terms in m.braiding().columns.items():
-        col = expect[a, b]
-        for w2, s in terms:
-            col[w2] = col.get(w2, Q.zero()) + s
-    expect = {w: {w2: v for w2, v in col.items() if not v.is_zero()}
-              for w, col in expect.items()}
-    assert symmetrizer_columns(m, 2, words) == expect
-
-
 def bubble_sort_words(n):
     """One reduced word per permutation of range(n): the adjacent swaps
     made while bubble-sorting it."""
@@ -94,6 +74,48 @@ def bubble_sort_words(n):
     return words
 
 
+def symmetrizer_columns(module, n, words, inverse=False):
+    """Brute-force reference: the image of each given word under the
+    degree-n quantum symmetrizer, as the sum of the bubble-sort lifts of
+    all n! permutations."""
+    apply = module.braiding().apply
+    one, zero = module.field.one(), module.field.zero()
+    lifts = bubble_sort_words(n)
+    cols = {}
+    for w in words:
+        col = {}
+        for reduced in lifts:
+            x = {w: one}
+            for k in reduced:
+                x = apply(x, k, inverse)
+            for w2, s in x.items():
+                col[w2] = col.get(w2, zero) + s
+        cols[w] = {w2: v for w2, v in col.items() if not v.is_zero()}
+    return cols
+
+
+def test_symmetrizer_degree_one_is_identity():
+    m = fk3_module()
+    assert symmetrizer_image(m, 1) == [((a,), {(a,): Q.one()})
+                                       for a in range(3)]
+
+
+def test_symmetrizer_degree_two_is_id_plus_c():
+    m = fk3_module()
+    words = [(a, b) for a in range(3) for b in range(3)]
+    expect = {w: {w: Q.one()} for w in words}
+    for (a, b), terms in m.braiding().columns.items():
+        col = expect[a, b]
+        for w2, s in terms:
+            col[w2] = col.get(w2, Q.zero()) + s
+    expect = {w: {w2: v for w2, v in col.items() if not v.is_zero()}
+              for w, col in expect.items()}
+    image = symmetrizer_image(m, 2)
+    assert [w for w, _ in image] == [(0, 1), (0, 2), (1, 0), (1, 2)]
+    assert all(col == expect[w] for w, col in image)
+    assert symmetrizer_columns(m, 2, words) == expect
+
+
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("build, top", [
     (fk3_module, 4),
@@ -103,22 +125,25 @@ def bubble_sort_words(n):
     (lambda: chi_minus_module(field=CycloField(12))[2], 4),
 ], ids=["fk3", "four-cycle", "d9", "a2", "chi-minus-z12"])
 def test_symmetrizer_is_sum_of_lifts_of_all_permutations(build, top, inverse):
+    # every column the degree walk keeps is the image of its word under the
+    # sum of all n! lifts, and the words are distinct and in lex order
     m = build()
-    apply = m.braiding().apply
-    one, zero = m.field.one(), m.field.zero()
     for n in range(1, top + 1):
-        words = list(iproduct(range(m.dim), repeat=n))
-        expect = {}
-        for w in words:
-            col = {}
-            for reduced in bubble_sort_words(n):
-                x = {w: one}
-                for k in reduced:
-                    x = apply(x, k, inverse)
-                for w2, s in x.items():
-                    col[w2] = col.get(w2, zero) + s
-            expect[w] = {w2: v for w2, v in col.items() if not v.is_zero()}
-        assert symmetrizer_columns(m, n, words, inverse=inverse) == expect
+        image = symmetrizer_image(m, n, inverse=inverse)
+        words = [w for w, _ in image]
+        assert words == sorted(set(words))
+        assert dict(image) == symmetrizer_columns(m, n, words, inverse=inverse)
+
+
+@pytest.mark.parametrize("name, module", corpus(),
+                         ids=[name for name, _ in corpus()])
+def test_oracle_keeps_the_engine_basis_words(name, module):
+    # both walks pick the lex-least words independent modulo the relations,
+    # the oracle by symmetrizer images and the engine by derivatives
+    state = GradedNicholsState(module).extend_to(4)
+    for n in range(1, 5):
+        words = state.words[n] if n < len(state.words) else []
+        assert [w for w, _ in symmetrizer_image(module, n)] == words, n
 
 
 def test_fk3_symmetrizer_rank_fixed_points():
