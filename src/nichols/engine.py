@@ -53,9 +53,10 @@ def _candidate_limit():
     return value
 
 
-def symmetrizer_image(module: YDModule, n: int, inverse=False):
-    """(word, S_n(word)) for the lex-least words whose images span im S_n,
-    in lex order; each image is a sparse vector over tensor words.
+def symmetrizer_images(module: YDModule, n: int, inverse=False):
+    """Yield, for m = 1..n, the list of (word, S_m(word)) for the lex-least
+    words whose images span im S_m, in lex order; each image is a sparse
+    vector over tensor words.
 
     Walks m = 2..n through S_m = T_m (S_{m-1} (x) id), where T_m = 1 +
     c_{m-2} + c_{m-3}c_{m-2} + ... + c_0...c_{m-2}: every permutation is
@@ -68,7 +69,8 @@ def symmetrizer_image(module: YDModule, n: int, inverse=False):
     in the span of lex-smaller ones modulo ker S_{m-1} stays so modulo
     ker S_m when a letter is appended, so the kept words are the lex-least
     basis words of B^m = T^m / ker S_m.  n must be >= 1, and the budget
-    guard counts the dim^n tensor words, not the vectors built.
+    guard counts the dim^n tensor words, not the vectors built; it refuses
+    before the first degree is yielded.
     """
     if n < 1:
         raise DegreeRangeError("symmetrizer needs degree >= 1", degree=n)
@@ -82,6 +84,7 @@ def symmetrizer_image(module: YDModule, n: int, inverse=False):
                 tuple(int(b == module.block_of(l)) for b in range(module.theta)))
                for l in range(module.dim)]
     image = [((l,), {(l,): one}, (h, e)) for l, h, e in letters]
+    yield [(word, col) for word, col, _ in image]
     for m in range(2, n + 1):
         blocks = {}
         for word, col, (h, mdeg) in image:
@@ -101,13 +104,15 @@ def symmetrizer_image(module: YDModule, n: int, inverse=False):
             image += [c for c, (kind, _) in zip(cands, results)
                       if kind == "pivot"]
         image.sort(key=itemgetter(0))
-    return [(word, col) for word, col, _ in image]
+        yield [(word, col) for word, col, _ in image]
 
 
-def symmetrizer_rank(module: YDModule, n: int, inverse=False) -> int:
-    """Rank of the degree-n quantum symmetrizer: the number of words that
-    symmetrizer_image keeps, so dim^n may not exceed DEFAULT_ORACLE_BUDGET."""
-    return len(symmetrizer_image(module, n, inverse=inverse))
+def symmetrizer_ranks(module: YDModule, n: int, inverse=False) -> list:
+    """Ranks of the quantum symmetrizers S_1..S_n from one walk: the number
+    of words that symmetrizer_images keeps in each degree, so dim^n may not
+    exceed DEFAULT_ORACLE_BUDGET."""
+    return [len(image) for image in
+            symmetrizer_images(module, n, inverse=inverse)]
 
 
 @dataclass

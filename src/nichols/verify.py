@@ -14,7 +14,7 @@ from __future__ import annotations
 from .cyclotomic import CycloField
 from .derivations import evaluate_expr, format_element
 from .engine import (GradedNicholsState, _candidate_limit, hilbert_series,
-                     symmetrizer_rank)
+                     symmetrizer_ranks)
 from .groupoid import (
     FamilyM,
     UnboundedAtCap,
@@ -198,9 +198,10 @@ def _state4(name, module):
                    lambda: GradedNicholsState(module).extend_to(4))
 
 
-def _rank(name, module, n, inverse=False):
-    return _shared(("rank", name, n, inverse),
-                   lambda: symmetrizer_rank(module, n, inverse=inverse))
+def _ranks(name, module, inverse=False):
+    """Symmetrizer ranks of degrees 1..4, from one walk."""
+    return _shared(("ranks", name, inverse),
+                   lambda: symmetrizer_ranks(module, 4, inverse=inverse))
 
 
 # -- checks; each returns a detail string or raises AssertionError
@@ -232,9 +233,13 @@ def check_s3_pair_obstruction():
     out = evaluate_expr(state, "(d x3 (d y1 (ad x2 (ad x1 y2))))")
     text = format_element(state, out)
     assert text == "-x2", text
-    entry = cartan_entry(FamilyM(blocks), 0, 1, cap=3)
-    assert entry == UnboundedAtCap(3, 3), entry
-    return "witness -x2, adjoint chain alive at degree 3 so a[1,2] <= -2"
+    # a[1,2] = -2 exactly: the chain's last nonzero step is degree 3
+    cd = cartan_matrix(FamilyM(blocks), cap=4)
+    assert cd.entries == [[2, -2], [-2, 2]], cd.entries
+    assert not gcm_finite_type(cd).finite, cd.entries
+    return ("witness -x2, adjoint chain alive at degree 3 so a[1,2] <= -2; "
+            "at cap 4 the Cartan matrix is [[2, -2], [-2, 2]], not of "
+            "finite type")
 
 
 def check_d9_pair_obstruction():
@@ -289,9 +294,8 @@ def check_symmetrizer_oracle():
     lines = []
     for name, module in _corpus():
         dims = _state4(name, module).dims()
-        for n in range(1, 5):
+        for n, rank in enumerate(_ranks(name, module), 1):
             engine = dims[n] if n < len(dims) else 0
-            rank = _rank(name, module, n)
             assert engine == rank, (name, n, engine, rank)
         lines.append(name)
     return "ranks match engine dims for n <= 4 on " + ", ".join(lines)
@@ -305,9 +309,8 @@ def check_duality_and_inverse_braiding():
         dims = list(dims) + [0] * (pad - len(dims))
         dual_dims = list(dual_dims) + [0] * (pad - len(dual_dims))
         assert dims[:5] == dual_dims[:5], (name, dims, dual_dims)
-        for n in range(1, 5):
-            assert _rank(name, module, n, inverse=True) == \
-                _rank(name, module, n), (name, n)
+        assert _ranks(name, module, inverse=True) == _ranks(name, module), \
+            name
     return "dual and inverse-braiding dims agree for n <= 4 on all six"
 
 

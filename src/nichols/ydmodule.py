@@ -320,7 +320,6 @@ def _block_fingerprint(module: YDModule, indices):
     d = len(fiber)
     if d * len(cls_members) != len(indices):
         raise ModuleSpecError("block fibers have unequal dimensions")
-    cent = g.centralizer(s)
 
     def restricted_trace(gamma):
         cols = module.action_of(gamma)
@@ -331,27 +330,33 @@ def _block_fingerprint(module: YDModule, indices):
                 tr = tr + v
         return tr
 
-    # irreducibility: exact character norm over the centralizer
-    norm = module.field.zero()
+    # a one-dimensional fiber needs no norm (see fingerprint), so only the
+    # class representatives are evaluated
+    reps = g.centralizer_classes(s)
+    cent = reps if d == 1 else g.centralizer(s)
     char = {gamma: restricted_trace(gamma) for gamma in cent}
-    for gamma in cent:
-        norm = norm + char[gamma] * char[g.inv(gamma)]
-    norm = norm * module.field.rational(1, len(cent))
-    if norm != module.field.one():
-        raise ModuleSpecError("block is not irreducible",
-                              norm=str(norm), base_point=g.element_str(s))
+    if d > 1:
+        norm = module.field.zero()
+        for gamma in cent:
+            norm = norm + char[gamma] * char[g.inv(gamma)]
+        norm = norm * module.field.rational(1, len(cent))
+        if norm != module.field.one():
+            raise ModuleSpecError("block is not irreducible", norm=str(norm),
+                                  base_point=g.element_str(s))
 
     # the character on the centralizer's conjugacy classes, canonically ordered
-    value_list = tuple((g.element_key(e), str(char[e]))
-                       for e in g.centralizer_classes(s))
+    value_list = tuple((g.element_key(e), str(char[e])) for e in reps)
     return (g.element_key(s), value_list)
 
 
 def fingerprint(module: YDModule):
     """Canonical isomorphism key, one entry per block.
 
-    Computed once per module object and cached on it, so the irreducibility
-    check (the exact character norm) also runs once per module.
+    Each block must fill one conjugacy class with fibers of equal dimension.
+    A block whose fiber is one-dimensional is M(O, chi) for a character chi
+    of the centralizer, irreducible as it stands; a larger fiber must have
+    exact character norm 1 over the centralizer.  Computed once per module
+    object and cached on it.
     """
     if module._fingerprint is None:
         module._fingerprint = tuple(

@@ -33,6 +33,7 @@ def test_criterion_02_s4_dimensions_all_576_within_budget():
 def test_criterion_03_s3_pair_obstruction_witness():
     detail = timed(verify.check_s3_pair_obstruction)
     assert "-x2" in detail and "a[1,2] <= -2" in detail
+    assert "[[2, -2], [-2, 2]], not of finite type" in detail
 
 
 def test_criterion_04_d9_pair_obstruction_witness_under_five_seconds():

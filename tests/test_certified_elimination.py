@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nichols import cli, engine, linalg
 from nichols.cyclotomic import CycloField
-from nichols.engine import GradedNicholsState, symmetrizer_rank
+from nichols.engine import GradedNicholsState, symmetrizer_ranks
 from nichols.groupoid import (
     FamilyM,
     _adjoint_chain,
@@ -192,7 +192,7 @@ def d9_pair():
 
 def engine_data(module, cap, oracle_degree):
     state = GradedNicholsState(module).extend_to(cap)
-    ranks = [symmetrizer_rank(module, n) for n in range(1, oracle_degree + 1)]
+    ranks = symmetrizer_ranks(module, oracle_degree)
     return state.words, state.products, state.derivs, ranks
 
 

@@ -51,6 +51,9 @@ def test_traced_diag_roots(tmp_path):
         "ydmodule.fingerprint", "linalg.insert"])
     assert trace["counts"]["groupoid.nodes"] == 44
     assert trace["counts"]["groupoid.edges"] == 112
+    # only the 7 input blocks run the axiom sweep; the top chain modules
+    # hold the axioms by construction (tests/test_derived_certification.py)
+    assert trace["layers"]["ydmodule.check_axioms"]["calls"] == 7
 
 
 def test_traced_dn_derive(tmp_path):
