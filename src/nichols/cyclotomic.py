@@ -1,12 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Scalars are polynomials in zeta_N with exact rational coefficients, kept
-reduced mod the N-th cyclotomic polynomial.  Canonical form is a coefficient
-tuple of length phi(N) whose entries are plain ints when integral and mpq
-(gmpy2's, or fractions.Fraction) otherwise, so integer arithmetic never pays
-for rational objects.  An integral mpq left over from rational arithmetic is
-harmless: it equals and hashes like the int.  Equality and hashing are
-coefficient-wise.  Every division goes through mpq, so there is no floating
+Over Q (phi(N) = 1, so N = 1 or 2) a scalar is the bare rational itself:
+a plain int when integral, an mpq (gmpy2's, or fractions.Fraction)
+otherwise.  Divide such scalars through the field (rational), never with
+'/', which makes a float of two ints.  For phi(N) > 1 a scalar is a
+CycloNumber: a polynomial in zeta_N with exact rational coefficients, kept
+reduced mod the N-th cyclotomic polynomial as a coefficient tuple of length
+phi(N) in the same canonical form, so integer arithmetic never pays for
+rational objects.  A CycloNumber mixes with bare rationals.  An integral
+mpq left over from rational arithmetic is harmless: it equals and hashes
+like the int.  Every division goes through mpq, so there is no floating
 point anywhere.
 """
 
@@ -100,20 +103,21 @@ class CycloField:
     def __hash__(self):
         return hash(("CycloField", self.conductor))
 
-    def _make(self, coeffs) -> "CycloNumber":
-        return CycloNumber(self, tuple(coeffs))
+    def _make(self, coeffs):
+        """The scalar with these coefficients: the bare rational over Q."""
+        return coeffs[0] if self.phi == 1 else CycloNumber(self, tuple(coeffs))
 
-    def zero(self) -> "CycloNumber":
+    def zero(self):
         if self._zero is None:
             self._zero = self._make([0] * self.phi)
         return self._zero
 
-    def one(self) -> "CycloNumber":
+    def one(self):
         if self._one is None:
             self._one = self.scalar(1)
         return self._one
 
-    def scalar(self, value) -> "CycloNumber":
+    def scalar(self, value):
         """Coerce an int, rational, string literal, or CycloNumber into this field."""
         if isinstance(value, CycloNumber):
             if value.field is self or value.field == self:
@@ -127,12 +131,12 @@ class CycloField:
             return self._make(coeffs)
         raise ScalarParseError(f"cannot coerce {type(value).__name__} to CycloNumber")
 
-    def rational(self, p, q=1) -> "CycloNumber":
+    def rational(self, p, q=1):
         coeffs = [0] * self.phi
         coeffs[0] = _q(mpq(p) / mpq(q))
         return self._make(coeffs)
 
-    def root_of_unity(self, k: int) -> "CycloNumber":
+    def root_of_unity(self, k: int):
         """zeta_N^k in canonical form."""
         k = int(k) % self.conductor
         if k < self.phi:
@@ -143,7 +147,7 @@ class CycloField:
         vec[k] = 1
         return self._make(_reduce(vec, self))
 
-    def element(self, coeffs) -> "CycloNumber":
+    def element(self, coeffs):
         coeffs = [_q(mpq(c)) for c in coeffs]
         if len(coeffs) != self.phi:
             raise ScalarParseError(
@@ -151,7 +155,7 @@ class CycloField:
                 got=len(coeffs))
         return self._make(coeffs)
 
-    def parse(self, text: str) -> "CycloNumber":
+    def parse(self, text: str):
         return parse_scalar(self, text)
 
 
@@ -196,12 +200,6 @@ class CycloNumber:
 
     # -- predicates
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
-
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
@@ -228,8 +226,6 @@ class CycloNumber:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        if self.field.phi == 1:
-            return CycloNumber(self.field, (self.coeffs[0] + other.coeffs[0],))
         return CycloNumber(self.field,
                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -256,10 +252,8 @@ class CycloNumber:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if self.field.phi == 1:
-            return CycloNumber(self.field, (a[0] * b[0],))
-        return CycloNumber(self.field, _mul_coeffs(a, b, self.field))
+        return CycloNumber(self.field,
+                           _mul_coeffs(self.coeffs, other.coeffs, self.field))
 
     __rmul__ = __mul__
 
@@ -267,7 +261,7 @@ class CycloNumber:
         """Multiplicative inverse: the product of the other Galois conjugates
         sigma_a(x), a in (Z/N)^* with a != 1, over the norm of x, which is a
         nonzero rational."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero CycloNumber")
         field = self.field
         n = field.conductor
@@ -374,7 +368,7 @@ class CycloNumber:
 
 
 def _add_scaled(acc: dict, vec: dict, c=None) -> None:
-    """acc += c * vec on sparse {key: CycloNumber} dicts (c None: acc += vec).
+    """acc += c * vec on sparse {key: scalar} dicts (c None: acc += vec).
 
     Zero entries may appear in acc; _nonzero drops them.
     """
@@ -383,23 +377,15 @@ def _add_scaled(acc: dict, vec: dict, c=None) -> None:
             cur = acc.get(k)
             acc[k] = v if cur is None else cur + v
         return
-    # over Q, where every operand has c's field, work on the coefficients
-    field = c.field if type(c) is CycloNumber and c.field.phi == 1 else None
-    s = c.coeffs[0] if field else None
     for k, v in vec.items():
         cur = acc.get(k)
-        if v.field is field and (cur is None or cur.field is field):
-            x = s * v.coeffs[0]
-            acc[k] = CycloNumber(field, (x,) if cur is None
-                                 else (cur.coeffs[0] + x,))
-        else:
-            term = c * v
-            acc[k] = term if cur is None else cur + term
+        term = c * v
+        acc[k] = term if cur is None else cur + term
 
 
 def _nonzero(vec: dict) -> dict:
-    """vec without its zero entries (over Q the first coefficient decides)."""
-    return {k: v for k, v in vec.items() if v.coeffs[0] or any(v.coeffs)}
+    """vec without its zero entries."""
+    return {k: v for k, v in vec.items() if v}
 
 
 # The scalar-literal grammar.  A literal is a sum of terms, and every term
@@ -422,7 +408,7 @@ def _digits(m, group: str) -> int:
                                at=m.start(group)) from None
 
 
-def parse_scalar(field: CycloField, text: str) -> CycloNumber:
+def parse_scalar(field: CycloField, text: str):
     """Parse a scalar literal, e.g. '1/2 - z3^1', '-2*z12^5' or '--2 z4'.
 
     A root zM^k with M dividing the field's conductor N is zeta_N^(kN/M);
@@ -462,7 +448,7 @@ def parse_scalar(field: CycloField, text: str) -> CycloNumber:
         vec[exp] += -coeff if m["signs"].count("-") % 2 else coeff
         pos = m.end()
         if pos == len(text):
-            return CycloNumber(field, tuple(_q(c) for c in _reduce(vec, field)))
+            return field._make([_q(c) for c in _reduce(vec, field)])
 
 
 def field_of(literals) -> CycloField:

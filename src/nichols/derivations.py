@@ -15,7 +15,7 @@ from .errors import DegreeRangeError, ScenarioError
 
 
 def element_is_zero(x) -> bool:
-    return all(v.is_zero() for v in x[1].values())
+    return not any(x[1].values())
 
 
 def partial_right(state, k: int, x):
@@ -158,7 +158,7 @@ def format_element(state, x) -> str:
     terms = []
     for m in sorted(coords):
         v = coords[m]
-        if v.is_zero():
+        if not v:
             continue
         word = state.words[n][m]
         label = "*".join(state.module.basis_labels[i] for i in word) if word \

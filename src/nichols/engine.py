@@ -6,8 +6,8 @@ Two independent routes compute graded dimensions:
   the sum over the minimal coset representatives of S_{n-1} in S_n, so
   im S_n = T_n(im S_{n-1} (x) V); walk the degrees keeping one spanning
   image S_m(w) per lex-least word w, and take the rank of each degree
-  from braidings and linear algebra alone (the budget guard still counts
-  the dim^n tensor words); and
+  from braidings and linear algebra alone (the budget guard counts the
+  vectors each degree builds); and
 * the production engine: extend degree by degree, encoding each candidate
   v_i * b by its right derivatives d_k(v_i b) = v_i d_k(b) + delta_ik g_i . b
   as one sparse vector over (k, basis word of the previous degree), and
@@ -58,7 +58,7 @@ def symmetrizer_images(module: YDModule, n: int, inverse=False):
     words whose images span im S_m, in lex order; each image is a sparse
     vector over tensor words.
 
-    Walks m = 2..n through S_m = T_m (S_{m-1} (x) id), where T_m = 1 +
+    Walks m = 1..n through S_m = T_m (S_{m-1} (x) id), where T_m = 1 +
     c_{m-2} + c_{m-3}c_{m-2} + ... + c_0...c_{m-2}: every permutation is
     uniquely a minimal coset representative of S_{m-1} times an element of
     S_{m-1}, with lengths adding, so each lift is counted once.  Hence
@@ -68,24 +68,25 @@ def symmetrizer_images(module: YDModule, n: int, inverse=False):
     so each degree is eliminated blockwise, candidates in lex order.  A word
     in the span of lex-smaller ones modulo ker S_{m-1} stays so modulo
     ker S_m when a letter is appended, so the kept words are the lex-least
-    basis words of B^m = T^m / ker S_m.  n must be >= 1, and the budget
-    guard counts the dim^n tensor words, not the vectors built; it refuses
-    before the first degree is yielded.
+    basis words of B^m = T^m / ker S_m.  n must be >= 1.  The budget guard
+    counts the vectors degree m builds, one per kept word of degree m-1
+    and letter, and refuses before building a degree past
+    DEFAULT_ORACLE_BUDGET.
     """
     if n < 1:
         raise DegreeRangeError("symmetrizer needs degree >= 1", degree=n)
-    if module.dim ** n > DEFAULT_ORACLE_BUDGET:
-        raise MemoryGuardError("tensor degree exceeds the oracle budget",
-                               dim=module.dim, degree=n,
-                               budget=DEFAULT_ORACLE_BUDGET)
     g, apply, one = module.group, module.braiding().apply, module.field.one()
     # per letter: its group degree and its multidegree (a unit vector)
     letters = [(l, module.coaction[l],
                 tuple(int(b == module.block_of(l)) for b in range(module.theta)))
                for l in range(module.dim)]
-    image = [((l,), {(l,): one}, (h, e)) for l, h, e in letters]
-    yield [(word, col) for word, col, _ in image]
-    for m in range(2, n + 1):
+    image = [((), {(): one}, (g.identity, (0,) * module.theta))]
+    for m in range(1, n + 1):
+        if len(image) * module.dim > DEFAULT_ORACLE_BUDGET:
+            raise MemoryGuardError("symmetrizer degree exceeds the oracle "
+                                   "budget", degree=m,
+                                   vectors=len(image) * module.dim,
+                                   budget=DEFAULT_ORACLE_BUDGET)
         blocks = {}
         for word, col, (h, mdeg) in image:
             for l, hl, e in letters:
@@ -109,8 +110,8 @@ def symmetrizer_images(module: YDModule, n: int, inverse=False):
 
 def symmetrizer_ranks(module: YDModule, n: int, inverse=False) -> list:
     """Ranks of the quantum symmetrizers S_1..S_n from one walk: the number
-    of words that symmetrizer_images keeps in each degree, so dim^n may not
-    exceed DEFAULT_ORACLE_BUDGET."""
+    of words that symmetrizer_images keeps in each degree, under its budget
+    on the vectors each degree builds."""
     return [len(image) for image in
             symmetrizer_images(module, n, inverse=inverse)]
 
@@ -275,8 +276,7 @@ class GradedNicholsState:
                     _add_scaled(comps.setdefault(k, {}), pprev[i, m], c0)
                 _add_scaled(comps.setdefault(i, {}), acols[bidx])
                 vec = {(k, idx): c for k in sorted(comps)
-                       for idx, c in comps[k].items()
-                       if c.coeffs[0] or any(c.coeffs)}
+                       for idx, c in comps[k].items() if c}
                 key = (group.mul(gi, hprev[bidx]), mdeg)
                 blocks.setdefault(key, []).append(len(cands))
                 cands.append((i, bidx, vec, key))
@@ -329,7 +329,7 @@ class GradedNicholsState:
                 for k, d in self._right_column(
                         n - 2, tprev[m], letter).items():
                     _add_scaled(out, prods[j, k], c * d)
-            prods[i, bidx] = {k: shared.setdefault(v.coeffs, v)
+            prods[i, bidx] = {k: shared.setdefault(v, v)
                               for k, v in _nonzero(out).items()}
         self.words.append(new_words)
         self.tails.append(new_tails)

@@ -1,10 +1,10 @@
-"""Exact linear algebra over CycloNumber: one elimination entry point.
+"""Exact linear algebra over Q(zeta_N): one elimination entry point.
 
 Every elimination in the package (the engine's rank step, the symmetrizer
 oracle, adjoint chains and top chain modules) goes through eliminate_block:
-one block of sparse {column: CycloNumber} vectors in, and for each vector
+one block of sparse {column: scalar} vectors in, and for each vector
 either a new pivot or its exact combination over the earlier pivots out,
-as a sparse {ordinal: CycloNumber} dict; pivoting is first-nonzero in
+as a sparse {ordinal: scalar} dict; pivoting is first-nonzero in
 the columns' own sort order, deterministic across runs and platforms.
 Over Q it works modulo a fixed prime: a row entry stays unreduced until
 elimination reaches its column, each vector keeps only its reduction
@@ -14,11 +14,11 @@ by an exact integer check over Q.  IncrementalSpan, exact dense elimination one
 vector at a time, is the fallback: for any block it cannot certify, and
 for every block when phi(N) > 1.
 
-Inside this module rows hold "raw" scalars (a bare rational when
-phi(N) = 1, a coefficient tuple otherwise), in the canonical form of
-cyclotomic: a plain int when integral, an mpq otherwise.  FieldOps does
-arithmetic on raws and converts them to and from CycloNumbers; no other
-module sees a raw.
+Inside this module rows hold "raw" scalars, in the canonical form of
+cyclotomic: over Q the raw is the scalar itself, a plain int when
+integral and an mpq otherwise; for phi(N) > 1 it is the CycloNumber's
+coefficient tuple.  FieldOps does arithmetic on raws and converts them to
+and from scalars; no other module sees a coefficient tuple.
 """
 
 from __future__ import annotations
@@ -58,12 +58,13 @@ class FieldOps:
 
     # -- scalar conversions
 
-    def lift(self, x: CycloNumber):
-        return x.coeffs[0] if self.phi == 1 else x.coeffs
+    def lift(self, x):
+        return x if self.phi == 1 else x.coeffs
 
-    def lower(self, r) -> CycloNumber:
-        return CycloNumber(self.field, (_q(r),) if self.phi == 1
-                           else tuple(_q(c) for c in r))
+    def lower(self, r):
+        if self.phi == 1:
+            return _q(r)
+        return CycloNumber(self.field, tuple(_q(c) for c in r))
 
     # -- scalar arithmetic on raws
 
@@ -171,13 +172,13 @@ def eliminate_block(field: CycloField, vectors, track: bool = True,
                     degree=None, key=None):
     """For each vector, in order: ("pivot", ordinal) or ("combo", combo).
 
-    The vectors are sparse dicts (column -> CycloNumber of field) over any
-    hashable, sortable columns.  A combo is the vector as {ordinal: scalar}
-    over the earlier pivots, ordinals ascending and zeros omitted; it is
-    None unless track.  The results are what IncrementalSpan.insert returns
-    when fed the same vectors.  When phi(N) = 1 the block is eliminated
-    modulo MODULUS, the columns in their own sort order; a vector
-    independent mod p is independent over Q.  An empty vector is the empty
+    The vectors are sparse dicts (column -> scalar of field) over any
+    hashable, sortable columns; they are left unchanged.  A combo is the
+    vector as {ordinal: scalar} over the earlier pivots, ordinals ascending
+    and zeros omitted; it is None unless track.  The results are what
+    IncrementalSpan.insert returns when fed the same vectors.  When
+    phi(N) = 1 the block is eliminated modulo MODULUS, the columns in their
+    own sort order; a vector independent mod p is independent over Q.  An empty vector is the empty
     combination.  Every other vector found dependent has its combination
     back-solved from its reduction steps, rebuilt by rational
     reconstruction and checked exactly over Q in integers.  So the pivots
@@ -228,9 +229,8 @@ def _eliminate_mod_p(vectors, track):
         if not v:
             results.append(("combo", {} if track else None))
             continue
-        xs = {c: x.coeffs[0] for c, x in v.items()}
-        row = dict(xs)
-        for c, x in xs.items():
+        row = dict(v)
+        for c, x in v.items():
             if type(x) is not int:
                 d = x.denominator
                 inv = den_inv.get(d)
@@ -261,7 +261,7 @@ def _eliminate_mod_p(vectors, track):
                 else:
                     row[c2] = old - f * y
         else:
-            dependents.append((len(results), xs, done))
+            dependents.append((len(results), v, done))
             results.append(None)
             continue
         inv = pow(f, -1, p)
@@ -275,13 +275,10 @@ def _eliminate_mod_p(vectors, track):
         steps.append(done)
         invs.append(inv)
         results.append(("pivot", len(pivots)))
-        pivots.append(xs)
-    # only a vector with pivots before it has a nonzero combination
-    field = next(x.field for v in vectors for x in v.values()) \
-        if pivots else None
+        pivots.append(v)
     lifted = {}
     pivot_ints = {}
-    for slot, xs, done in dependents:
+    for slot, v, done in dependents:
         combo = _back_solve(done, steps, invs)
         coeffs = {}
         for o in sorted(combo):
@@ -291,22 +288,20 @@ def _eliminate_mod_p(vectors, track):
                 q = _rational_reconstruction(r)
                 if q is None:
                     return "reconstruction"
-                q = lifted[r] = CycloNumber(field, (q,))
+                lifted[r] = q
             coeffs[o] = q
         # v == sum(q * pivot) over Q, checked in integers: with each vector
         # written as an integer vector over one denominator, clear them all
-        # (rest may be xs itself, which nothing reads again)
-        dv, rest = _integral(xs)
+        dv, iv = _integral(v)
         terms = []
         for o, q in coeffs.items():
             if o not in pivot_ints:
                 pivot_ints[o] = _integral(pivots[o])
             do, io = pivot_ints[o]
-            q = q.coeffs[0]
             terms.append((q.numerator, q.denominator * do, io))
         scale = lcm(dv, *{den for _, den, _ in terms})
-        if scale != dv:
-            rest = {c: scale // dv * x for c, x in rest.items()}
+        # a fresh dict: iv may be the caller's v, which must stay unchanged
+        rest = {c: scale // dv * x for c, x in iv.items()}
         for num, den, io in terms:
             f = scale // den * num
             for c, x in io.items():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cyclotomic import CycloField, _add_scaled, _nonzero, field_of
+from .cyclotomic import CycloField, CycloNumber, _add_scaled, _nonzero, field_of
 from .errors import ModuleSpecError
 from .groups import ConjugacyClassData, FiniteGroup, build_abelian_group, conjugacy_class
 
@@ -25,7 +25,7 @@ def _compose(a, b):
         acc = {}
         for k, bv in col.items():
             _add_scaled(acc, a[k], bv)
-        out.append({i: acc[i] for i in sorted(acc) if not acc[i].is_zero()})
+        out.append({i: acc[i] for i in sorted(acc) if acc[i]})
     return out
 
 
@@ -106,11 +106,14 @@ class Representation:
 
 
 def one_dim_rep(group: FiniteGroup, elements, values: dict) -> Representation:
-    """Character given by scalar values on generating elements."""
+    """Character given by scalar values on generating elements, over the
+    field of its first CycloNumber value, or over Q when every value is a
+    bare rational."""
     if not values:
         raise ModuleSpecError("representation needs at least one generator matrix")
-    field = next(iter(values.values())).field
-    cols = {e: [{} if v.is_zero() else {0: v}] for e, v in values.items()}
+    field = next((v.field for v in values.values()
+                  if isinstance(v, CycloNumber)), CycloField(1))
+    cols = {e: [{0: v} if v else {}] for e, v in values.items()}
     return Representation.of_subgroup(group, elements, field, cols)
 
 
@@ -382,7 +385,7 @@ def _spec_columns(field: CycloField, rows, dim: int):
                               dim=dim, got=rows)
     entries = [[_spec_scalar(field, x) for x in r] for r in rows]
     return [{i: entries[i][j] for i in range(dim)
-             if not entries[i][j].is_zero()} for j in range(dim)]
+             if entries[i][j]} for j in range(dim)]
 
 
 def _spec_element(group: FiniteGroup, value, field_name: str):
@@ -458,7 +461,7 @@ def diagonal_modules(q_rows, name="v"):
     for row in q:
         for v in row:
             acc, order = v, 1
-            while not acc.is_one():
+            while acc != 1:
                 acc = acc * v
                 order += 1
                 if order > bound:

@@ -35,6 +35,7 @@ from nichols.verify import (
     transposition_module,
 )
 from nichols.ydmodule import diagonal_modules, direct_sum, fingerprint
+from test_cyclotomic import BARE
 
 Q = CycloField(1)
 OPS = FieldOps(Q)
@@ -42,15 +43,15 @@ SCENARIOS = Path(cli.__file__).parent / "scenarios"
 
 
 def over_q(vectors):
-    """Sparse rational vectors as the CycloNumber vectors eliminate_block
-    takes."""
+    """Sparse rational vectors as the scalar vectors eliminate_block takes
+    over Q."""
     return [{c: Q.scalar(x) for c, x in v.items()} for v in vectors]
 
 
 def exact_sequence(vectors, track=True):
     """What feeding the rational vectors to IncrementalSpan.insert returns,
-    each combination as eliminate_block writes it: a sparse CycloNumber
-    dict, ordinals ascending."""
+    each combination as eliminate_block writes it: a sparse dict of
+    scalars, ordinals ascending."""
     cols = sorted({c for v in vectors for c in v})
     pos = {c: i for i, c in enumerate(cols)}
     span = IncrementalSpan(OPS, len(cols), track=track)
@@ -134,13 +135,29 @@ def test_same_sequence_over_tuple_columns(vectors, keys, track):
     assert eliminate_block(Q, over_q(vectors), track) == exact
     # with small entries and every combination within the bound, the mod-p
     # path itself must certify the block rather than fall back
-    coeffs = [q.coeffs[0] for kind, combo in exact_sequence(vectors)
+    coeffs = [q for kind, combo in exact_sequence(vectors)
               if kind == "combo" for q in combo.values()]
     if all(abs(x) <= 6 and x.denominator <= 5
            for v in vectors for x in v.values()) and \
             all(abs(q.numerator) <= RECONSTRUCTION_BOUND
                 and q.denominator <= RECONSTRUCTION_BOUND for q in coeffs):
         assert linalg._eliminate_mod_p(over_q(vectors), track) == exact
+
+
+@pytest.mark.parametrize("s", [1, Fraction(1, 3)], ids=["ints", "fractions"])
+def test_elimination_over_q_leaves_its_vectors_unchanged(s):
+    # an integer vector is its own integral form in the exact check of a
+    # dependent, so that check must write into a copy
+    vectors = over_q([{0: s, 1: 2 * s}, {1: s, 2: -s},
+                      {0: 2 * s, 1: 5 * s, 2: -s}, {0: 3 * s, 1: 6 * s}, {}])
+    before = [dict(v) for v in vectors]
+    results = eliminate_block(Q, vectors)
+    assert results == [("pivot", 0), ("pivot", 1), ("combo", {0: 2, 1: 1}),
+                       ("combo", {0: 3}), ("combo", {})]
+    assert vectors == before
+    assert all(type(x) in BARE for v in vectors for x in v.values())
+    assert all(type(x) in BARE for _, combo in results[2:]
+               for x in combo.values())
 
 
 # -- adversarial blocks: each must fall back and still be exact

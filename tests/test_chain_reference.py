@@ -76,7 +76,7 @@ def reference_chain_action(chain, t):
     def raw(vec):
         out = [ops.zero] * len(slots)
         for w, val in vec.items():
-            if not val.is_zero():
+            if val:
                 out[colpos[w]] = ops.lift(val)
         return out
 

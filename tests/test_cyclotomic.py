@@ -10,17 +10,32 @@ from nichols.cyclotomic import (
     _add_scaled,
     _mul_coeffs,
     _nonzero,
+    _q,
     cyclotomic_modulus,
     field_of,
+    mpq,
     parse_scalar,
 )
 from nichols.errors import ConductorMismatch, ScalarParseError
 
 SUPPORTED = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 24]
+# the types of a scalar over Q: an integer, or an mpq when not integral
+BARE = (int, type(mpq(1).numerator), type(mpq(1, 2)))
 
 
 def random_element(field, rng, span=6):
     return field.element([rng.randint(-span, span) for _ in range(field.phi)])
+
+
+def coefficients(x):
+    """The coefficient tuple of a scalar; over Q the scalar is its own
+    coefficient."""
+    return x.coeffs if isinstance(x, CycloNumber) else (x,)
+
+
+def inverse(x):
+    """x^-1: CycloNumber.inv, or the exact inverse of a bare rational."""
+    return x.inv() if isinstance(x, CycloNumber) else _q(mpq(1) / x)
 
 
 @pytest.mark.parametrize("n,phi", [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2),
@@ -77,8 +92,8 @@ def test_field_axioms_random(n):
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         if a:
-            assert a * a.inv() == f.one()
-            assert a.inv().inv() == a
+            assert a * inverse(a) == f.one()
+            assert inverse(inverse(a)) == a
 
 
 def test_root_inverse_is_conjugate_exponent():
@@ -192,19 +207,24 @@ def twin(field):
 
 
 def same(x, y):
-    """Equal coefficients of equal types, in the same field object."""
+    """Equal coefficients of equal types, in the same field object (over Q
+    the scalars are bare rationals, with no field object)."""
+    if not isinstance(x, CycloNumber):
+        return type(x) is type(y) and x == y
     return (x.field is y.field and x.coeffs == y.coeffs
             and [type(c) for c in x.coeffs] == [type(c) for c in y.coeffs])
 
 
 def product(x, y):
-    """x * y for CycloNumbers of one conductor, from the coefficients."""
-    if x.field.phi == 1:
-        return CycloNumber(x.field, (x.coeffs[0] * y.coeffs[0],))
+    """x * y for scalars of one conductor, from the coefficients."""
+    if not isinstance(x, CycloNumber):
+        return x * y
     return CycloNumber(x.field, _mul_coeffs(x.coeffs, y.coeffs, x.field))
 
 
 def total(x, y):
+    if not isinstance(x, CycloNumber):
+        return x + y
     return CycloNumber(x.field,
                        tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
 
@@ -220,7 +240,7 @@ def test_products_and_sums_across_field_objects(n):
     assert g is not f and g == f
     for _ in range(10):
         a = random_element(f, rng) * f.rational(1, rng.randint(1, 4))
-        b = CycloNumber(g, random_element(f, rng).coeffs)
+        b = g._make(coefficients(random_element(f, rng)))
         for x, y in ((a, b), (b, a), (a, a), (b, b)):
             assert same(x * y, product(x, y))
             assert same(x + y, total(x, y))
@@ -238,7 +258,38 @@ def test_products_and_sums_with_rationals(n, s):
         assert same(got, total(a, lifted))
 
 
-@pytest.mark.parametrize("left,right", [(1, 2), (2, 1), (3, 4), (3, 6)])
+@pytest.mark.parametrize("left,right", [(1, 2), (2, 1)])
+def test_conductors_one_and_two_name_one_field(left, right):
+    # Q(zeta_1) = Q(zeta_2) = Q, so both fields hand out the same bare
+    # rationals, and they mix
+    a = CycloField(left).one()
+    b = CycloField(right).one()
+    assert a == b == 1 and type(a) is type(b) and type(a) in BARE
+    half = CycloField(left).rational(1, 2)
+    three = CycloField(right).scalar(3)
+    for x in (a * b, a + b, half * three, half + three, three * three):
+        assert type(x) in BARE, type(x)
+    assert half * three == CycloField(left).rational(3, 2)
+    acc = {0: half}
+    _add_scaled(acc, {0: three, 1: b}, a)
+    assert acc == {0: mpq(7, 2), 1: 1}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scalars_over_q_are_bare_rationals(n):
+    f = CycloField(n)
+    half = Fraction(1, 2)
+    for x, value in ((f.one(), 1), (f.zero(), 0), (f.scalar(3), 3),
+                     (f.scalar(half), half), (f.scalar("-2/3"), Fraction(-2, 3)),
+                     (f.rational(4, 2), 2), (f.rational(1, 3), Fraction(1, 3)),
+                     (f.parse("7"), 7), (f.parse("1/2 - 3"), Fraction(-5, 2)),
+                     (f.element([5]), 5), (f.element([-half]), -half),
+                     (f.root_of_unity(0), 1), (f.root_of_unity(1), 3 - 2 * n),
+                     (f.root_of_unity(-1), 3 - 2 * n)):
+        assert type(x) in BARE and x == value, (x, value)
+
+
+@pytest.mark.parametrize("left,right", [(3, 4), (3, 6)])
 def test_conductor_mismatch_survives_the_fast_paths(left, right):
     a = CycloField(left).one()
     b = CycloField(right).one()
@@ -259,7 +310,7 @@ def reference_add_scaled(acc, vec, c):
     for k, v in vec.items():
         if c is None:
             term = v
-        elif isinstance(c, CycloNumber):
+        elif isinstance(c, CycloNumber) or not isinstance(v, CycloNumber):
             term = product(c, v)
         else:
             term = product(v, v.field.scalar(c))
@@ -275,18 +326,18 @@ def test_add_scaled_and_nonzero_match_the_generic_path(n, scale):
     g = twin(f)
     for trial in range(10):
         def number(field):
-            return CycloNumber(field, random_element(f, rng, span=2).coeffs)
+            return field._make(coefficients(random_element(f, rng, span=2)))
         c = {"none": None, "same": number(f), "twin": number(g),
              "rational": rng.choice(SCALARS)}[scale]
         # entries from both field objects, some of them zero or cancelling
         acc = {k: number(rng.choice((f, g))) for k in range(0, 8, 2)}
         vec = {k: number(rng.choice((f, g))) for k in range(0, 8, 3)}
-        acc[6] = CycloNumber(f, (0,) * f.phi)
+        acc[6] = f._make((0,) * f.phi)
         want = reference_add_scaled(acc, vec, c)
         got = dict(acc)
         _add_scaled(got, vec, c)
         assert list(got) == list(want)
         assert all(same(got[k], want[k]) for k in want)
-        kept = {k: v for k, v in want.items() if any(v.coeffs)}
+        kept = {k: v for k, v in want.items() if any(coefficients(v))}
         assert _nonzero(got) == kept
         assert all(_nonzero(got)[k] is got[k] for k in kept)

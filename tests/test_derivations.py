@@ -68,11 +68,11 @@ def add_elements(x, y):
     for k, v in y[1].items():
         out[k] = out[k] + v if k in out else v
     return (x[0] if x[1] else y[0],
-            {k: v for k, v in out.items() if not v.is_zero()})
+            {k: v for k, v in out.items() if v})
 
 
 def scale_element(s, x):
-    return (x[0], {} if s.is_zero() else {k: s * v for k, v in x[1].items()})
+    return (x[0], {k: s * v for k, v in x[1].items()} if s else {})
 
 
 def combine(state, signed_words):
@@ -286,7 +286,7 @@ def test_zero_detection_via_left_derivations():
         dimn = len(state.words[n])
         for _ in range(6):
             coords = {i: Q.rational(rng.randint(-2, 2)) for i in range(dimn)}
-            coords = {i: v for i, v in coords.items() if not v.is_zero()}
+            coords = {i: v for i, v in coords.items() if v}
             x = (n, coords)
             has = any(not element_is_zero(partial_left(state, j, x))
                       for j in range(3))

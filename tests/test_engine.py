@@ -27,6 +27,7 @@ from nichols.ydmodule import (
     direct_sum,
     one_dim_rep,
 )
+from test_cyclotomic import BARE
 from test_ydmodule import chi_minus_module
 
 Q = CycloField(1)
@@ -90,7 +91,7 @@ def symmetrizer_columns(module, n, words, inverse=False):
                 x = apply(x, k, inverse)
             for w2, s in x.items():
                 col[w2] = col.get(w2, zero) + s
-        cols[w] = {w2: v for w2, v in col.items() if not v.is_zero()}
+        cols[w] = {w2: v for w2, v in col.items() if v}
     return cols
 
 
@@ -108,7 +109,7 @@ def test_symmetrizer_degree_two_is_id_plus_c():
         col = expect[a, b]
         for w2, s in terms:
             col[w2] = col.get(w2, Q.zero()) + s
-    expect = {w: {w2: v for w2, v in col.items() if not v.is_zero()}
+    expect = {w: {w2: v for w2, v in col.items() if v}
               for w, col in expect.items()}
     _, image = symmetrizer_images(m, 2)
     assert [w for w, _ in image] == [(0, 1), (0, 2), (1, 0), (1, 2)]
@@ -163,6 +164,13 @@ def test_oracle_budget_guard(monkeypatch):
     with pytest.raises(MemoryGuardError):
         symmetrizer_ranks(d9_module(), 4)
     assert symmetrizer_ranks(fk3_module(), 4)[-1] == 1
+
+
+def test_oracle_budget_counts_the_vectors_built():
+    # fk3 keeps no word past degree 4, so each later degree builds nothing,
+    # although 3^12 tensor words exceed the budget
+    assert 3 ** 12 > engine.DEFAULT_ORACLE_BUDGET
+    assert symmetrizer_ranks(fk3_module(), 12) == [3, 4, 3, 1] + [0] * 8
 
 
 # -- engine vs oracle
@@ -228,6 +236,21 @@ def test_s3_double_not_finished_by_cap():
     assert not hs.finished
 
 
+@pytest.mark.parametrize("build,top", [
+    (fk3_module, 4),
+    (lambda: direct_sum([named_d9_module("v"), named_d9_module("w")]), 3),
+], ids=["fk3", "d9-pair"])
+def test_engine_tables_hold_bare_rationals_over_q(build, top):
+    # over Q a scalar is an int or an mpq, never a CycloNumber
+    state = GradedNicholsState(build()).extend_to(top)
+    assert state.max_degree() == top
+    for n in range(1, top + 1):
+        for col in state.products[n].values():
+            assert all(type(c) in BARE for c in col.values()), col
+        for vec in state.derivs[n]:
+            assert all(type(c) in BARE for c in vec.values()), vec
+
+
 # -- normal forms and products
 
 
@@ -250,13 +273,13 @@ def test_normal_form_cyclic_relation():
     for a, b in ((0, 1), (1, 2), (2, 0)):
         for idx, v in state.normal_form((a, b)).items():
             total[idx] = total.get(idx, Q.zero()) + v
-    assert all(v.is_zero() for v in total.values())
+    assert not any(total.values())
     cols = symmetrizer_columns(m, 2, [(0, 1), (1, 2), (2, 0)])
     image = {}
     for w in ((0, 1), (1, 2), (2, 0)):
         for w2, v in cols[w].items():
             image[w2] = image.get(w2, Q.zero()) + v
-    assert all(v.is_zero() for v in image.values())
+    assert not any(image.values())
 
 
 def test_normal_form_beyond_top_degree():
@@ -302,8 +325,8 @@ def test_multiply_associative_random():
         left = state.multiply(state.multiply(a, b), c)
         right = state.multiply(a, state.multiply(b, c))
         assert left[0] == right[0]
-        la = {k: v for k, v in left[1].items() if not v.is_zero()}
-        ra = {k: v for k, v in right[1].items() if not v.is_zero()}
+        la = {k: v for k, v in left[1].items() if v}
+        ra = {k: v for k, v in right[1].items() if v}
         assert la == ra
 
 
@@ -315,7 +338,7 @@ def test_zero_detection_via_derivatives():
         dimn = len(state.words[n])
         for _ in range(8):
             coords = {i: Q.rational(rng.randint(-2, 2)) for i in range(dimn)}
-            coords = {i: v for i, v in coords.items() if not v.is_zero()}
+            coords = {i: v for i, v in coords.items() if v}
             nonzero_deriv = any(state.derivative(n, coords, k)
                                 for k in range(3))
             assert nonzero_deriv == bool(coords)
@@ -410,7 +433,7 @@ def test_action_on_graded_pieces():
             for k, s1 in fwd[j].items():
                 for i, s2 in back[k].items():
                     acc[i] = acc.get(i, Q.zero()) + s2 * s1
-            acc = {i: v for i, v in acc.items() if not v.is_zero()}
+            acc = {i: v for i, v in acc.items() if v}
             assert acc == {j: Q.one()}
         # equivariance of the group degree
         for j in range(dim2):

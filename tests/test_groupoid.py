@@ -55,14 +55,14 @@ def diagonal_family(q_rows):
 
 def q_oracle_entry(q, i, j):
     """-a_ij for a diagonal braiding matrix of root-of-unity scalars."""
-    one = q[i][i].field.one()
+    one = 1
     qii, pair = q[i][i], q[i][j] * q[j][i]
     power = one
     geom = one
     for h in range(0, 48):
         if pair * power == one:
             return -h
-        if h >= 1 and geom.is_zero():
+        if h >= 1 and not geom:
             return -h
         power = power * qii
         geom = geom + power

@@ -127,7 +127,7 @@ def test_kernel_vectors_are_exact(n):
                 acc = f.zero()
                 for a, x in zip(row, v):
                     acc = acc + a * x
-                assert acc.is_zero()
+                assert not acc
 
 
 def test_solve_in_span_basics():

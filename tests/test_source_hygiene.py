@@ -1,7 +1,8 @@
 """Source checks by AST scan: no unused imports, raw scalars stay inside
 linalg, the engine's tables stay inside the engine, regular expressions stay
-inside cyclotomic, no module touches another module's private attributes,
-and every public function is used by the program itself."""
+inside cyclotomic, only cyclotomic indexes a scalar's coefficients, no
+module touches another module's private attributes, and every public
+function is used by the program itself."""
 
 import ast
 from pathlib import Path
@@ -101,6 +102,16 @@ def regex_imports(source):
     return sorted(found)
 
 
+def coefficient_subscripts(source):
+    """Line numbers of every subscript of a .coeffs attribute, such as
+    x.coeffs[0]: over Q a scalar is a bare rational, which has no
+    coefficients to index."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "coeffs")
+
+
 def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
@@ -173,6 +184,12 @@ def test_only_cyclotomic_uses_regular_expressions(path):
     assert regex_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "cyclotomic.py"], ids=_rel)
+def test_only_cyclotomic_indexes_coefficients(path):
+    assert coefficient_subscripts(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=_rel)
 def test_private_attributes_stay_with_their_module(path):
     assert foreign_private_uses(path.read_text()) == []
@@ -210,6 +227,11 @@ def test_scans_catch_what_they_look_for():
         "import os, re\n"
         "from re import findall\n"
         "import regex\n") == [(1, "re"), (2, "re")]
+    assert coefficient_subscripts(
+        "a = x.coeffs[0]\n"
+        "b = list(series.coeffs)\n"
+        "c = x.coeffs\n"
+        "d = y.coeffs[1:], coeffs[0]\n") == [1, 4]
     assert foreign_private_uses(
         "class A:\n"
         "    _shared = {}\n"
