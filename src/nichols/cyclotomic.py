@@ -105,7 +105,9 @@ class CycloField:
 
     def _make(self, coeffs):
         """The scalar with these coefficients: the bare rational over Q."""
-        return coeffs[0] if self.phi == 1 else CycloNumber(self, tuple(coeffs))
+        if self.phi == 1:
+            return coeffs[0]
+        return CycloNumber(self, tuple(coeffs))
 
     def zero(self):
         if self._zero is None:

@@ -178,10 +178,11 @@ def eliminate_block(field: CycloField, vectors, track: bool = True,
     and zeros omitted; it is None unless track.  The results are what
     IncrementalSpan.insert returns when fed the same vectors.  When
     phi(N) = 1 the block is eliminated modulo MODULUS, the columns in their
-    own sort order; a vector independent mod p is independent over Q.  An empty vector is the empty
-    combination.  Every other vector found dependent has its combination
-    back-solved from its reduction steps, rebuilt by rational
-    reconstruction and checked exactly over Q in integers.  So the pivots
+    own sort order; a vector independent mod p is independent over Q.  An
+    empty vector is the empty combination.  Every other vector found
+    dependent has its combination back-solved from its reduction steps,
+    rebuilt by rational reconstruction and checked exactly over Q in
+    integers.  So the pivots
     are the same greedy ones, whatever the column order, and the
     combinations, unique over independent pivots, are the same exact ones.
     A block that fails any step is eliminated again with IncrementalSpan,

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .cyclotomic import CycloField, CycloNumber, _add_scaled, _nonzero, field_of
+from .cyclotomic import (CycloField, CycloNumber, _add_scaled, _nonzero,
+                         field_of)
 from .errors import ModuleSpecError
 from .groups import ConjugacyClassData, FiniteGroup, build_abelian_group, conjugacy_class
 
