@@ -33,7 +33,10 @@ class FiniteGroup:
         self.order = len(self.elements)
         self._classes = None
         self._centralizers = {}
-        self._centralizer_classes = {}
+        self._centralizer_structures = {}
+        # ydmodule.fingerprint's keys of one-dimensional fibers, by (field,
+        # s, character values on centralizer_generators(s))
+        self.character_keys = {}
         self._cayley_trees = {}
         self._exponent = None
         self._check_axioms()
@@ -125,16 +128,26 @@ class FiniteGroup:
             self._centralizers[s] = cent
         return cent
 
+    def _centralizer_structure(self, s):
+        """(generators, class representatives) of C(s), computed once for
+        each distinct centralizer, which many base points may share."""
+        cent = tuple(self.centralizer(s))
+        out = self._centralizer_structures.get(cent)
+        if out is None:
+            gens = subgroup_generators(self, cent)
+            orbits = self._conjugation_orbits(cent, gens)
+            out = self._centralizer_structures[cent] = (
+                gens, [orbit[0] for orbit in orbits])
+        return out
+
+    def centralizer_generators(self, s):
+        """subgroup_generators of C(s)."""
+        return self._centralizer_structure(s)[0]
+
     def centralizer_classes(self, s):
-        """Smallest member of each conjugacy class of C(s), ascending."""
-        reps = self._centralizer_classes.get(s)
-        if reps is None:
-            cent = self.centralizer(s)
-            orbits = self._conjugation_orbits(
-                cent, subgroup_generators(self, cent))
-            reps = [orbit[0] for orbit in orbits]
-            self._centralizer_classes[s] = reps
-        return reps
+        """Smallest member of each conjugacy class of C(s), ascending; the
+        classes are the orbits of conjugation by centralizer_generators(s)."""
+        return self._centralizer_structure(s)[1]
 
     def cayley_tree(self, gens):
         """Breadth-first tree of the subgroup generated by gens, cached per

@@ -324,6 +324,8 @@ def _block_fingerprint(module: YDModule, indices):
     d = len(fiber)
     if d * len(cls_members) != len(indices):
         raise ModuleSpecError("block fibers have unequal dimensions")
+    if d == 1:
+        return _character_key(module, s, fiber[0])
 
     def restricted_trace(gamma):
         cols = module.action_of(gamma)
@@ -334,23 +336,44 @@ def _block_fingerprint(module: YDModule, indices):
                 tr = tr + v
         return tr
 
-    # a one-dimensional fiber needs no norm (see fingerprint), so only the
-    # class representatives are evaluated
-    reps = g.centralizer_classes(s)
-    cent = reps if d == 1 else g.centralizer(s)
+    cent = g.centralizer(s)
     char = {gamma: restricted_trace(gamma) for gamma in cent}
-    if d > 1:
-        norm = module.field.zero()
-        for gamma in cent:
-            norm = norm + char[gamma] * char[g.inv(gamma)]
-        norm = norm * module.field.rational(1, len(cent))
-        if norm != module.field.one():
-            raise ModuleSpecError("block is not irreducible", norm=str(norm),
-                                  base_point=g.element_str(s))
+    norm = module.field.zero()
+    for gamma in cent:
+        norm = norm + char[gamma] * char[g.inv(gamma)]
+    norm = norm * module.field.rational(1, len(cent))
+    if norm != module.field.one():
+        raise ModuleSpecError("block is not irreducible", norm=str(norm),
+                              base_point=g.element_str(s))
+    return _class_key(g, s, char)
 
-    # the character on the centralizer's conjugacy classes, canonically ordered
-    value_list = tuple((g.element_key(e), str(char[e])) for e in reps)
-    return (g.element_key(s), value_list)
+
+def _character_key(module: YDModule, s, i):
+    """Key of a block whose fiber over s is the one vector e_i.  C(s) acts
+    on e_i by a character, which its values on centralizer_generators(s)
+    determine: the key is memoized on the group by those values, and the
+    character extends along their Cayley tree as chi(gen * t) =
+    chi(gen) * chi(t), one scalar product per element."""
+    g = module.group
+    gens = g.centralizer_generators(s)
+    values = tuple(module.action_of(gen)[i][i] for gen in gens)
+    memo = (module.field, s, values)
+    key = g.character_keys.get(memo)
+    if key is None:
+        value = dict(zip(gens, values))
+        chi = {}
+        for t, edge in g.cayley_tree(gens).items():
+            chi[t] = module.field.one() if edge is None else \
+                value[edge[0]] * chi[edge[1]]
+        key = g.character_keys[memo] = _class_key(g, s, chi)
+    return key
+
+
+def _class_key(g: FiniteGroup, s, char):
+    """The class function char on the centralizer's conjugacy classes,
+    canonically ordered, with its base point."""
+    return (g.element_key(s), tuple((g.element_key(e), str(char[e]))
+                                    for e in g.centralizer_classes(s)))
 
 
 def fingerprint(module: YDModule):
@@ -358,9 +381,10 @@ def fingerprint(module: YDModule):
 
     Each block must fill one conjugacy class with fibers of equal dimension.
     A block whose fiber is one-dimensional is M(O, chi) for a character chi
-    of the centralizer, irreducible as it stands; a larger fiber must have
-    exact character norm 1 over the centralizer.  Computed once per module
-    object and cached on it.
+    of the centralizer, irreducible as it stands; chi is read on the
+    centralizer's generators, and its key is memoized on the group by those
+    values.  A larger fiber must have exact character norm 1 over the
+    centralizer.  Computed once per module object and cached on it.
     """
     if module._fingerprint is None:
         module._fingerprint = tuple(

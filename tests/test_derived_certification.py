@@ -17,36 +17,9 @@ from pathlib import Path
 import pytest
 
 from nichols import cli, groupoid, verify, ydmodule
+from test_ydmodule import reference_block_fingerprint
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def reference_block_fingerprint(module, indices):
-    """(fingerprint key, character norm) of one block: the restricted trace
-    on the fiber over the least class member, evaluated on every element of
-    its centralizer, and the norm summed over all of them."""
-    g = module.group
-    s = min(g.class_of(module.coaction[indices[0]]))
-    fiber = [i for i in indices if module.coaction[i] == s]
-    cent = g.centralizer(s)
-
-    def restricted_trace(gamma):
-        cols = module.action_of(gamma)
-        tr = module.field.zero()
-        for i in fiber:
-            v = cols[i].get(i)
-            if v is not None:
-                tr = tr + v
-        return tr
-
-    char = {gamma: restricted_trace(gamma) for gamma in cent}
-    norm = module.field.zero()
-    for gamma in cent:
-        norm = norm + char[gamma] * char[g.inv(gamma)]
-    norm = norm * module.field.rational(1, len(cent))
-    values = tuple((g.element_key(e), str(char[e]))
-                   for e in g.centralizer_classes(s))
-    return (g.element_key(s), values), norm
 
 
 @pytest.fixture(scope="module")

@@ -54,6 +54,9 @@ def test_traced_diag_roots(tmp_path):
     # only the 7 input blocks run the axiom sweep; the top chain modules
     # hold the axioms by construction (tests/test_derived_certification.py)
     assert trace["layers"]["ydmodule.check_axioms"]["calls"] == 7
+    # the groupoid and its reflections ask for 447 fingerprints; a module
+    # computes its own once and caches it
+    assert trace["layers"]["ydmodule.fingerprint"]["calls"] == 447
 
 
 def test_traced_dn_derive(tmp_path):

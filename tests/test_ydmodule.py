@@ -1,11 +1,13 @@
 """YD modules: induced construction, braiding, sums, duals, fingerprints."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nichols.cyclotomic import CycloField
 from nichols.errors import ModuleSpecError
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
-from nichols.verify import fk3_module
+from nichols.verify import d9_module, fk3_module, s3_times_s3_family
 from nichols.ydmodule import (
     BraidingOperator,
     Representation,
@@ -48,6 +50,43 @@ def check_braiding(module, br=None):
                 rhs = apply(apply(apply(start, 1), 0), 1)
                 if lhs != rhs:
                     raise ModuleSpecError("braid equation failed", triple=(a, b, c))
+
+
+def reference_block_fingerprint(module, indices):
+    """(fingerprint key, character norm) of one block: the restricted trace
+    on the fiber over the least class member, evaluated on every element of
+    its centralizer, and the norm summed over all of them."""
+    g = module.group
+    s = min(g.class_of(module.coaction[indices[0]]))
+    fiber = [i for i in indices if module.coaction[i] == s]
+    cent = g.centralizer(s)
+
+    def restricted_trace(gamma):
+        cols = module.action_of(gamma)
+        tr = module.field.zero()
+        for i in fiber:
+            v = cols[i].get(i)
+            if v is not None:
+                tr = tr + v
+        return tr
+
+    char = {gamma: restricted_trace(gamma) for gamma in cent}
+    norm = module.field.zero()
+    for gamma in cent:
+        norm = norm + char[gamma] * char[g.inv(gamma)]
+    norm = norm * module.field.rational(1, len(cent))
+    values = tuple((g.element_key(e), str(char[e]))
+                   for e in g.centralizer_classes(s))
+    return (g.element_key(s), values), norm
+
+
+def assert_reference_fingerprint(module):
+    """fingerprint(module) equals the reference key of every block, each
+    of which has character norm 1."""
+    refs = [reference_block_fingerprint(module, list(module.block_indices(b)))
+            for b in range(module.theta)]
+    assert all(norm == module.field.one() for _, norm in refs)
+    assert fingerprint(module) == tuple(key for key, _ in refs)
 
 
 def s3_sgn_module(field=Q, name="x"):
@@ -297,6 +336,81 @@ def test_fingerprint_rejects_reducible():
     m = build_M_O_rho(g, cls, rho)
     with pytest.raises(ModuleSpecError):
         fingerprint(m)
+
+
+def s4_transposition_pair(g):
+    """sgn and sgn-eps, two characters of C((1 2)) in S4, over one group."""
+    cls = conjugacy_class(g, (2, 1, 3, 4))
+    return [build_M_O_rho(g, cls, one_dim_rep(g, cls.centralizer, {
+        (2, 1, 3, 4): Q.rational(-1), (1, 2, 4, 3): Q.rational(eps)}))
+        for eps in (-1, 1)]
+
+
+NONABELIAN_MODULES = {
+    "s4-sgn": lambda: s4_class_module({"2,1,3,4": -1, "1,2,4,3": -1})[2],
+    "s4-sgn-eps": lambda: s4_class_module({"2,1,3,4": -1, "1,2,4,3": 1})[2],
+    "s4-chi-minus": lambda: chi_minus_module()[2],
+    "d9-sign": d9_module,
+    "fk3": fk3_module,
+    "s3xs3-family": lambda: direct_sum(s3_times_s3_family().blocks),
+}
+
+
+# C(s) is a proper subgroup here, generated by elements that are not the
+# group's generators
+@pytest.mark.parametrize("dual", [False, True], ids=["module", "dual"])
+@pytest.mark.parametrize("name", sorted(NONABELIAN_MODULES))
+def test_fingerprint_matches_the_reference_on_nonabelian_blocks(name, dual):
+    module = NONABELIAN_MODULES[name]()
+    assert_reference_fingerprint(module.dual() if dual else module)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_fingerprint_memo_separates_characters_at_one_base_point(order):
+    # the key memo lives on the group; both modules share one group object
+    pair = s4_transposition_pair(symmetric_group(4))
+    keys = {i: fingerprint(pair[i]) for i in order}
+    assert keys[0] != keys[1]
+    for module in pair:
+        assert_reference_fingerprint(module)
+
+
+def test_fingerprint_memo_is_field_independent_on_one_group():
+    g = symmetric_group(3)
+    cls = conjugacy_class(g, (2, 1, 3))
+    over_q, over_z12 = (
+        build_M_O_rho(g, cls, one_dim_rep(g, cls.centralizer,
+                                          {(2, 1, 3): f.rational(-1)}))
+        for f in (Q, CycloField(12)))
+    assert fingerprint(over_q) == fingerprint(over_z12)
+    assert_reference_fingerprint(over_z12)
+
+
+def test_one_dimensional_fiber_composes_only_the_centralizer_generators():
+    group, field, blocks = diagonal_modules(
+        [["z12^1", "z12^5"], ["z12^7", "z12^3"]])
+    assert group.order == 144
+    b = blocks[0]
+    # a copy with a fresh action memo: the input block's axiom check fills it
+    m = YDModule(group, field, b.coaction, b.generator_columns,
+                 b.basis_labels, b.blocks, check=False)
+    fingerprint(m)
+    assert len(m._memo) <= len(group.centralizer_generators(b.coaction[0])) + 1
+
+
+# q_ij = zN^k, primitive and non-primitive roots, 1 included
+DIAGONAL_Q = st.sampled_from((3, 4, 6, 8, 12)).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1).map(lambda k: f"z{n}^{k}"),
+             min_size=2, max_size=2), min_size=2, max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(DIAGONAL_Q)
+def test_diagonal_fingerprints_match_the_reference(rows):
+    _, _, blocks = diagonal_modules(rows)
+    for block in blocks:
+        assert_reference_fingerprint(block)
+        assert_reference_fingerprint(block.dual())
 
 
 def test_two_dim_centralizer_representation():
