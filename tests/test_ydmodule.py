@@ -338,14 +338,6 @@ def test_fingerprint_rejects_reducible():
         fingerprint(m)
 
 
-def s4_transposition_pair(g):
-    """sgn and sgn-eps, two characters of C((1 2)) in S4, over one group."""
-    cls = conjugacy_class(g, (2, 1, 3, 4))
-    return [build_M_O_rho(g, cls, one_dim_rep(g, cls.centralizer, {
-        (2, 1, 3, 4): Q.rational(-1), (1, 2, 4, 3): Q.rational(eps)}))
-        for eps in (-1, 1)]
-
-
 NONABELIAN_MODULES = {
     "s4-sgn": lambda: s4_class_module({"2,1,3,4": -1, "1,2,4,3": -1})[2],
     "s4-sgn-eps": lambda: s4_class_module({"2,1,3,4": -1, "1,2,4,3": 1})[2],
@@ -367,8 +359,12 @@ def test_fingerprint_matches_the_reference_on_nonabelian_blocks(name, dual):
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_fingerprint_memo_separates_characters_at_one_base_point(order):
-    # the key memo lives on the group; both modules share one group object
-    pair = s4_transposition_pair(symmetric_group(4))
+    # sgn and sgn-eps on one group object, which holds the key memo
+    g = symmetric_group(4)
+    cls = conjugacy_class(g, (2, 1, 3, 4))
+    pair = [build_M_O_rho(g, cls, one_dim_rep(g, cls.centralizer, {
+        (2, 1, 3, 4): Q.rational(-1), (1, 2, 4, 3): Q.rational(eps)}))
+        for eps in (-1, 1)]
     keys = {i: fingerprint(pair[i]) for i in order}
     assert keys[0] != keys[1]
     for module in pair:
