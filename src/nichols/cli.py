@@ -226,8 +226,7 @@ def run_derive(blocks, case, cap):
         raise ScenarioError("derive case needs an 'expression'",
                             case=case.get("label"))
     state = GradedNicholsState(direct_sum(blocks))
-    state.extend_to(cap)
-    value = evaluate_expr(state, case["expression"])
+    value = evaluate_expr(state, case["expression"], cap)
     payload = {"expression": case["expression"],
                "degree": value[0],
                "value": format_element(state, value),

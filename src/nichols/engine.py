@@ -165,8 +165,6 @@ class GradedNicholsState:
         self.products = [None]
         # (n, t, m) -> column m of the action of t on the degree-n basis
         self._action = {}
-        # (n, m, j) -> left derivative by f_j of the m-th degree-n basis word
-        self._left_memo = {}
         # (n, m, l) -> the m-th degree-n basis word times v_l, degree n+1
         self._right = {}
 
@@ -422,33 +420,6 @@ class GradedNicholsState:
             _add_scaled(out, {idx: d for (j, idx), d in
                               self.derivs[n][m].items() if j == k}, c)
         return _nonzero(out)
-
-    def left_derivative(self, n: int, coords, j: int):
-        """Left derivative by the j-th dual vector: degree n -> n-1 coords."""
-        out = {}
-        for m, c in coords.items():
-            _add_scaled(out, self._left_column(n, m, j), c)
-        return _nonzero(out)
-
-    def _left_column(self, n: int, m: int, j: int):
-        """Left derivative by f_j of the m-th degree-n basis word v_i * b:
-        delta_ij b plus v_i times the left derivative of b by g_i^{-1} . f_j;
-        memoized."""
-        key = (n, m, j)
-        col = self._left_memo.get(key)
-        if col is None:
-            i, tail = self.words[n][m][0], self.tails[n][m]
-            col = {tail: self.field.one()} if j == i else {}
-            if n > 1:
-                acts = self.module.action_of(self.module.coaction[i])
-                for b, act in enumerate(acts):
-                    if j in act:
-                        _add_scaled(col, self.left_multiply(
-                            i, n - 2, self._left_column(n - 1, tail, b)),
-                            act[j])
-                col = _nonzero(col)
-            self._left_memo[key] = col
-        return col
 
     def multidegree_table(self):
         table = {}

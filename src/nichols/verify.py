@@ -229,8 +229,8 @@ def check_s4_dimensions():
 
 def check_s3_pair_obstruction():
     blocks = [fk3_module("x"), fk3_module("y")]
-    state = GradedNicholsState(direct_sum(blocks)).extend_to(3)
-    out = evaluate_expr(state, "(d x3 (d y1 (ad x2 (ad x1 y2))))")
+    state = GradedNicholsState(direct_sum(blocks))
+    out = evaluate_expr(state, "(d x3 (d y1 (ad x2 (ad x1 y2))))", 3)
     text = format_element(state, out)
     assert text == "-x2", text
     # a[1,2] = -2 exactly: the chain's last nonzero step is degree 3
@@ -244,8 +244,8 @@ def check_s3_pair_obstruction():
 
 def check_d9_pair_obstruction():
     w = direct_sum([d9_module("v"), d9_module("w")])
-    state = GradedNicholsState(w).extend_to(3)
-    out = evaluate_expr(state, "(d v6 (d w4 (ad v2 (ad v1 w2))))")
+    state = GradedNicholsState(w)
+    out = evaluate_expr(state, "(d v6 (d w4 (ad v2 (ad v1 w2))))", 3)
     text = format_element(state, out)
     assert text == "-v5", text
     return "witness -v5"
@@ -253,10 +253,10 @@ def check_d9_pair_obstruction():
 
 def check_s4_mixed_pair_obstruction():
     blocks = [transposition_module(1, name="zt"), four_cycle_module("w")]
-    state = GradedNicholsState(direct_sum(blocks)).extend_to(3)
-    first = evaluate_expr(state, "(d zt1 (d w1 (ad zt2 (ad zt1 w1))))")
+    state = GradedNicholsState(direct_sum(blocks))
+    first = evaluate_expr(state, "(d zt1 (d w1 (ad zt2 (ad zt1 w1))))", 3)
     assert format_element(state, first) == "zt2", format_element(state, first)
-    second = evaluate_expr(state, "(d w5 (d zt2 (ad w2 (ad w1 zt1))))")
+    second = evaluate_expr(state, "(d w5 (d zt2 (ad w2 (ad w1 zt1))))", 3)
     assert format_element(state, second) == "w2", format_element(state, second)
     fam = FamilyM(blocks)
     assert cartan_entry(fam, 0, 1, cap=3) == UnboundedAtCap(3, 3)

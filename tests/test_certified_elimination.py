@@ -298,4 +298,7 @@ def test_derive_with_probe_builds_one_pair_algebra(monkeypatch, capsys):
     report = capsys.readouterr().out
     # the pair algebra for the expression, and B(M_1) for the probe's chain
     assert [state.module.theta for state in built] == [2, 1]
+    # the witness is evaluated on free words, and only its degree-one value
+    # is written over the pair algebra's basis
+    assert built[0].max_degree() == 1
     assert '"verdict": "a[1,2] <= -2"' in report and '"-v5"' in report

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import pytest
 
-from nichols.derivations import ad_c
 from nichols.engine import GradedNicholsState
 from nichols.groupoid import (
     FamilyM,
@@ -30,6 +29,7 @@ from nichols.groupoid import (
 from nichols.linalg import FieldOps, IncrementalSpan, eliminate_block
 from nichols.ydmodule import diagonal_modules, direct_sum
 from test_certified_elimination import CHAIN_CASES
+from test_derivations import ad_c
 
 DIAG_ROOTS = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" \
     / "diag_roots.json"

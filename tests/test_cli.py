@@ -426,6 +426,37 @@ def test_derive_without_expression_is_refused(tmp_path, capsys):
     assert payload["error"] == "scenario-error"
 
 
+def test_derive_past_the_cap_is_refused_unless_finished(capsys):
+    # the cap bounds the expression's peak degree; B of the D9 pair is not
+    # finished by degree 2, so the adjoint to degree 3 is refused
+    code, payload = refusal_payload(capsys, [
+        "derive", str(SCENARIOS / "dn_obstruction.json"), "--cap", "2"])
+    assert code == 2
+    assert payload == {"details": {"computed": 2, "degree": 3},
+                       "error": "degree-range",
+                       "message": "product degree beyond the computed range"}
+
+
+def test_derivative_past_the_top_of_a_finished_algebra_is_zero(tmp_path,
+                                                               capsys):
+    # B(fk3) ends in degree 4: an adjoint past the top is zero, and so is
+    # its derivative, whether or not the cap reaches the peak degree 6
+    path = write_scenario(tmp_path, {
+        "task": "derive", "cap": 8,
+        "group": FK3_GROUP, "field_conductor": 1,
+        "modules": [fk3_module_spec("x")],
+        "expression": "(d x1 (ad x1 (ad x2 (ad x3 (ad x1 (ad x2 x3))))))"})
+    for cap in ([], ["--cap", "5"]):
+        code, report = run_json(capsys, ["derive", path, *cap])
+        assert code == 0
+        result = report["results"][0]
+        assert (result["degree"], result["value"], result["is_zero"]) == \
+            (5, "0", True)
+    code, payload = refusal_payload(capsys, ["derive", path, "--cap", "3"])
+    assert code == 2
+    assert payload["details"] == {"computed": 3, "degree": 4}
+
+
 def test_mem_limit_env(tmp_path, capsys, monkeypatch):
     path = write_scenario(tmp_path, {
         "group": FK3_GROUP, "field_conductor": 1,

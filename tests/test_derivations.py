@@ -1,23 +1,26 @@
-"""Differential operators, braided adjoints, and their operator identities."""
+"""Differential operators, braided adjoints, and their operator identities.
+
+The operators of nichols.derivations act on free words.  Their B(V)-state
+versions below, which act on a computed truncation through its multiply,
+left_multiply and derivative tables, are the reference: the operator
+identities are checked on them, and the free-word evaluation, projected
+once, must agree with them on random expressions.
+"""
 
 import itertools
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nichols.cyclotomic import CycloField
-from nichols.derivations import (
-    ad_c,
-    ad_c_inv,
-    element_is_zero,
-    evaluate_expr,
-    format_element,
-    partial_left,
-    partial_right,
-)
+from nichols.cyclotomic import CycloField, _add_scaled, _nonzero
+from nichols.derivations import element_is_zero, evaluate_expr, format_element
 from nichols.engine import GradedNicholsState
 from nichols.errors import DegreeRangeError, ScenarioError
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
+from nichols.verify import corpus, four_cycle_module, transposition_module
 from nichols.ydmodule import (
     build_M_O_rho,
     diagonal_modules,
@@ -27,6 +30,73 @@ from nichols.ydmodule import (
 from test_engine import symmetrizer_columns
 
 Q = CycloField(1)
+
+
+# -- the B(V)-state operators: elements are (degree, coords) pairs over the
+# graded basis of a GradedNicholsState, as GradedNicholsState.multiply uses
+
+
+def partial_right(state, k: int, x):
+    """Right derivation by the k-th dual basis vector."""
+    n, coords = x
+    if n > state.max_degree():
+        raise DegreeRangeError("element degree beyond the computed range",
+                               degree=n, computed=state.max_degree())
+    if n == 0:
+        return (0, {})
+    return (n - 1, state.derivative(n, coords, k))
+
+
+def left_column(state, n: int, m: int, j: int):
+    """Left derivative by f_j of the m-th degree-n basis word v_i * b:
+    delta_ij b plus v_i times the left derivative of b by g_i^{-1} . f_j."""
+    i, tail = state.words[n][m][0], state.tails[n][m]
+    col = {tail: state.field.one()} if j == i else {}
+    if n > 1:
+        acts = state.module.action_of(state.module.coaction[i])
+        for b, act in enumerate(acts):
+            if j in act:
+                _add_scaled(col, state.left_multiply(
+                    i, n - 2, left_column(state, n - 1, tail, b)), act[j])
+    return _nonzero(col)
+
+
+def partial_left(state, j: int, x):
+    """Left derivation by the j-th dual basis vector."""
+    n, coords = x
+    if n > state.max_degree():
+        raise DegreeRangeError("element degree beyond the computed range",
+                               degree=n, computed=state.max_degree())
+    if n == 0:
+        return (0, {})
+    out = {}
+    for m, c in coords.items():
+        _add_scaled(out, left_column(state, n, m, j), c)
+    return (n - 1, _nonzero(out))
+
+
+def ad_c(state, i: int, y):
+    """Braided adjoint of v_i: ad_c v(y) = vy - (g.y)v."""
+    n, yc = y
+    one = state.field.one()
+    acted = state.act(n, state.module.coaction[i], yc)
+    out = state.left_multiply(i, n, yc)
+    _add_scaled(out, state.multiply((n, acted), (1, {i: one}))[1], -one)
+    return (n + 1, _nonzero(out))
+
+
+def ad_c_inv(state, i: int, y):
+    """Adjoint for the inverse braiding: v y_m - y_m (h_m^{-1} . v) per
+    basis word m."""
+    n, yc = y
+    group, one = state.module.group, state.field.one()
+    out = state.left_multiply(i, n, yc)
+    for m, cm in yc.items():
+        hinv = group.inv(state.hdegrees[n][m])
+        hv = state.act(1, hinv, {i: one})
+        _add_scaled(out, state.multiply((n, {m: one}), (1, hv))[1], -cm)
+    return (n + 1, _nonzero(out))
+
 
 
 def fk3_module(name="x"):
@@ -342,16 +412,16 @@ def test_nondegeneracy_witnesses():
 
 def test_evaluate_expression_regression():
     state = fk3_double_state(3)
-    out = evaluate_expr(state, "(d x3 (d y1 (ad x2 (ad x1 y2))))")
+    out = evaluate_expr(state, "(d x3 (d y1 (ad x2 (ad x1 y2))))", 3)
     assert out == (1, {1: Q.rational(-1)})
     assert format_element(state, out) == "-x2"
 
 
 def test_evaluate_expression_atoms_and_left():
     state = fk3_double_state(3)
-    assert evaluate_expr(state, "y2") == (1, {4: Q.one()})
-    assert element_is_zero(evaluate_expr(state, "(ad x1 1)"))
-    out = evaluate_expr(state, "(dl x1 (ad x1 y2))")
+    assert evaluate_expr(state, "y2", 3) == (1, {4: Q.one()})
+    assert element_is_zero(evaluate_expr(state, "(ad x1 1)", 3))
+    out = evaluate_expr(state, "(dl x1 (ad x1 y2))", 3)
     assert out == (1, {4: Q.one()})
 
 
@@ -360,7 +430,71 @@ def test_evaluate_expression_errors():
     for bad in ("", "(d x3", "(frob x1 y2)", "(d zz y2)", "(d x1)",
                 "y2 y3", ")", "(ad x1 (ad x1 y2) y2)"):
         with pytest.raises(ScenarioError):
-            evaluate_expr(state, bad)
+            evaluate_expr(state, bad, 2)
+
+
+# -- free-word evaluation against the state reference
+
+OPERATORS = {"d": partial_right, "dl": partial_left, "ad": ad_c,
+             "adinv": ad_c_inv}
+
+
+@cache
+def oracle_cases():
+    """name -> (reference state extended to the peak degree, peak); a
+    finished algebra's peak is its computed range, since the reference
+    refuses a derivative past it."""
+    modules = {name: (module, 4) for name, module in corpus()
+               if name in ("fk3-double", "diag-a2", "zero-pair", "four-cycle")}
+    modules["s4-zt-w"] = (direct_sum([transposition_module(1, name="zt"),
+                                      four_cycle_module("w")]), 4)
+    modules["d9-pair"] = (direct_sum([d9_block("v"), d9_block("w")]), 3)
+    states = {name: GradedNicholsState(module).extend_to(peak)
+              for name, (module, peak) in modules.items()}
+    return {name: (state, state.max_degree())
+            for name, state in states.items()}
+
+
+def render(tree):
+    if isinstance(tree, str):
+        return tree
+    op, label, inner = tree
+    return f"({op} {label} {render(inner)})"
+
+
+def reference_value(state, tree):
+    one = state.field.one()
+    if tree == "1":
+        return (0, {0: one})
+    if isinstance(tree, str):
+        return (1, {state.module.label_index[tree]: one})
+    op, label, inner = tree
+    return OPERATORS[op](state, state.module.label_index[label],
+                         reference_value(state, inner))
+
+
+@pytest.mark.parametrize("name", ["d9-pair", "diag-a2", "fk3-double",
+                                  "four-cycle", "s4-zt-w", "zero-pair"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_free_word_evaluation_matches_state_reference(name, data):
+    # every subexpression is compared, the nonzero adjoints on the way up
+    # as well as the often zero derivatives
+    state, peak = oracle_cases()[name]
+    labels = st.sampled_from(state.module.basis_labels)
+    tree = data.draw(st.one_of(st.just("1"), labels))
+    degree = int(tree != "1")
+    for op in data.draw(st.lists(st.sampled_from(sorted(OPERATORS)),
+                                 max_size=7)):
+        if op.startswith("ad"):
+            if degree == peak:
+                continue
+            degree += 1
+        else:
+            degree = max(degree - 1, 0)
+        tree = (op, data.draw(labels), tree)
+        assert evaluate_expr(state, render(tree), peak) == \
+            reference_value(state, tree), render(tree)
 
 
 def test_format_element_scalars():

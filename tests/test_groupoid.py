@@ -19,7 +19,7 @@ import nichols
 from nichols import engine
 from nichols.cli import build_blocks
 from nichols.cyclotomic import CycloField
-from nichols.derivations import ad_c, element_is_zero
+from nichols.derivations import element_is_zero
 from nichols.engine import GradedNicholsState, hilbert_series
 from nichols.errors import ReflectionError, ScenarioError
 from nichols.groupoid import (
@@ -38,6 +38,7 @@ from nichols.groupoid import (
 )
 from nichols.groups import build_permutation_group, conjugacy_class, symmetric_group
 from nichols.ydmodule import build_M_O_rho, diagonal_modules, fingerprint, one_dim_rep
+from test_derivations import ad_c
 
 Q = CycloField(1)
 

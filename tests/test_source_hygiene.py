@@ -27,8 +27,8 @@ OWNERS = {"self", "cls", "inst"}
 UNREFERENCED_ALLOWED = {
     # public scalar API: zeta_N^k, and an element from its coefficients
     "root_of_unity", "element",
-    # waits on ROADMAP items 1 and 8: perfbench/tracer.py spans it by name
-    "normal_form",
+    # waits on ROADMAP item 1: perfbench/tracer.py spans it by name
+    "derivative",
     # cli.run_scenario looks each runner up by name when it runs, so that a
     # caller can replace it (perfbench/child.py's setup mode does)
     *(f"run_{task}" for task in TASKS),
