@@ -98,7 +98,6 @@ def ad_c_inv(state, i: int, y):
     return (n + 1, _nonzero(out))
 
 
-
 def fk3_module(name="x"):
     g = symmetric_group(3)
     cls = conjugacy_class(g, (2, 1, 3), numeration={
