@@ -150,12 +150,22 @@ class CycloField:
         return self._make(_reduce(vec, self))
 
     def element(self, coeffs):
-        coeffs = [_q(mpq(c)) for c in coeffs]
+        """The scalar with these coefficients, each made canonical."""
+        coeffs = [c if type(c) is int else _q(mpq(c)) for c in coeffs]
         if len(coeffs) != self.phi:
             raise ScalarParseError(
                 f"coefficient vector must have length {self.phi}",
                 got=len(coeffs))
         return self._make(coeffs)
+
+    def coefficients(self, x) -> tuple:
+        """The coefficient tuple of a scalar of this field, which element
+        turns back into the scalar: (x,) over Q."""
+        return (x,) if self.phi == 1 else x.coeffs
+
+    def inverse(self, x):
+        """x^-1 for a nonzero scalar of this field."""
+        return _q(mpq(1) / x) if self.phi == 1 else x.inv()
 
     def parse(self, text: str):
         return parse_scalar(self, text)

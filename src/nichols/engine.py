@@ -122,7 +122,6 @@ class HilbertSeries:
 
     coeffs: list
     finished: bool
-    cap: int
 
     @property
     def total(self):
@@ -180,7 +179,7 @@ class GradedNicholsState:
         dims = self.dims()
         while dims and dims[-1] == 0:
             dims.pop()
-        return HilbertSeries(dims, self.finished, self.max_degree())
+        return HilbertSeries(dims, self.finished)
 
     # -- group action on graded pieces
 

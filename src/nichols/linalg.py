@@ -14,11 +14,11 @@ by an exact integer check over Q.  IncrementalSpan, exact dense elimination one
 vector at a time, is the fallback: for any block it cannot certify, and
 for every block when phi(N) > 1.
 
-Inside this module rows hold "raw" scalars, in the canonical form of
-cyclotomic: over Q the raw is the scalar itself, a plain int when
-integral and an mpq otherwise; for phi(N) > 1 it is the CycloNumber's
-coefficient tuple.  FieldOps does arithmetic on raws and converts them to
-and from scalars; no other module sees a coefficient tuple.
+Inside this module rows hold "raw" scalars, one form for every field: the
+scalar's coefficient tuple of length phi(N), a 1-tuple over Q.  cyclotomic
+owns the conversions (CycloField.coefficients and CycloField.element, which
+makes each coefficient canonical) and the scalar inverse; FieldOps does
+arithmetic on raws, and no other module sees one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import logging
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
-from .cyclotomic import CycloField, CycloNumber, _mul_coeffs, _q, mpq
+from .cyclotomic import CycloField, _mul_coeffs, _q, mpq
 
 log = logging.getLogger(__name__)
 
@@ -38,76 +38,38 @@ RECONSTRUCTION_BOUND = isqrt(MODULUS // 2)
 
 
 class FieldOps:
-    """Raw-coefficient arithmetic for one field, with row-level helpers."""
+    """Arithmetic on the raws of one field, with row-level helpers."""
 
-    _cache: dict[int, "FieldOps"] = {}
+    nonzero = any
 
-    def __new__(cls, field: CycloField):
-        inst = cls._cache.get(field.conductor)
-        if inst is None:
-            inst = super().__new__(cls)
-            inst.field = field
-            inst.phi = field.phi
-            if inst.phi == 1:
-                inst.zero, inst.one = 0, 1
-            else:
-                inst.zero = (0,) * inst.phi
-                inst.one = (1,) + (0,) * (inst.phi - 1)
-            cls._cache[field.conductor] = inst
-        return inst
-
-    # -- scalar conversions
-
-    def lift(self, x):
-        return x if self.phi == 1 else x.coeffs
-
-    def lower(self, r):
-        if self.phi == 1:
-            return _q(r)
-        return CycloNumber(self.field, tuple(_q(c) for c in r))
-
-    # -- scalar arithmetic on raws
-
-    def nonzero(self, r) -> bool:
-        return bool(r) if self.phi == 1 else any(r)
+    def __init__(self, field: CycloField):
+        self.field = field
+        self.zero = (0,) * field.phi
 
     def add(self, a, b):
-        if self.phi == 1:
-            return a + b
         return tuple(x + y for x, y in zip(a, b))
 
     def sub(self, a, b):
-        if self.phi == 1:
-            return a - b
         return tuple(x - y for x, y in zip(a, b))
 
     def neg(self, a):
-        if self.phi == 1:
-            return -a
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        if self.phi == 1:
-            return a * b
         return _mul_coeffs(a, b, self.field)
 
     def inv(self, a):
-        if self.phi == 1:
-            return _q(mpq(1) / a)
-        return self.lower(a).inv().coeffs
+        field = self.field
+        return field.coefficients(field.inverse(field.element(a)))
 
     # -- row helpers (return fresh lists)
 
     def scale_row(self, row, f):
-        if self.phi == 1:
-            return [f * x if x else x for x in row]
         mul = self.mul
         return [mul(f, x) if any(x) else x for x in row]
 
     def axpy_row(self, dst, src, f):
         """dst - f*src, elementwise."""
-        if self.phi == 1:
-            return [a - f * b if b else a for a, b in zip(dst, src)]
         mul, sub = self.mul, self.sub
         return [sub(a, mul(f, b)) if any(b) else a for a, b in zip(dst, src)]
 
@@ -198,7 +160,7 @@ def eliminate_block(field: CycloField, vectors, track: bool = True,
         log.debug("degree %s block %s fell back to exact elimination: %s",
                   degree, key, results)
     ops = FieldOps(field)
-    lift, lower, nonzero = ops.lift, ops.lower, ops.nonzero
+    lift, lower = field.coefficients, field.element
     cols = sorted({c for v in vectors for c in v})
     colpos = {c: i for i, c in enumerate(cols)}
     span = IncrementalSpan(ops, len(cols), track=track)
@@ -209,7 +171,7 @@ def eliminate_block(field: CycloField, vectors, track: bool = True,
             row[colpos[c]] = lift(x)
         kind, data = span.insert(row)
         if kind == "combo" and track:
-            data = {o: lower(cf) for o, cf in enumerate(data) if nonzero(cf)}
+            data = {o: lower(cf) for o, cf in enumerate(data) if any(cf)}
         results.append((kind, data))
     return results
 

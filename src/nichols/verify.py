@@ -390,7 +390,7 @@ CHECKS = [
 ]
 
 
-def run_checks(names=None):
+def run_checks():
     """Run the matrix; mismatches and crashes become FAIL rows.  A malformed
     NICHOLS_MEM_LIMIT is a configuration fault, not a failed check: it is
     refused before any check runs."""
@@ -400,8 +400,6 @@ def run_checks(names=None):
     _run_memo = {}
     try:
         for name, location, fn in CHECKS:
-            if names is not None and name not in names:
-                continue
             try:
                 detail = fn()
                 rows.append({"check": name, "location": location,

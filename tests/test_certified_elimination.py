@@ -1,6 +1,8 @@
-"""Certified mod-p elimination against the exact IncrementalSpan it replaces:
-the same insert() sequence on random and adversarial blocks, the same engine
-states and adjoint chains on real modules, and one pair algebra per derive."""
+"""Certified mod-p elimination against exact elimination: the same results
+as a dense exact reference on random and adversarial blocks, scalars in
+the field's own form from the exact fallback, the same engine states and
+adjoint chains on real modules as the forced exact path, and one pair
+algebra per derive."""
 
 import logging
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nichols import cli, engine, linalg
-from nichols.cyclotomic import CycloField
+from nichols.cyclotomic import CycloField, CycloNumber
 from nichols.engine import GradedNicholsState, symmetrizer_ranks
 from nichols.groupoid import (
     FamilyM,
@@ -20,13 +22,7 @@ from nichols.groupoid import (
     explore_groupoid,
     real_roots,
 )
-from nichols.linalg import (
-    MODULUS,
-    RECONSTRUCTION_BOUND,
-    FieldOps,
-    IncrementalSpan,
-    eliminate_block,
-)
+from nichols.linalg import MODULUS, RECONSTRUCTION_BOUND, eliminate_block
 from nichols.verify import (
     corpus,
     d9_module,
@@ -35,10 +31,10 @@ from nichols.verify import (
     transposition_module,
 )
 from nichols.ydmodule import diagonal_modules, direct_sum, fingerprint
+from dense_reference import exact_path, reference_sequence
 from test_cyclotomic import BARE
 
 Q = CycloField(1)
-OPS = FieldOps(Q)
 SCENARIOS = Path(cli.__file__).parent / "scenarios"
 
 
@@ -49,22 +45,9 @@ def over_q(vectors):
 
 
 def exact_sequence(vectors, track=True):
-    """What feeding the rational vectors to IncrementalSpan.insert returns,
-    each combination as eliminate_block writes it: a sparse dict of
-    scalars, ordinals ascending."""
-    cols = sorted({c for v in vectors for c in v})
-    pos = {c: i for i, c in enumerate(cols)}
-    span = IncrementalSpan(OPS, len(cols), track=track)
-    out = []
-    for v in vectors:
-        row = [OPS.zero] * len(cols)
-        for c, x in v.items():
-            row[pos[c]] = x
-        kind, data = span.insert(row)
-        if kind == "combo" and track:
-            data = {o: OPS.lower(cf) for o, cf in enumerate(data) if cf}
-        out.append((kind, data))
-    return out
+    """What eliminate_block must return for the rational vectors, from the
+    dense exact reference."""
+    return reference_sequence(Q, over_q(vectors), track)
 
 
 def fallback_reasons(caplog):
@@ -186,6 +169,62 @@ def test_adversarial_block_falls_back_exactly(name, caplog):
     assert got == exact_sequence(vectors)
     assert fallback_reasons(caplog) == [reason]
     assert "degree 3 block k" in caplog.records[0].getMessage()
+
+
+# -- the exact fallback writes each field's own scalars: == cannot tell a
+# phi(N) = 1 CycloNumber from the bare rational, so check types
+
+INTEGRAL, RATIONAL = BARE[:2], BARE[2]
+
+
+def written(results):
+    """Every combination value of eliminate_block's results."""
+    return [x for kind, combo in results if kind == "combo"
+            for x in combo.values()]
+
+
+def bare(x):
+    """A scalar over Q in cyclotomic's form: an int when integral, an mpq
+    otherwise."""
+    if type(x) is RATIONAL:
+        return x.denominator != 1
+    return type(x) in INTEGRAL
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_fallback_over_q_writes_bare_rationals(name):
+    vectors = over_q(ADVERSARIAL[name][0])
+    assert linalg._eliminate_mod_p(vectors, True) == ADVERSARIAL[name][1]
+    assert all(bare(x) for x in written(eliminate_block(Q, vectors)))
+
+
+@pytest.mark.parametrize("s", [1, Fraction(1, 3)], ids=["ints", "fractions"])
+def test_forced_fallback_over_q_writes_bare_rationals(s):
+    # combinations 1/2, 2 and 1, and the empty one
+    vectors = over_q([{0: 2 * s, 1: 4 * s}, {1: 3 * s, 2: -s}, {0: s, 1: 2 * s},
+                      {0: 4 * s, 1: 11 * s, 2: -s}, {2: 5 * s}, {}])
+    mod_p = linalg._eliminate_mod_p(vectors, True)
+    exact = exact_path(Q, vectors)
+    assert exact == mod_p == exact_sequence(vectors)
+    values = written(exact)
+    assert sorted(values) == [Fraction(1, 2), 1, 2]
+    assert all(bare(x) for x in values + written(mod_p))
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 12])
+def test_exact_path_writes_scalars_of_the_blocks_field(n):
+    field = CycloField(n)
+    z = field.root_of_unity(1)
+    one, two, third = field.one(), field.scalar(2), field.rational(1, 3)
+    # combinations z, 2 (a rational value, still a CycloNumber) and one over
+    # two pivots with irrational coefficients
+    vectors = [{0: z, 1: one}, {0: z * z, 1: z}, {0: two * z, 1: two},
+               {1: two}, {0: third}]
+    results = eliminate_block(field, vectors)
+    assert results == reference_sequence(field, vectors)
+    values = written(results)
+    assert len(values) == 4
+    assert all(type(x) is CycloNumber and x.field is field for x in values)
 
 
 def test_cyclotomic_blocks_take_the_exact_path(caplog):

@@ -4,8 +4,8 @@ The program runs each chain on Phi-rows, the right derivatives by the
 second block, inside the Nichols algebra of the first block alone.  The
 reference here runs the chain the direct way: ad_c of every letter of
 block i on every row inside the unbounded Nichols algebra of the pair,
-eliminated with eliminate_block, and the top chain module solved with
-IncrementalSpan on the pair algebra's own action.  The two must give the
+eliminated with eliminate_block, and the top chain module solved with the
+dense exact reference on the pair algebra's own action.  The two must give the
 same entries, steps, rows (under Phi) and top modules, entry for entry.
 
 The dimension identity dim B_(m,1) = sum_k d_k h_(m-k), with d_k the chain
@@ -26,8 +26,9 @@ from nichols.groupoid import (
     _adjoint_chain,
     _top_module,
 )
-from nichols.linalg import FieldOps, IncrementalSpan, eliminate_block
+from nichols.linalg import eliminate_block
 from nichols.ydmodule import diagonal_modules, direct_sum
+from dense_reference import DenseSpan
 from test_certified_elimination import CHAIN_CASES
 from test_derivations import ad_c
 
@@ -69,30 +70,28 @@ def reference_chain_action(chain, t):
     """Columns of t on the top chain step, solving every row's image under
     the pair algebra's action against the chain rows."""
     state, n, rows = chain.state, chain.degree, chain.rows
-    ops = FieldOps(state.field)
     slots = sorted({w for row in rows for w in row})
     colpos = {w: c for c, w in enumerate(slots)}
 
-    def raw(vec):
-        out = [ops.zero] * len(slots)
+    def dense(vec):
+        out = [state.field.zero()] * len(slots)
         for w, val in vec.items():
             if val:
-                out[colpos[w]] = ops.lift(val)
+                out[colpos[w]] = val
         return out
 
-    solver = IncrementalSpan(ops, len(slots), track=True)
+    solver = DenseSpan(state.field, len(slots))
     for row in rows:
-        assert solver.insert(raw(row))[0] == "pivot"
+        assert solver.insert(dense(row))[0] == "pivot"
     cols = []
     for row in rows:
         image = {}
         for w, cv in row.items():
             for w2, s in state.action_columns(n, t)[w].items():
                 image[w2] = image.get(w2, state.field.zero()) + cv * s
-        kind, data = solver.insert(raw(image))
+        kind, data = solver.insert(dense(image))
         assert kind == "combo"
-        cols.append({r: ops.lower(cf) for r, cf in enumerate(data)
-                     if ops.nonzero(cf)})
+        cols.append({r: cf for r, cf in enumerate(data) if cf})
     return cols
 
 

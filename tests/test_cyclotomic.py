@@ -10,7 +10,6 @@ from nichols.cyclotomic import (
     _add_scaled,
     _mul_coeffs,
     _nonzero,
-    _q,
     cyclotomic_modulus,
     field_of,
     mpq,
@@ -25,17 +24,6 @@ BARE = (int, type(mpq(1).numerator), type(mpq(1, 2)))
 
 def random_element(field, rng, span=6):
     return field.element([rng.randint(-span, span) for _ in range(field.phi)])
-
-
-def coefficients(x):
-    """The coefficient tuple of a scalar; over Q the scalar is its own
-    coefficient."""
-    return x.coeffs if isinstance(x, CycloNumber) else (x,)
-
-
-def inverse(x):
-    """x^-1: CycloNumber.inv, or the exact inverse of a bare rational."""
-    return x.inv() if isinstance(x, CycloNumber) else _q(mpq(1) / x)
 
 
 @pytest.mark.parametrize("n,phi", [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2),
@@ -92,8 +80,8 @@ def test_field_axioms_random(n):
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         if a:
-            assert a * inverse(a) == f.one()
-            assert inverse(inverse(a)) == a
+            assert a * f.inverse(a) == f.one()
+            assert f.inverse(f.inverse(a)) == a
 
 
 def test_root_inverse_is_conjugate_exponent():
@@ -113,6 +101,25 @@ def test_canonical_form_idempotent():
     a = f.element([1, -2, 3, 0])
     assert f.element(list(a.coeffs)) == a
     assert len(a.coeffs) == f.phi
+
+
+@pytest.mark.parametrize("n", SUPPORTED)
+def test_coefficients_round_trip_through_element(n):
+    # the raw form linalg computes on: a coefficient tuple of length phi(N),
+    # a 1-tuple of the bare rational over Q; element makes an integral
+    # rational left over from arithmetic an int again
+    rng = random.Random(2000 + n)
+    f = CycloField(n)
+    for _ in range(10):
+        a = random_element(f, rng) * f.rational(1, rng.randint(1, 4))
+        coeffs = f.coefficients(a)
+        assert type(coeffs) is tuple and len(coeffs) == f.phi
+        back = f.element(coeffs)
+        assert back == a and hash(back) == hash(a)
+        assert all(type(c) in (BARE[:2] if c.denominator == 1 else BARE[2:])
+                   for c in f.coefficients(back))
+        if f.phi == 1:
+            assert coeffs == (a,) and type(back) in BARE
 
 
 def test_conductor_mismatch_raises():
@@ -240,7 +247,7 @@ def test_products_and_sums_across_field_objects(n):
     assert g is not f and g == f
     for _ in range(10):
         a = random_element(f, rng) * f.rational(1, rng.randint(1, 4))
-        b = g._make(coefficients(random_element(f, rng)))
+        b = g._make(f.coefficients(random_element(f, rng)))
         for x, y in ((a, b), (b, a), (a, a), (b, b)):
             assert same(x * y, product(x, y))
             assert same(x + y, total(x, y))
@@ -327,7 +334,7 @@ def test_add_scaled_and_nonzero_match_the_generic_path(n, scale):
     g = twin(f)
     for trial in range(10):
         def number(field):
-            return field._make(coefficients(random_element(f, rng, span=2)))
+            return field._make(f.coefficients(random_element(f, rng, span=2)))
         c = {"none": None, "same": number(f), "twin": number(g),
              "rational": rng.choice(SCALARS)}[scale]
         # entries from both field objects, some of them zero or cancelling
@@ -339,6 +346,6 @@ def test_add_scaled_and_nonzero_match_the_generic_path(n, scale):
         _add_scaled(got, vec, c)
         assert list(got) == list(want)
         assert all(same(got[k], want[k]) for k in want)
-        kept = {k: v for k, v in want.items() if any(coefficients(v))}
+        kept = {k: v for k, v in want.items() if any(f.coefficients(v))}
         assert _nonzero(got) == kept
         assert all(_nonzero(got)[k] is got[k] for k in kept)

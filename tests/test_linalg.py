@@ -3,7 +3,8 @@ import random
 import pytest
 
 from nichols.cyclotomic import CycloField, mpq
-from nichols.linalg import FieldOps, IncrementalSpan, eliminate_block
+from nichols.linalg import eliminate_block
+from dense_reference import DenseSpan, agree
 
 INTEGRAL = (int, type(mpq(1).numerator))
 
@@ -19,32 +20,36 @@ def identity_rows(field, n):
 
 
 def insert_all(field, vectors, ncols):
-    """Feed CycloNumber vectors to one IncrementalSpan; returns the ops, the
-    span and what each insert returned."""
-    ops = FieldOps(field)
-    span = IncrementalSpan(ops, ncols)
-    return ops, span, [span.insert([ops.lift(x) for x in v]) for v in vectors]
+    """Feed dense scalar vectors to one DenseSpan, after checking that
+    eliminate_block gives the same results on both of its paths; returns
+    the span and what each insert returned."""
+    span = DenseSpan(field, ncols)
+    results = [span.insert(v) for v in vectors]
+    sparse = [{c: x for c, x in enumerate(v) if x} for v in vectors]
+    assert agree(field, sparse) == [
+        (kind, data if kind == "pivot" else
+         {o: x for o, x in enumerate(data) if x}) for kind, data in results]
+    return span, results
 
 
 def rank(field, rows):
     ncols = len(rows[0]) if rows else 0
-    return sum(kind == "pivot" for kind, _ in insert_all(field, rows, ncols)[2])
+    return sum(kind == "pivot" for kind, _ in insert_all(field, rows, ncols)[1])
 
 
 def echelon(field, rows, ncols):
-    """The rows IncrementalSpan keeps (leading entry 1, zero in the lead
+    """The rows the reference keeps (leading entry 1, zero in the lead
     columns of the rows before) and their lead columns, in row order."""
-    ops, span, _ = insert_all(field, rows, ncols)
-    leads = sorted(span.lead, key=span.lead.get)
-    return [[ops.lower(x) for x in row] for row in span.rows], leads
+    span, _ = insert_all(field, rows, ncols)
+    return span.rows, span.leads
 
 
 def kernel_from_columns(field, rows):
-    """Right kernel of the matrix with these rows: one vector per column that
-    IncrementalSpan finds dependent on the earlier columns."""
+    """Right kernel of the matrix with these rows: one vector per column
+    found dependent on the earlier columns."""
     ncols = len(rows[0])
     cols = [[row[j] for row in rows] for j in range(ncols)]
-    ops, _, results = insert_all(field, cols, len(rows))
+    _, results = insert_all(field, cols, len(rows))
     pivots = [j for j, (kind, _) in enumerate(results) if kind == "pivot"]
     basis = []
     for j, (kind, data) in enumerate(results):
@@ -52,15 +57,14 @@ def kernel_from_columns(field, rows):
             v = [field.zero()] * ncols
             v[j] = field.one()
             for p, cf in zip(pivots, data):
-                v[p] = -ops.lower(cf)
+                v[p] = -cf
             basis.append(v)
     return basis
 
 
-def combine(ops, coeffs, vectors, field, dim):
+def combine(coeffs, vectors, field, dim):
     acc = [field.zero()] * dim
-    for cf, v in zip(coeffs, vectors):
-        c = ops.lower(cf)
+    for c, v in zip(coeffs, vectors):
         acc = [a + c * x for a, x in zip(acc, v)]
     return acc
 
@@ -134,11 +138,10 @@ def test_solve_in_span_basics():
     f = CycloField(2)
     e1 = [f.one(), f.zero()]
     e2 = [f.zero(), f.one()]
-    ops, _, results = insert_all(f, [e1, [f.rational(3), f.zero()]], 2)
-    assert results[1][0] == "combo"
-    assert [ops.lower(c) for c in results[1][1]] == [f.rational(3)]
-    assert insert_all(f, [[f.zero(), f.zero()]], 2)[2] == [("combo", [])]
-    assert insert_all(f, [e1, e2], 2)[2][1] == ("pivot", 1)
+    _, results = insert_all(f, [e1, [f.rational(3), f.zero()]], 2)
+    assert results[1] == ("combo", [f.rational(3)])
+    assert insert_all(f, [[f.zero(), f.zero()]], 2)[1] == [("combo", [])]
+    assert insert_all(f, [e1, e2], 2)[1][1] == ("pivot", 1)
 
 
 def test_solve_in_span_dependent_basis():
@@ -148,9 +151,9 @@ def test_solve_in_span_dependent_basis():
     v2 = [f.rational(2), zero]  # dependent on v1: not a pivot
     v3 = [zero, one]
     target = [f.rational(5), f.rational(7)]
-    ops, _, results = insert_all(f, [v1, v2, v3, target], 2)
+    _, results = insert_all(f, [v1, v2, v3, target], 2)
     assert [kind for kind, _ in results] == ["pivot", "combo", "pivot", "combo"]
-    assert combine(ops, results[3][1], [v1, v3], f, 2) == target
+    assert combine(results[3][1], [v1, v3], f, 2) == target
 
 
 def test_solve_matches_rref_consistency():
@@ -164,27 +167,27 @@ def test_solve_matches_rref_consistency():
         target = [f.zero()] * dim
         for c, v in zip(coeffs, basis):
             target = [a + c * x for a, x in zip(target, v)]
-        ops, _, results = insert_all(f, basis + [target], dim)
+        _, results = insert_all(f, basis + [target], dim)
         kind, data = results[-1]
         assert kind == "combo"
         pivots = [v for v, (k, _) in zip(basis, results) if k == "pivot"]
-        assert combine(ops, data, pivots, f, dim) == target
+        assert combine(data, pivots, f, dim) == target
 
 
 def test_fast_and_generic_paths_agree():
-    # phi(2) = 1 takes the bare-rational path; a conductor with phi > 1 on the
-    # same integer blocks must give the same pivots, combinations and rows
+    # phi(2) = 1 eliminates mod p, and exactly on 1-tuple raws when the
+    # mod-p path is refused; a conductor with phi > 1 on the same integer
+    # blocks must give the same pivots, combinations and rows
     rng = random.Random(5)
     f1, f3 = CycloField(2), CycloField(3)
 
     def run(field, grid, ncols):
-        ops, span, results = insert_all(
+        span, results = insert_all(
             field, [[field.rational(x) for x in row] for row in grid], ncols)
-        lowered = [(kind, None if kind == "pivot" else
-                    [str(ops.lower(c)) for c in data])
-                   for kind, data in results]
-        rows = [[str(ops.lower(x)) for x in row] for row in span.rows]
-        return lowered, rows
+        written = [(kind, None if kind == "pivot" else
+                    [str(c) for c in data]) for kind, data in results]
+        rows = [[str(x) for x in row] for row in span.rows]
+        return written, rows
 
     for _ in range(10):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
@@ -194,17 +197,14 @@ def test_fast_and_generic_paths_agree():
 
 def test_incremental_span_expressions():
     f = CycloField(2)
-    ops = FieldOps(f)
-    span = IncrementalSpan(ops, 3)
     vecs = [[1, 2, 0], [2, 4, 0], [0, 0, 1], [3, 6, 5]]
-    raw = [[ops.lift(f.rational(x)) for x in v] for v in vecs]
-    kinds = [span.insert(v) for v in raw]
+    _, kinds = insert_all(f, [[f.rational(x) for x in v] for v in vecs], 3)
     assert kinds[0] == ("pivot", 0)
     assert kinds[1][0] == "combo"
-    assert [str(ops.lower(c)) for c in kinds[1][1]] == ["2"]
+    assert [str(c) for c in kinds[1][1]] == ["2"]
     assert kinds[2] == ("pivot", 1)
     assert kinds[3][0] == "combo"
-    assert [str(ops.lower(c)) for c in kinds[3][1]] == ["3", "5"]
+    assert [str(c) for c in kinds[3][1]] == ["3", "5"]
 
 
 def test_exact_combinations_are_canonical():

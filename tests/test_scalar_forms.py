@@ -4,16 +4,13 @@ mpq left over from rational arithmetic is the same value as the int.  Over
 Q the scalar is that bare rational, its own one coefficient."""
 
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nichols import linalg
 from nichols.cyclotomic import CycloField, mpq, parse_scalar
-from nichols.linalg import (MODULUS, FieldOps, _rational_reconstruction,
-                            eliminate_block)
-from test_cyclotomic import coefficients, inverse
+from nichols.linalg import MODULUS, _rational_reconstruction, eliminate_block
+from dense_reference import exact_path
 
 CONDUCTORS = st.sampled_from([1, 3, 4, 8, 12])
 COEFF = st.one_of(st.integers(-6, 6),
@@ -35,11 +32,6 @@ def canonical(c):
         isinstance(c, RATIONAL)
 
 
-def leaves(raw):
-    """The coefficients of a raw scalar, a bare rational or a tuple."""
-    return raw if isinstance(raw, tuple) else (raw,)
-
-
 @st.composite
 def elements(draw, field, nonzero=False):
     coeffs = draw(st.lists(COEFF, min_size=field.phi, max_size=field.phi))
@@ -51,13 +43,14 @@ def elements(draw, field, nonzero=False):
 @st.composite
 def element_pairs(draw):
     field = CycloField(draw(CONDUCTORS))
-    return draw(elements(field)), draw(elements(field, nonzero=True))
+    return field, draw(elements(field)), draw(elements(field, nonzero=True))
 
 
 @settings(max_examples=200, deadline=None)
 @given(element_pairs())
 def test_ring_identities_and_exact_coefficients(pair):
-    a, b = pair
+    field, a, b = pair
+    inverse, coefficients = field.inverse, field.coefficients
     assert (a * b) * inverse(b) == a
     assert a + (-a) == 0
     for x in (a, b, a + b, a * b, a - b, inverse(b), a * inverse(b)):
@@ -73,7 +66,7 @@ def test_fraction_coefficients_equal_and_hash_like_ints(n, data):
     ints = data.draw(st.lists(st.integers(-6, 6), min_size=field.phi,
                               max_size=field.phi))
     built = field.element([Fraction(c) for c in ints])
-    assert all(isinstance(c, INTEGRAL) for c in coefficients(built))
+    assert all(isinstance(c, INTEGRAL) for c in field.coefficients(built))
     # an integral Fraction left over from rational arithmetic, kept as is
     leftover = field._make(tuple(Fraction(c) for c in ints))
     plain = field.element(ints)
@@ -90,19 +83,22 @@ def test_parse_scalar_rational_and_field_inv_are_canonical(n, data):
     a = data.draw(elements(field))
     parsed = field.parse(str(a))
     assert parsed == a
-    assert all(canonical(c) for c in coefficients(parsed)), parsed
+    assert all(canonical(c) for c in field.coefficients(parsed)), parsed
     p = data.draw(st.integers(-12, 12))
     q = data.draw(st.integers(1, 12))
     for x, value in ((field.rational(p, q), Fraction(p, q)),
                      (field.scalar(Fraction(p, q)), Fraction(p, q)),
                      (field.scalar(p), p)):
         assert x == value
-        assert all(canonical(c) for c in coefficients(x)), x
+        assert all(canonical(c) for c in field.coefficients(x)), x
     b = data.draw(elements(field, nonzero=True))
-    ops = FieldOps(field)
-    inv = ops.inv(ops.lift(b))
-    assert all(canonical(c) for c in leaves(inv)), inv
-    assert ops.lower(inv) == inverse(b)
+    inv = field.inverse(b)
+    assert inv * b == 1
+    assert all(canonical(c) for c in field.coefficients(inv)), inv
+    # the exact path inverts b on raws, and must write the same scalar
+    (_, (_, combo)) = exact_path(field, [{0: b}, {0: field.one()}])
+    assert combo == {0: inv}
+    assert all(canonical(c) for c in field.coefficients(combo[0])), combo
 
 
 WHITESPACE = st.sampled_from(["", "", " ", "  ", "\t"])
@@ -146,7 +142,7 @@ def test_parse_scalar_matches_field_arithmetic(case):
     field, text, value = case
     parsed = parse_scalar(field, text)
     assert parsed == value, text
-    assert all(canonical(c) for c in coefficients(parsed)), parsed
+    assert all(canonical(c) for c in field.coefficients(parsed)), parsed
 
 
 @st.composite
@@ -168,11 +164,11 @@ def blocks(draw):
     return field, vectors
 
 
-def assert_exact_results(results):
+def assert_exact_results(field, results):
     for kind, data in results:
         if kind == "combo":
             for x in data.values():
-                assert all(exact(c) for c in coefficients(x)), data
+                assert all(exact(c) for c in field.coefficients(x)), data
 
 
 @settings(max_examples=200, deadline=None)
@@ -181,21 +177,20 @@ def test_eliminate_block_stays_exact_on_both_paths(block):
     field, vectors = block
     # phi(N) = 1 eliminates mod p, phi(N) > 1 exactly
     results = eliminate_block(field, vectors)
-    assert_exact_results(results)
+    assert_exact_results(field, results)
     if field.phi == 1:
-        with mock.patch.object(linalg, "_eliminate_mod_p",
-                               lambda v, track: "forced"):
-            exact_results = eliminate_block(field, vectors)
-        assert_exact_results(exact_results)
+        exact_results = exact_path(field, vectors)
+        assert_exact_results(field, exact_results)
         assert exact_results == results
 
 
 def test_integral_results_are_ints():
     q1, q12 = CycloField(1), CycloField(12)
-    for x in (q1.parse("4/2"), q1.parse("1/2 + 1/2"), q1.scalar(Fraction(6, 3)),
-              q1.rational(4, 2), inverse(q1.rational(1, 2)),
-              q12.root_of_unity(5).inv()):
-        assert all(isinstance(c, INTEGRAL) for c in coefficients(x)), x
+    for field, x in ((q1, q1.parse("4/2")), (q1, q1.parse("1/2 + 1/2")),
+                     (q1, q1.scalar(Fraction(6, 3))), (q1, q1.rational(4, 2)),
+                     (q1, q1.inverse(q1.rational(1, 2))),
+                     (q12, q12.root_of_unity(5).inv())):
+        assert all(isinstance(c, INTEGRAL) for c in field.coefficients(x)), x
     for r, value in ((5, 5), (MODULUS - 5, -5)):
         lifted = _rational_reconstruction(r)
         assert lifted == value and isinstance(lifted, INTEGRAL)
@@ -204,6 +199,9 @@ def test_integral_results_are_ints():
 
 
 def test_field_ops_inverse_of_an_int_is_exact():
-    inv = FieldOps(CycloField(1)).inv(2)
-    assert inv == Fraction(1, 2)
-    assert not isinstance(inv, float)
+    q = CycloField(1)
+    inv = q.inverse(2)
+    assert inv == Fraction(1, 2) and type(inv) is RATIONAL
+    # the exact path inverts the raw (2,) through the field
+    (_, (_, combo)) = exact_path(q, [{0: 2}, {0: 1}])
+    assert combo == {0: inv} and type(combo[0]) is RATIONAL

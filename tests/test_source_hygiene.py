@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "nichols").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 
-# linalg's raw-scalar machinery, and the FieldOps conversions to and from it
+# linalg's raw-scalar machinery, and names for conversions to and from raws
 LINALG_INTERNALS = {"FieldOps", "IncrementalSpan"}
 RAW_CONVERSIONS = {"lift", "lower"}
 # GradedNicholsState's tables; other modules use its operations instead
@@ -25,8 +25,8 @@ OWNERS = {"self", "cls", "inst"}
 # public functions and methods that nothing in src/nichols refers to (names
 # that begin with an underscore, dunders among them, are not public)
 UNREFERENCED_ALLOWED = {
-    # public scalar API: zeta_N^k, and an element from its coefficients
-    "root_of_unity", "element",
+    # public scalar API: zeta_N^k
+    "root_of_unity",
     # waits on ROADMAP item 1: perfbench/tracer.py spans it by name
     "derivative",
     # cli.run_scenario looks each runner up by name when it runs, so that a
