@@ -5,8 +5,9 @@ DenseSpan takes dense vectors of scalars of one field, one at a time, and
 does plain field arithmetic on them.  Each vector is reduced by the pivot
 rows kept so far.  It either becomes a new pivot row, scaled to lead with
 1 in its first nonzero column, or comes back as its exact combination over
-the earlier pivots.  Nothing here comes from nichols.linalg except the two
-entry points that agree() checks against it."""
+the earlier pivots.  DenseSpan uses nothing from nichols.linalg; the
+helpers below call eliminate_block, on its default path and with its
+mod-p path refused, to compare it with DenseSpan."""
 
 from unittest import mock
 
@@ -17,9 +18,8 @@ class DenseSpan:
     """Greedy elimination: the pivots are the first independent
     subsequence of the vectors inserted."""
 
-    def __init__(self, field, ncols):
+    def __init__(self, field):
         self.field = field
-        self.ncols = ncols
         self.leads = []   # the lead column of each pivot row
         self.rows = []    # pivot rows: lead 1, zero in earlier rows' leads
         self.exprs = []   # each pivot row as a combination of the pivots
@@ -53,7 +53,7 @@ def reference_sequence(field, vectors, track=True):
     combination as a sparse {ordinal: scalar} dict without zeros."""
     cols = sorted({c for v in vectors for c in v})
     pos = {c: i for i, c in enumerate(cols)}
-    span = DenseSpan(field, len(cols))
+    span = DenseSpan(field)
     out = []
     for v in vectors:
         row = [field.zero()] * len(cols)

@@ -80,7 +80,7 @@ def reference_chain_action(chain, t):
                 out[colpos[w]] = val
         return out
 
-    solver = DenseSpan(state.field, len(slots))
+    solver = DenseSpan(state.field)
     for row in rows:
         assert solver.insert(dense(row))[0] == "pivot"
     cols = []

@@ -19,11 +19,11 @@ def identity_rows(field, n):
             for i in range(n)]
 
 
-def insert_all(field, vectors, ncols):
+def insert_all(field, vectors):
     """Feed dense scalar vectors to one DenseSpan, after checking that
     eliminate_block gives the same results on both of its paths; returns
     the span and what each insert returned."""
-    span = DenseSpan(field, ncols)
+    span = DenseSpan(field)
     results = [span.insert(v) for v in vectors]
     sparse = [{c: x for c, x in enumerate(v) if x} for v in vectors]
     assert agree(field, sparse) == [
@@ -33,14 +33,13 @@ def insert_all(field, vectors, ncols):
 
 
 def rank(field, rows):
-    ncols = len(rows[0]) if rows else 0
-    return sum(kind == "pivot" for kind, _ in insert_all(field, rows, ncols)[1])
+    return sum(kind == "pivot" for kind, _ in insert_all(field, rows)[1])
 
 
-def echelon(field, rows, ncols):
+def echelon(field, rows):
     """The rows the reference keeps (leading entry 1, zero in the lead
     columns of the rows before) and their lead columns, in row order."""
-    span, _ = insert_all(field, rows, ncols)
+    span, _ = insert_all(field, rows)
     return span.rows, span.leads
 
 
@@ -49,7 +48,7 @@ def kernel_from_columns(field, rows):
     found dependent on the earlier columns."""
     ncols = len(rows[0])
     cols = [[row[j] for row in rows] for j in range(ncols)]
-    _, results = insert_all(field, cols, len(rows))
+    _, results = insert_all(field, cols)
     pivots = [j for j, (kind, _) in enumerate(results) if kind == "pivot"]
     basis = []
     for j, (kind, data) in enumerate(results):
@@ -72,21 +71,21 @@ def combine(coeffs, vectors, field, dim):
 def test_rref_identity():
     f = CycloField(2)
     m = identity_rows(f, 3)
-    assert echelon(f, m, 3) == (m, [0, 1, 2])
+    assert echelon(f, m) == (m, [0, 1, 2])
 
 
 def test_rref_zero():
     f = CycloField(2)
     zero = [[f.zero()] * 3 for _ in range(2)]
-    assert echelon(f, zero, 3) == ([], [])
+    assert echelon(f, zero) == ([], [])
 
 
 def test_rref_idempotent():
     f = CycloField(4)
     rng = random.Random(11)
     for _ in range(10):
-        red, leads = echelon(f, random_cyclo_rows(f, rng, 4, 5), 5)
-        assert echelon(f, red, 5) == (red, leads)
+        red, leads = echelon(f, random_cyclo_rows(f, rng, 4, 5))
+        assert echelon(f, red) == (red, leads)
 
 
 def test_rank_proportional_rows():
@@ -138,10 +137,10 @@ def test_solve_in_span_basics():
     f = CycloField(2)
     e1 = [f.one(), f.zero()]
     e2 = [f.zero(), f.one()]
-    _, results = insert_all(f, [e1, [f.rational(3), f.zero()]], 2)
+    _, results = insert_all(f, [e1, [f.rational(3), f.zero()]])
     assert results[1] == ("combo", [f.rational(3)])
-    assert insert_all(f, [[f.zero(), f.zero()]], 2)[1] == [("combo", [])]
-    assert insert_all(f, [e1, e2], 2)[1][1] == ("pivot", 1)
+    assert insert_all(f, [[f.zero(), f.zero()]])[1] == [("combo", [])]
+    assert insert_all(f, [e1, e2])[1][1] == ("pivot", 1)
 
 
 def test_solve_in_span_dependent_basis():
@@ -151,7 +150,7 @@ def test_solve_in_span_dependent_basis():
     v2 = [f.rational(2), zero]  # dependent on v1: not a pivot
     v3 = [zero, one]
     target = [f.rational(5), f.rational(7)]
-    _, results = insert_all(f, [v1, v2, v3, target], 2)
+    _, results = insert_all(f, [v1, v2, v3, target])
     assert [kind for kind, _ in results] == ["pivot", "combo", "pivot", "combo"]
     assert combine(results[3][1], [v1, v3], f, 2) == target
 
@@ -167,7 +166,7 @@ def test_solve_matches_rref_consistency():
         target = [f.zero()] * dim
         for c, v in zip(coeffs, basis):
             target = [a + c * x for a, x in zip(target, v)]
-        _, results = insert_all(f, basis + [target], dim)
+        _, results = insert_all(f, basis + [target])
         kind, data = results[-1]
         assert kind == "combo"
         pivots = [v for v, (k, _) in zip(basis, results) if k == "pivot"]
@@ -181,9 +180,9 @@ def test_fast_and_generic_paths_agree():
     rng = random.Random(5)
     f1, f3 = CycloField(2), CycloField(3)
 
-    def run(field, grid, ncols):
+    def run(field, grid):
         span, results = insert_all(
-            field, [[field.rational(x) for x in row] for row in grid], ncols)
+            field, [[field.rational(x) for x in row] for row in grid])
         written = [(kind, None if kind == "pivot" else
                     [str(c) for c in data]) for kind, data in results]
         rows = [[str(x) for x in row] for row in span.rows]
@@ -192,13 +191,13 @@ def test_fast_and_generic_paths_agree():
     for _ in range(10):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         grid = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        assert run(f1, grid, cols) == run(f3, grid, cols)
+        assert run(f1, grid) == run(f3, grid)
 
 
 def test_incremental_span_expressions():
     f = CycloField(2)
     vecs = [[1, 2, 0], [2, 4, 0], [0, 0, 1], [3, 6, 5]]
-    _, kinds = insert_all(f, [[f.rational(x) for x in v] for v in vecs], 3)
+    _, kinds = insert_all(f, [[f.rational(x) for x in v] for v in vecs])
     assert kinds[0] == ("pivot", 0)
     assert kinds[1][0] == "combo"
     assert [str(c) for c in kinds[1][1]] == ["2"]
