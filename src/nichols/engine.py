@@ -5,9 +5,10 @@ Two independent routes compute graded dimensions:
 * the quantum symmetrizer oracle: S_n = T_n (S_{n-1} (x) id), with T_n
   the sum over the minimal coset representatives of S_{n-1} in S_n, so
   im S_n = T_n(im S_{n-1} (x) V); walk the degrees keeping one spanning
-  image S_m(w) per lex-least word w, and take the rank of each degree
-  from braidings and linear algebra alone (the budget guard counts the
-  vectors each degree builds); and
+  image S_m(w) per lex-least word w, building S_m(w l) only when the
+  suffix w[1:] l was kept too, and take the rank of each degree from
+  braidings and linear algebra alone (the budget guard counts the vectors
+  each degree builds); and
 * the production engine: extend degree by degree, encoding each candidate
   v_i * b by its right derivatives d_k(v_i b) = v_i d_k(b) + delta_ik g_i . b
   as one sparse vector over (k, basis word of the previous degree), and
@@ -18,7 +19,8 @@ Two independent routes compute graded dimensions:
   multiplication on both sides and the relations are homogeneous, so a
   word in the span of smaller words stays so when multiplied by a letter.
   Hence a candidate whose prefix v_i * b[:-1] is not a basis word is
-  dependent, and it is written by right multiplication, not eliminated.
+  dependent, and it is written by right multiplication, not eliminated;
+  it needs no action column either.
 
 They must agree (rank = graded dimension); the test suite enforces this.
 """
@@ -65,12 +67,17 @@ def symmetrizer_images(module: YDModule, n: int, inverse=False):
     im S_m = T_m(im S_{m-1} (x) V), spanned by T_m(S_{m-1}(w) (x) v_l) =
     S_m(w l) for the kept words w of degree m-1 and every letter l.  S_m
     preserves the total group degree and the Z^theta multidegree of a word,
-    so each degree is eliminated blockwise, candidates in lex order.  A word
-    in the span of lex-smaller ones modulo ker S_{m-1} stays so modulo
-    ker S_m when a letter is appended, so the kept words are the lex-least
-    basis words of B^m = T^m / ker S_m.  n must be >= 1.  The budget guard
-    counts the vectors degree m builds, one per kept word of degree m-1
-    and letter, and refuses before building a degree past
+    so each degree is eliminated blockwise, candidates in lex order.  The
+    kernels form a homogeneous two-sided ideal and lex order on words of
+    one length is compatible with multiplication on both sides, so a word
+    in the span of lex-smaller ones modulo ker S stays so when a letter is
+    put on either side: the kept words are the lex-least basis words of
+    B^m = T^m / ker S_m, closed under prefixes and suffixes.  Hence S_m(w l)
+    is built at degree m >= 2 only when w[1:] l is a kept word of degree
+    m-1; any other candidate's image lies in the span of earlier images of
+    its block.  n must be >= 1.  The budget guard counts the vectors
+    degree m builds, one per kept word w of degree m-1 and letter l with
+    w[1:] l kept, before building any, and refuses a degree past
     DEFAULT_ORACLE_BUDGET.
     """
     if n < 1:
@@ -82,22 +89,23 @@ def symmetrizer_images(module: YDModule, n: int, inverse=False):
                for l in range(module.dim)]
     image = [((), {(): one}, (g.identity, (0,) * module.theta))]
     for m in range(1, n + 1):
-        if len(image) * module.dim > DEFAULT_ORACLE_BUDGET:
+        kept = {word for word, _, _ in image}
+        todo = [(entry, letter) for entry in image for letter in letters
+                if m == 1 or entry[0][1:] + (letter[0],) in kept]
+        if len(todo) > DEFAULT_ORACLE_BUDGET:
             raise MemoryGuardError("symmetrizer degree exceeds the oracle "
-                                   "budget", degree=m,
-                                   vectors=len(image) * module.dim,
+                                   "budget", degree=m, vectors=len(todo),
                                    budget=DEFAULT_ORACLE_BUDGET)
         blocks = {}
-        for word, col, (h, mdeg) in image:
-            for l, hl, e in letters:
-                x = {w + (l,): s for w, s in col.items()}
-                total = dict(x)
-                for k in range(m - 2, -1, -1):
-                    x = apply(x, k, inverse)
-                    _add_scaled(total, x)
-                key = (g.mul(h, hl), tuple(map(add, mdeg, e)))
-                blocks.setdefault(key, []).append(
-                    (word + (l,), _nonzero(total), key))
+        for (word, col, (h, mdeg)), (l, hl, e) in todo:
+            x = {w + (l,): s for w, s in col.items()}
+            total = dict(x)
+            for k in range(m - 2, -1, -1):
+                x = apply(x, k, inverse)
+                _add_scaled(total, x)
+            key = (g.mul(h, hl), tuple(map(add, mdeg, e)))
+            blocks.setdefault(key, []).append(
+                (word + (l,), _nonzero(total), key))
         image = []
         for key, cands in blocks.items():
             results = eliminate_block(module.field, [c[1] for c in cands],
@@ -137,9 +145,10 @@ class GradedNicholsState:
     map for every product v_i * (basis word of degree n-1), group degree
     and multidegree per word, and the action of each group element on
     single basis words, memoized as it is asked for.  Only a candidate
-    whose prefix v_i * b[:-1] is a basis word gets a derivative vector; the
-    others, and multiply and normal_form, go through the memoized product
-    of each basis word with each letter on the right.  Other modules
+    whose prefix v_i * b[:-1] is a basis word gets a derivative vector, and
+    only its word b gets an action column; the others, and multiply and
+    normal_form, go through the memoized product of each basis word with
+    each letter on the right.  Other modules
     multiply by a letter (left_multiply) and act by a group element (act)
     rather than read products, derivs or tails.
     """
@@ -183,9 +192,14 @@ class GradedNicholsState:
 
     # -- group action on graded pieces
 
-    def action_columns(self, n: int, t):
-        """Sparse columns of the action of t on the degree-n basis."""
-        return [self.action_column(n, t, m) for m in range(len(self.words[n]))]
+    def action_columns(self, n: int, t, words=None):
+        """Sparse columns of the action of t on the degree-n basis words
+        numbered in words, all of them by default; extend_degree passes the
+        words of built candidates only, so the memo holds no column that no
+        derivative vector reads."""
+        if words is None:
+            words = range(len(self.words[n]))
+        return [self.action_column(n, t, m) for m in words]
 
     def action_column(self, n: int, t, m: int):
         """Column m of the action of t on the degree-n basis, built from the
@@ -251,27 +265,31 @@ class GradedNicholsState:
         # prefix v_i * prev[b][:-1] is a basis word, grouped by the (group
         # degree, multidegree) block; the blocks have disjoint derivative
         # supports, so ranks split blockwise.  The other candidates are
-        # dependent (basis words are closed under prefixes) and skipped.
+        # dependent (basis words are closed under prefixes) and skipped, so
+        # each letter's action columns are asked for its built words only.
         cands = []
         skipped = []
         blocks = {}
         for i in range(w):
-            gi = self.module.coaction[i]
-            acols = None
-            mdeg_i = self.module.multidegree(i)
+            built = []
             for bidx in range(p):
                 if n > 1 and (i, pre[bidx]) not in heads:
                     skipped.append((i, bidx))
-                    continue
-                if acols is None:
-                    acols = self.action_columns(n - 1, gi)
+                else:
+                    built.append(bidx)
+            if not built:
+                continue
+            gi = self.module.coaction[i]
+            mdeg_i = self.module.multidegree(i)
+            for bidx, acol in zip(built,
+                                  self.action_columns(n - 1, gi, built)):
                 mdeg = tuple(a + b for a, b in zip(mdeg_i, mprev[bidx]))
                 # d_k(v_i b) = v_i d_k(b) + delta_ik g_i . b, per component
                 # k that occurs
                 comps = {}
                 for (k, m), c0 in dprev[bidx].items():
                     _add_scaled(comps.setdefault(k, {}), pprev[i, m], c0)
-                _add_scaled(comps.setdefault(i, {}), acols[bidx])
+                _add_scaled(comps.setdefault(i, {}), acol)
                 vec = {(k, idx): c for k in sorted(comps)
                        for idx, c in comps[k].items() if c}
                 key = (group.mul(gi, hprev[bidx]), mdeg)

@@ -2,13 +2,15 @@
 
 import json
 import random
-from itertools import permutations
+from itertools import islice, permutations
+from operator import add, itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from nichols import cli, engine
-from nichols.cyclotomic import CycloField
+from nichols.cyclotomic import CycloField, _add_scaled, _nonzero
 from nichols.errors import DegreeRangeError, MemoryGuardError, ScenarioError
 from nichols.engine import (
     GradedNicholsState,
@@ -18,6 +20,7 @@ from nichols.engine import (
 )
 from nichols.groupoid import FamilyM, cartan_entry
 from nichols.groups import build_dihedral, conjugacy_class, symmetric_group
+from nichols.linalg import eliminate_block
 from nichols.verify import corpus
 from nichols.verify import d9_module as named_d9_module
 from nichols.verify import four_cycle_module
@@ -28,6 +31,7 @@ from nichols.ydmodule import (
     one_dim_rep,
 )
 from test_cyclotomic import BARE
+from test_extension_reference import BRAIDINGS, diagonal
 from test_ydmodule import chi_minus_module
 
 Q = CycloField(1)
@@ -171,6 +175,84 @@ def test_oracle_budget_counts_the_vectors_built():
     # although 3^12 tensor words exceed the budget
     assert 3 ** 12 > engine.DEFAULT_ORACLE_BUDGET
     assert symmetrizer_ranks(fk3_module(), 12) == [3, 4, 3, 1] + [0] * 8
+
+
+def unpruned_symmetrizer_images(module, n, inverse=False):
+    """Reference degree walk that builds S_m(w l) for every kept word w of
+    degree m-1 and every letter l, with no budget; symmetrizer_images
+    builds w l only when w[1:] l is kept too, and must keep the same words
+    with the same images."""
+    g, apply, one = module.group, module.braiding().apply, module.field.one()
+    letters = [(l, module.coaction[l],
+                tuple(int(b == module.block_of(l)) for b in range(module.theta)))
+               for l in range(module.dim)]
+    image = [((), {(): one}, (g.identity, (0,) * module.theta))]
+    for m in range(1, n + 1):
+        blocks = {}
+        for word, col, (h, mdeg) in image:
+            for l, hl, e in letters:
+                x = {w + (l,): s for w, s in col.items()}
+                total = dict(x)
+                for k in range(m - 2, -1, -1):
+                    x = apply(x, k, inverse)
+                    _add_scaled(total, x)
+                key = (g.mul(h, hl), tuple(map(add, mdeg, e)))
+                blocks.setdefault(key, []).append(
+                    (word + (l,), _nonzero(total), key))
+        image = []
+        for key, cands in blocks.items():
+            results = eliminate_block(module.field, [c[1] for c in cands],
+                                      track=False)
+            image += [c for c, (kind, _) in zip(cands, results)
+                      if kind == "pivot"]
+        image.sort(key=itemgetter(0))
+        yield [(word, col) for word, col, _ in image]
+
+
+ORACLE_REFERENCE_CASES = [(name, module, 4) for name, module in corpus()] + [
+    ("d9", d9_module(), 3),
+    ("a2", a2_family(), 6),
+    ("chi-minus-z12", chi_minus_module(field=CycloField(12))[2], 4),
+]
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("module, top", [
+    pytest.param(module, top, id=name)
+    for name, module, top in ORACLE_REFERENCE_CASES])
+def test_pruned_walk_matches_unpruned_reference(module, top, inverse):
+    assert list(symmetrizer_images(module, top, inverse=inverse)) == \
+        list(unpruned_symmetrizer_images(module, top, inverse=inverse))
+
+
+@settings(max_examples=40, deadline=None)
+@given(BRAIDINGS)
+def test_rank_two_diagonal_oracle_words_closed_under_suffixes(rows):
+    module = diagonal(rows)
+    walk = list(symmetrizer_images(module, 5))
+    assert walk == list(unpruned_symmetrizer_images(module, 5))
+    lower = {()}
+    for image in walk:
+        words = {word for word, _ in image}
+        assert all(word[1:] in lower for word in words), rows
+        lower = words
+
+
+def test_oracle_guard_counts_the_pruned_degree(monkeypatch):
+    # D9 keeps 378 words of degree 3; degree 4 builds w l only when w[1:] l
+    # is kept, 2364 vectors where every letter after every word is 3402,
+    # and the guard counts them before building any
+    kept = {word for word, _ in
+            list(unpruned_symmetrizer_images(d9_module(), 3))[-1]}
+    assert len(kept) * 9 == 3402
+    assert sum(w[1:] + (l,) in kept for w in kept for l in range(9)) == 2364
+    monkeypatch.setattr(engine, "DEFAULT_ORACLE_BUDGET", 2363)
+    walk = symmetrizer_images(d9_module(), 4)
+    assert [len(image) for image in islice(walk, 3)] == [9, 60, 378]
+    with pytest.raises(MemoryGuardError) as exc:
+        next(walk)
+    assert exc.value.details == {"degree": 4, "vectors": 2364,
+                                 "budget": 2363}
 
 
 # -- engine vs oracle

@@ -21,7 +21,7 @@ from nichols import cli
 from nichols.cyclotomic import _add_scaled, _nonzero
 from nichols.engine import GradedNicholsState
 from nichols.linalg import eliminate_block
-from nichols.verify import corpus, d9_module
+from nichols.verify import corpus, d9_module, four_cycle_module
 from nichols.ydmodule import diagonal_modules, direct_sum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,6 +134,21 @@ def reference_cases():
 def test_extension_matches_full_candidate_elimination(module, top):
     state = GradedNicholsState(module).extend_to(top)
     assert tables(state) == tables(FullCandidateState(module).extend_to(top))
+
+
+def test_action_memo_holds_only_what_built_candidates_read():
+    # pass 1 asks for the action columns of built candidates only (and
+    # action_column for their tails); the full-candidate reference asks for
+    # every word's, and both memos agree where they overlap
+    module = four_cycle_module()
+    state = GradedNicholsState(module).extend_to(14)
+    full = FullCandidateState(module).extend_to(14)
+    assert state.finished and full.finished
+    assert (len(state._action), len(full._action)) == (852, 3456)
+    assert all(full._action[key] == col for key, col in state._action.items())
+    fk5 = GradedNicholsState(scenario_module(
+        ROOT / "perfbench" / "scenarios" / "fk5_hilbert.json", "fk5"))
+    assert len(fk5.extend_to(6)._action) == 9721
 
 
 def test_extension_after_products_at_a_lower_degree():
