@@ -187,10 +187,38 @@ def _phi_act(state: GradedNicholsState, block: YDModule, n: int, t, phi):
     return [_nonzero(comp) for comp in out]
 
 
+def _step_images(state: GradedNicholsState, block: YDModule, shifted, m: int,
+                 rows):
+    """Phi(ad x_v (y)) for each letter v of M_i and then each row y of the
+    chain step in degree m, zero images included; their entries lie in
+    degree m of B(M_i)."""
+    minus = -state.field.one()
+    ui = state.module
+    for v in range(ui.dim):
+        for row in rows:
+            acted = _phi_act(state, block, m - 1, ui.coaction[v], row)
+            image = []
+            for k, (comp, z) in enumerate(zip(row, acted)):
+                acc = state.left_multiply(v, m - 1, comp)
+                if z:
+                    _add_scaled(acc, state.multiply(
+                        (m - 1, z), (1, shifted[k][v]))[1], minus)
+                image.append(_nonzero(acc))
+            yield image
+
+
 def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
     """Iterate the braided adjoint of block i on block j, as Phi-rows over
     the Nichols algebra of block i, until a step vanishes or the degree cap
-    blocks certification."""
+    blocks certification.
+
+    Every step below the cap is eliminated to its pivot rows.  The step at
+    the cap is not: its images are built in order only up to the first
+    nonzero one, which certifies the step nonzero, all that
+    UnboundedAtCap(cap, cap) claims.  An open chain therefore keeps the
+    rows of degree cap - 1; if every image at the cap is zero, the entry is
+    exact.  One DEBUG line per step goes to the nichols.groupoid logger.
+    """
     _check_indices(fam, i, j)
     if cap < 1:
         raise ScenarioError("degree cap must be at least 1", cap=cap)
@@ -204,7 +232,6 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
     state = fam.block_state(i)
     ui, uj = state.module, fam.blocks[j]
     one = state.field.one()
-    minus = -one
     # g_k . x_v: column v of the action of g_k on block i
     shifted = [ui.action_of(g) for g in uj.coaction]
     # Phi_k(w_l) = delta_kl in degree 0
@@ -217,27 +244,34 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
             break
         # Phi(ad x_v (y)) has its entries in degree m of B(M_i)
         state.extend_to(m)
-        images = []
-        for v in range(ui.dim):
-            for row in rows:
-                acted = _phi_act(state, uj, m - 1, ui.coaction[v], row)
-                image = []
-                for k, (comp, z) in enumerate(zip(row, acted)):
-                    acc = state.left_multiply(v, m - 1, comp)
-                    if z:
-                        _add_scaled(acc, state.multiply(
-                            (m - 1, z), (1, shifted[k][v]))[1], minus)
-                    image.append(_nonzero(acc))
+        images = _step_images(state, uj, shifted, m, rows)
+        built = ui.dim * len(rows)
+        if m + 1 == cap:
+            zeros = 0
+            for image in images:
                 if any(image):
-                    images.append(image)
+                    break
+                zeros += 1
+            alive = zeros < built
+            log.debug("adjoint chain %d on %d, degree %d (cap): %d zero "
+                      "images, then %s", i + 1, j + 1, m + 1, zeros,
+                      "a nonzero one" if alive else "none left")
+            entry = UnboundedAtCap(cap, cap) if alive else 1 - m
+            chain = _Chain(entry, state, uj, m, rows)
+            break
+        images = [image for image in images if any(image)]
+        if images:
+            results = eliminate_block(state.field, map(_flat, images),
+                                      track=False, degree=m + 1,
+                                      key="adjoint chain")
+            images = [image for image, (kind, _) in zip(images, results)
+                      if kind == "pivot"]
+        log.debug("adjoint chain %d on %d, degree %d: %d images built, "
+                  "%d pivots kept", i + 1, j + 1, m + 1, built, len(images))
         if not images:
             chain = _Chain(1 - m, state, uj, m, rows)
             break
-        results = eliminate_block(state.field, map(_flat, images),
-                                  track=False, degree=m + 1,
-                                  key="adjoint chain")
-        rows = [image for image, (kind, _) in zip(images, results)
-                if kind == "pivot"]
+        rows = images
         m += 1
     cache.chains[key] = chain
     return chain

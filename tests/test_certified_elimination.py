@@ -269,7 +269,8 @@ def test_engine_matches_forced_exact_path(name, cap, oracle_degree,
 # blocks, cap, and whether the top chain step is an irreducible module
 CHAIN_CASES = {
     "d9-pair": (lambda: [d9_module("v"), d9_module("w")], 3, False),
-    "fk3-double": (lambda: [fk3_module("x"), fk3_module("y")], 3, True),
+    # the entries are an exact -2 at cap 4, so the top modules are compared
+    "fk3-double": (lambda: [fk3_module("x"), fk3_module("y")], 4, True),
     "s4-zt-w": (lambda: [transposition_module(1, name="zt"),
                          four_cycle_module("w")], 3, False),
     # A2 at q = -1 over Q: every chain ends, a_12 = a_21 = -1
@@ -278,16 +279,19 @@ CHAIN_CASES = {
 }
 
 
-def chain_data(blocks, cap, with_top):
+def chain_data(blocks, top_cap, with_top):
+    """Each chain at every cap up to top_cap, and the top module of each
+    exact one."""
     fam = FamilyM(blocks)
     out = []
     for i, j in ((0, 1), (1, 0)):
-        chain = _adjoint_chain(fam, i, j, cap)
-        # UnboundedAtCap compares cap and reached
-        out.append((chain.entry, chain.degree, chain.rows))
-        if with_top:
-            top = _top_module(chain)
-            out.append((top.generator_columns, fingerprint(top)))
+        for cap in range(1, top_cap + 1):
+            chain = _adjoint_chain(fam, i, j, cap)
+            # UnboundedAtCap compares cap and reached
+            out.append((chain.entry, chain.degree, chain.rows))
+            if with_top and isinstance(chain.entry, int):
+                top = _top_module(chain)
+                out.append((top.generator_columns, fingerprint(top)))
     return out
 
 

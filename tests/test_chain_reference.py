@@ -4,9 +4,12 @@ The program runs each chain on Phi-rows, the right derivatives by the
 second block, inside the Nichols algebra of the first block alone.  The
 reference here runs the chain the direct way: ad_c of every letter of
 block i on every row inside the unbounded Nichols algebra of the pair,
-eliminated with eliminate_block, and the top chain module solved with the
-dense exact reference on the pair algebra's own action.  The two must give the
-same entries, steps, rows (under Phi) and top modules, entry for entry.
+eliminated with eliminate_block at every step, the one at the cap
+included, and the top chain module solved with the dense exact reference on
+the pair algebra's own action.  At every cap the two must give the same
+entries; the program's rows (under Phi) must equal the reference's at the
+last step the program eliminated, and the top modules of exact chains must
+agree, entry for entry.
 
 The dimension identity dim B_(m,1) = sum_k d_k h_(m-k), with d_k the chain
 dimensions and h the Hilbert series of the first block's Nichols algebra
@@ -44,11 +47,17 @@ class ReferenceChain(NamedTuple):
     rows: list             # its pivot images, as coord dicts
 
 
-def reference_chain(block_i, block_j, cap):
+def pair_algebra(block_i, block_j):
+    return GradedNicholsState(direct_sum([block_i.renamed("u"),
+                                          block_j.renamed("w")]))
+
+
+def reference_chain(block_i, block_j, cap, state=None):
     """The chain of block_i on block_j by ad_c in the unbounded pair
-    algebra, with the program's cap rule."""
-    state = GradedNicholsState(direct_sum([block_i.renamed("u"),
-                                           block_j.renamed("w")]))
+    algebra, every step eliminated, with the program's cap rule.  state,
+    if given, is pair_algebra(block_i, block_j), shared between caps."""
+    if state is None:
+        state = pair_algebra(block_i, block_j)
     di = block_i.dim
     one = state.field.one()
     rows = [{di + k: one} for k in range(block_j.dim)]
@@ -139,32 +148,44 @@ CASES.update({label: (lambda blocks=blocks: blocks, [(i, j)], DIAG_ROOTS_CAP,
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_chain_matches_pair_algebra_reference(name):
-    build, pairs, cap, with_top = CASES[name]
+    # at every cap, so that each early exit at a cap step is compared with
+    # a reference that eliminated that step
+    build, pairs, top_cap, with_top = CASES[name]
     blocks = build()
     fam = FamilyM(blocks)
     for i, j in pairs:
-        chain = _adjoint_chain(fam, i, j, cap)
-        ref = reference_chain(blocks[i], blocks[j], cap)
-        assert (chain.entry, chain.degree, len(chain.rows)) == \
-            (ref.entry, ref.degree, len(ref.rows)), (i, j)
-        words = chain.state.words[chain.degree - 1]
-        assert [[{words[w]: c for w, c in comp.items()} for comp in row]
-                for row in chain.rows] == \
-            phi_of(ref, blocks[i].dim, blocks[j].dim), (i, j)
-        if with_top:
-            top = _top_module(chain)
-            assert top.coaction == reference_coaction(ref), (i, j)
-            for t in fam.group.generators:
-                assert top.generator_columns[t] == \
-                    reference_chain_action(ref, t), (i, j, t)
+        pair = pair_algebra(blocks[i], blocks[j])
+        refs = {cap: reference_chain(blocks[i], blocks[j], cap, pair)
+                for cap in range(1, top_cap + 1)}
+        for cap in range(1, top_cap + 1):
+            chain = _adjoint_chain(fam, i, j, cap)
+            assert chain.entry == refs[cap].entry, (i, j, cap)
+            # an open chain holds the rows of degree cap - 1, the last step
+            # it eliminated
+            ref = refs[chain.degree]
+            assert (chain.degree, len(chain.rows)) == \
+                (ref.degree, len(ref.rows)), (i, j, cap)
+            words = chain.state.words[chain.degree - 1]
+            assert [[{words[w]: c for w, c in comp.items()} for comp in row]
+                    for row in chain.rows] == \
+                phi_of(ref, blocks[i].dim, blocks[j].dim), (i, j, cap)
+            if with_top and isinstance(chain.entry, int):
+                top = _top_module(chain)
+                assert top.coaction == reference_coaction(ref), (i, j, cap)
+                for t in fam.group.generators:
+                    assert top.generator_columns[t] == \
+                        reference_chain_action(ref, t), (i, j, cap, t)
 
 
 def chain_dims(fam, i, j, top):
-    """d_0, ..., d_top: the dimension of each chain step (ad M_i)^k(M_j)."""
+    """d_0, ..., d_top: the dimension of each chain step (ad M_i)^k(M_j).
+
+    Step k has chain degree k + 1; the chain at cap k + 2 eliminates it, and
+    holds its rows unless the chain ended below it."""
     dims = []
-    for cap in range(1, top + 2):
-        chain = _adjoint_chain(fam, i, j, cap)
-        dims.append(len(chain.rows) if chain.degree == cap else 0)
+    for k in range(top + 1):
+        chain = _adjoint_chain(fam, i, j, k + 2)
+        dims.append(len(chain.rows) if chain.degree == k + 1 else 0)
     return dims
 
 

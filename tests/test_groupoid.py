@@ -26,6 +26,7 @@ from nichols.groupoid import (
     CartanData,
     FamilyM,
     UnboundedAtCap,
+    _adjoint_chain,
     cartan_entry,
     cartan_matrix,
     explore_groupoid,
@@ -37,6 +38,7 @@ from nichols.groupoid import (
     s_matrix,
 )
 from nichols.groups import build_permutation_group, conjugacy_class, symmetric_group
+from nichols.verify import d9_module
 from nichols.ydmodule import build_M_O_rho, diagonal_modules, fingerprint, one_dim_rep
 from test_derivations import ad_c
 
@@ -599,8 +601,10 @@ def test_groupoid_builds_one_block_state_per_fingerprint(monkeypatch,
                   for fam in diag_roots_families()]
     assert len(built) == 32
     assert sum(len(g.nodes) for g in graphs) == 44
+    # one summary line per exploration; the others are chain steps
     lines = [r.getMessage() for r in caplog.records
-             if r.name == "nichols.groupoid"]
+             if r.name == "nichols.groupoid"
+             and not r.getMessage().startswith("adjoint chain ")]
     assert len(lines) == 3
     assert all("chain cache" in line and "misses" in line for line in lines)
 
@@ -632,3 +636,39 @@ def test_s4_sign_pair_is_unbounded_at_cap_five():
     cd = cartan_matrix(fam, cap=5)
     assert cd.entries[0][1] == UnboundedAtCap(5, 5)
     assert cd.entries[1][0] == UnboundedAtCap(5, 5)
+
+
+# -- the D9 pair past cap 3 (the source paper, Theorem theorem:dn)
+
+
+def d9_pair_family():
+    return FamilyM([d9_module("v"), d9_module("w")])
+
+
+@pytest.mark.parametrize("cap,rows", [(4, 342), (5, 1926)])
+def test_d9_pair_chain_is_open_past_cap_three(cap, rows):
+    # one nonzero image at the cap step certifies a_12 <= 1 - cap, and the
+    # chain keeps the pivot rows of degree cap - 1, the last step it
+    # eliminated.  Cap 4 takes about 0.04 s; cap 5 about 1.5 s, for the
+    # degree-4 elimination of 342 * 9 images.
+    chain = _adjoint_chain(d9_pair_family(), 0, 1, cap)
+    assert chain.entry == UnboundedAtCap(cap, cap)
+    assert (chain.degree, len(chain.rows)) == (cap - 1, rows)
+
+
+@pytest.mark.parametrize("fam,cap,entry,lines", [
+    (d9_pair_family, 3, UnboundedAtCap(3, 3), [
+        "adjoint chain 1 on 2, degree 2: 81 images built, 60 pivots kept",
+        "adjoint chain 1 on 2, degree 3 (cap): 8 zero images, then a "
+        "nonzero one"]),
+    (lambda: FamilyM([fk3_block("x"), fk3_block("y")]), 4, -2, [
+        "adjoint chain 1 on 2, degree 2: 9 images built, 4 pivots kept",
+        "adjoint chain 1 on 2, degree 3: 12 images built, 3 pivots kept",
+        "adjoint chain 1 on 2, degree 4 (cap): 9 zero images, then none "
+        "left"]),
+], ids=["d9-pair", "fk3-double"])
+def test_chain_steps_log_images_and_pivots(fam, cap, entry, lines, caplog):
+    with caplog.at_level(logging.DEBUG, logger="nichols.groupoid"):
+        assert cartan_entry(fam(), 0, 1, cap) == entry
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "nichols.groupoid"] == lines
