@@ -28,8 +28,9 @@ fingerprint of block i, and shared with every family reflected from the
 same family.
 
 A Cartan entry that stays nonzero through the configured degree cap is
-reported as UnboundedAtCap, never as a number: reflections along such a
-row are refused rather than guessed.  The explored graph stores each
+reported as UnboundedAtCap, never as a number; one nonzero image at the
+cap step decides that, with no elimination there.  Reflections along such
+a row are refused rather than guessed.  The explored graph stores each
 node's family and Cartan matrix, in the order found, and its edges; the
 uncertified rows and every verdict are read off those.
 """
@@ -151,12 +152,15 @@ class _Chain:
     entry: object          # int or UnboundedAtCap
     state: GradedNicholsState   # B(M_i), M_i = state.module
     block: YDModule        # M_j, whose action the Phi-rows use
-    degree: int            # degree of the last nonzero chain step
+    degree: int            # degree of the last step eliminated: the last
+                           # nonzero step of an exact chain, max(cap - 1, 1)
+                           # of an open one, whose cap step is not eliminated
     rows: list             # independent images spanning that step, as
                            # Phi-rows (the pivots among its images): per
                            # basis vector k of M_j, the coords of Phi_k
                            # over B(M_i) in degree - 1
-    top: YDModule = None   # that step as a module, built by l_j_max
+    top: YDModule = None   # that step of an exact chain as a module,
+                           # built by l_j_max
 
 
 def _check_indices(fam: FamilyM, i: int, j: int):
@@ -189,9 +193,8 @@ def _phi_act(state: GradedNicholsState, block: YDModule, n: int, t, phi):
 
 def _step_images(state: GradedNicholsState, block: YDModule, shifted, m: int,
                  rows):
-    """Phi(ad x_v (y)) for each letter v of M_i and then each row y of the
-    chain step in degree m, zero images included; their entries lie in
-    degree m of B(M_i)."""
+    """Phi(ad x_v (y)) for each letter v of M_i, then each row y of the
+    chain step in degree m, zero images included."""
     minus = -state.field.one()
     ui = state.module
     for v in range(ui.dim):
@@ -216,8 +219,9 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
     the cap is not: its images are built in order only up to the first
     nonzero one, which certifies the step nonzero, all that
     UnboundedAtCap(cap, cap) claims.  An open chain therefore keeps the
-    rows of degree cap - 1; if every image at the cap is zero, the entry is
-    exact.  One DEBUG line per step goes to the nichols.groupoid logger.
+    rows of degree cap - 1 (of degree 1 at cap 1); if every image at the cap
+    is zero, the entry is exact.  One DEBUG line per step goes to the
+    nichols.groupoid logger.
     """
     _check_indices(fam, i, j)
     if cap < 1:
@@ -247,11 +251,9 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
         images = _step_images(state, uj, shifted, m, rows)
         built = ui.dim * len(rows)
         if m + 1 == cap:
-            zeros = 0
-            for image in images:
-                if any(image):
-                    break
-                zeros += 1
+            # the zero images before the first nonzero one, if any
+            zeros = next((n for n, image in enumerate(images) if any(image)),
+                         built)
             alive = zeros < built
             log.debug("adjoint chain %d on %d, degree %d (cap): %d zero "
                       "images, then %s", i + 1, j + 1, m + 1, zeros,
@@ -260,6 +262,7 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
             chain = _Chain(entry, state, uj, m, rows)
             break
         images = [image for image in images if any(image)]
+        nonzero = len(images)
         if images:
             results = eliminate_block(state.field, map(_flat, images),
                                       track=False, degree=m + 1,
@@ -267,7 +270,8 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
             images = [image for image, (kind, _) in zip(images, results)
                       if kind == "pivot"]
         log.debug("adjoint chain %d on %d, degree %d: %d images built, "
-                  "%d pivots kept", i + 1, j + 1, m + 1, built, len(images))
+                  "%d nonzero, %d pivots kept", i + 1, j + 1, m + 1, built,
+                  nonzero, len(images))
         if not images:
             chain = _Chain(1 - m, state, uj, m, rows)
             break

@@ -658,12 +658,15 @@ def test_d9_pair_chain_is_open_past_cap_three(cap, rows):
 
 @pytest.mark.parametrize("fam,cap,entry,lines", [
     (d9_pair_family, 3, UnboundedAtCap(3, 3), [
-        "adjoint chain 1 on 2, degree 2: 81 images built, 60 pivots kept",
+        "adjoint chain 1 on 2, degree 2: 81 images built, 72 nonzero, 60 "
+        "pivots kept",
         "adjoint chain 1 on 2, degree 3 (cap): 8 zero images, then a "
         "nonzero one"]),
     (lambda: FamilyM([fk3_block("x"), fk3_block("y")]), 4, -2, [
-        "adjoint chain 1 on 2, degree 2: 9 images built, 4 pivots kept",
-        "adjoint chain 1 on 2, degree 3: 12 images built, 3 pivots kept",
+        "adjoint chain 1 on 2, degree 2: 9 images built, 6 nonzero, 4 pivots "
+        "kept",
+        "adjoint chain 1 on 2, degree 3: 12 images built, 8 nonzero, 3 pivots "
+        "kept",
         "adjoint chain 1 on 2, degree 4 (cap): 9 zero images, then none "
         "left"]),
 ], ids=["d9-pair", "fk3-double"])
