@@ -7,10 +7,14 @@ otherwise.  Divide such scalars through the field (rational), never with
 CycloNumber: a polynomial in zeta_N with exact rational coefficients, kept
 reduced mod the N-th cyclotomic polynomial as a coefficient tuple of length
 phi(N) in the same canonical form, so integer arithmetic never pays for
-rational objects.  A CycloNumber mixes with bare rationals.  An integral
-mpq left over from rational arithmetic is harmless: it equals and hashes
-like the int.  Every division goes through mpq, so there is no floating
-point anywhere.
+rational objects.  A CycloNumber meets only CycloNumbers of its own field
+in + and *: one of another field raises ConductorMismatch, and anything
+else (a bare rational too) is a TypeError.  Only == compares it with a
+bare rational.  There is one CycloField object per conductor; a literal
+zM^k names a root of unity of any field whose conductor M divides.  An
+integral mpq left over from rational arithmetic is harmless: it equals and
+hashes like the int.  Every division goes through mpq, so there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -97,12 +101,6 @@ class CycloField:
     def __repr__(self):
         return f"CycloField({self.conductor})"
 
-    def __eq__(self, other):
-        return isinstance(other, CycloField) and other.conductor == self.conductor
-
-    def __hash__(self):
-        return hash(("CycloField", self.conductor))
-
     def _make(self, coeffs):
         """The scalar with these coefficients: the bare rational over Q."""
         if self.phi == 1:
@@ -116,38 +114,13 @@ class CycloField:
 
     def one(self):
         if self._one is None:
-            self._one = self.scalar(1)
+            self._one = self._make([1] + [0] * (self.phi - 1))
         return self._one
-
-    def scalar(self, value):
-        """Coerce an int, rational, string literal, or CycloNumber into this field."""
-        if isinstance(value, CycloNumber):
-            if value.field is self or value.field == self:
-                return value
-            return value.embed(self)
-        if isinstance(value, str):
-            return self.parse(value)
-        if isinstance(value, _COERCIBLE):
-            coeffs = [0] * self.phi
-            coeffs[0] = _q(mpq(value))
-            return self._make(coeffs)
-        raise ScalarParseError(f"cannot coerce {type(value).__name__} to CycloNumber")
 
     def rational(self, p, q=1):
         coeffs = [0] * self.phi
         coeffs[0] = _q(mpq(p) / mpq(q))
         return self._make(coeffs)
-
-    def root_of_unity(self, k: int):
-        """zeta_N^k in canonical form."""
-        k = int(k) % self.conductor
-        if k < self.phi:
-            coeffs = [0] * self.phi
-            coeffs[k] = 1
-            return self._make(coeffs)
-        vec = [0] * (k + 1)
-        vec[k] = 1
-        return self._make(_reduce(vec, self))
 
     def element(self, coeffs):
         """The scalar with these coefficients, each made canonical."""
@@ -220,54 +193,30 @@ class CycloNumber:
 
     # -- ring structure
 
-    def _coerce(self, other):
+    def _foreign(self, other):
+        """The answer to self + other or self * other when other is not a
+        scalar of self's field: a scalar of another field is a fault, and
+        any other operand is not a scalar at all."""
         if isinstance(other, CycloNumber):
-            if other.field is self.field:
-                return other
-            if other.field.conductor == self.field.conductor:
-                return other
             raise ConductorMismatch(
-                "operands live in different cyclotomic fields; embed explicitly",
+                "operands live in different cyclotomic fields",
                 left=self.field.conductor, right=other.field.conductor)
-        if isinstance(other, _COERCIBLE):
-            return self.field.scalar(other)
-        return None
+        return NotImplemented
 
     def __add__(self, other):
         if type(other) is not CycloNumber or other.field is not self.field:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._foreign(other)
         return CycloNumber(self.field,
                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CycloNumber(self.field,
-                           tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
 
     def __neg__(self):
         return CycloNumber(self.field, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if type(other) is not CycloNumber or other.field is not self.field:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+            return self._foreign(other)
         return CycloNumber(self.field,
                            _mul_coeffs(self.coeffs, other.coeffs, self.field))
-
-    __rmul__ = __mul__
 
     def inv(self) -> "CycloNumber":
         """Multiplicative inverse: the product of the other Galois conjugates
@@ -290,51 +239,6 @@ class CycloNumber:
                 prod = _mul_coeffs(prod, _reduce(conj, field), field)
         norm = mpq(_mul_coeffs(self.coeffs, prod, field)[0])
         return CycloNumber(field, tuple(_q(c / norm) for c in prod))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self
-        if k < 0:
-            base = self.inv()
-            k = -k
-        result = self.field.one()
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    # -- embeddings
-
-    def embed(self, target: CycloField) -> "CycloNumber":
-        """Image in Q(zeta_M) for a conductor M that N divides."""
-        n, m = self.field.conductor, target.conductor
-        if m == n:
-            return CycloNumber(target, self.coeffs)
-        if m % n != 0:
-            raise ConductorMismatch(
-                "embedding requires the source conductor to divide the target",
-                source=n, target=m)
-        step = m // n
-        vec = [0] * ((self.field.phi - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                vec[k * step] += c
-        return CycloNumber(target, _reduce(vec, target))
 
     # -- equality and display
 

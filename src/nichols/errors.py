@@ -22,7 +22,9 @@ class WorkbenchError(Exception):
 
 
 class ConductorMismatch(WorkbenchError):
-    """Arithmetic between different cyclotomic fields without an embedding."""
+    """Arithmetic between scalars of different cyclotomic fields, or a
+    literal naming a root of unity whose order does not divide the field's
+    conductor."""
 
     code = "conductor-mismatch"
 

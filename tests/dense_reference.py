@@ -34,7 +34,7 @@ class DenseSpan:
         for lead, pivot, expr in zip(self.leads, self.rows, self.exprs):
             f = row[lead]
             if f:
-                row = [x - f * y for x, y in zip(row, pivot)]
+                row = [x + -(f * y) for x, y in zip(row, pivot)]
                 for p, e in enumerate(expr):
                     combo[p] = combo[p] + f * e
         lead = next((c for c, x in enumerate(row) if x), None)

@@ -41,7 +41,7 @@ SCENARIOS = Path(cli.__file__).parent / "scenarios"
 def over_q(vectors):
     """Sparse rational vectors as the scalar vectors eliminate_block takes
     over Q."""
-    return [{c: Q.scalar(x) for c, x in v.items()} for v in vectors]
+    return [{c: Q.rational(x) for c, x in v.items()} for v in vectors]
 
 
 def exact_sequence(vectors, track=True):
@@ -214,8 +214,8 @@ def test_forced_fallback_over_q_writes_bare_rationals(s):
 @pytest.mark.parametrize("n", [3, 4, 8, 12])
 def test_exact_path_writes_scalars_of_the_blocks_field(n):
     field = CycloField(n)
-    z = field.root_of_unity(1)
-    one, two, third = field.one(), field.scalar(2), field.rational(1, 3)
+    z = field.parse(f"z{n}")
+    one, two, third = field.one(), field.rational(2), field.rational(1, 3)
     # combinations z, 2 (a rational value, still a CycloNumber) and one over
     # two pivots with irrational coefficients
     vectors = [{0: z, 1: one}, {0: z * z, 1: z}, {0: two * z, 1: two},
@@ -229,7 +229,7 @@ def test_exact_path_writes_scalars_of_the_blocks_field(n):
 
 def test_cyclotomic_blocks_take_the_exact_path(caplog):
     field = CycloField(3)
-    z = field.root_of_unity(1)
+    z = field.parse("z3")
     one = field.one()
     vectors = [{0: one, 1: z}, {0: z, 1: z * z}, {1: one}]
     with caplog.at_level(logging.DEBUG, logger="nichols.linalg"):

@@ -9,6 +9,7 @@ an independent route to the products that multiply and normal_form compute
 by right multiplication.
 """
 
+import importlib.util
 import json
 import random
 from pathlib import Path
@@ -26,6 +27,16 @@ from nichols.ydmodule import diagonal_modules, direct_sum
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "src" / "nichols" / "scenarios"
+
+
+def benchmark_reference():
+    """perfbench/reference.py, the benchmark's closed-form answers, loaded
+    by path (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_reference", ROOT / "perfbench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class FullCandidateState(GradedNicholsState):
@@ -149,6 +160,10 @@ def test_action_memo_holds_only_what_built_candidates_read():
     fk5 = GradedNicholsState(scenario_module(
         ROOT / "perfbench" / "scenarios" / "fk5_hilbert.json", "fk5"))
     assert len(fk5.extend_to(6)._action) == 9721
+    # the Hilbert series of the S5 transposition algebra is [4]^4 [5]^2
+    # [6]^4; through degree 6 it reads 1, 10, 55, 220, 711, 1960, 4761
+    closed_form = benchmark_reference().hilbert_product([4] * 4 + [5] * 2 + [6] * 4)
+    assert fk5.dims() == closed_form[:7]
 
 
 def test_extension_after_products_at_a_lower_degree():

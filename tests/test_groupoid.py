@@ -56,9 +56,9 @@ def diagonal_family(q_rows):
     return FamilyM(blocks)
 
 
-def q_oracle_entry(q, i, j):
-    """-a_ij for a diagonal braiding matrix of root-of-unity scalars."""
-    one = 1
+def q_oracle_entry(q, i, j, one):
+    """-a_ij for a diagonal braiding matrix of root-of-unity scalars, with
+    one the unit of their field."""
     qii, pair = q[i][i], q[i][j] * q[j][i]
     power = one
     geom = one
@@ -81,7 +81,7 @@ def q_matrix_of(fam):
 
 def q_oracle_cartan(fam):
     q = q_matrix_of(fam)
-    return [[2 if i == j else q_oracle_entry(q, i, j)
+    return [[2 if i == j else q_oracle_entry(q, i, j, fam.field.one())
              for j in range(fam.theta)] for i in range(fam.theta)]
 
 

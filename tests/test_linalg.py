@@ -90,7 +90,7 @@ def test_rref_idempotent():
 
 def test_rank_proportional_rows():
     f = CycloField(3)
-    z = f.root_of_unity(1)
+    z = f.parse("z3^1")
     one = f.one()
     assert rank(f, [[one, one], [z, z]]) == 1
 
@@ -210,9 +210,9 @@ def test_exact_combinations_are_canonical():
     # the exact path computes the combination as 4 * (1/2); it must come
     # out in cyclotomic's canonical form, an int, not an integral rational
     f = CycloField(3)
-    vectors = [{c: f.scalar(x) for c, x in v.items()}
+    vectors = [{c: f.rational(x) for c, x in v.items()}
                for v in ({0: 2, 1: 2}, {0: 4, 1: 4})]
     first, (kind, combo) = eliminate_block(f, vectors)
     assert first == ("pivot", 0) and kind == "combo"
-    assert combo == {0: f.scalar(2)}
+    assert combo == {0: f.rational(2)}
     assert all(isinstance(x, INTEGRAL) for x in combo[0].coeffs)

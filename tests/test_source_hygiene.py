@@ -25,8 +25,6 @@ OWNERS = {"self", "cls", "inst"}
 # public functions and methods that nothing in src/nichols refers to (names
 # that begin with an underscore, dunders among them, are not public)
 UNREFERENCED_ALLOWED = {
-    # public scalar API: zeta_N^k
-    "root_of_unity",
     # waits on ROADMAP item 1: perfbench/tracer.py spans it by name
     "derivative",
     # cli.run_scenario looks each runner up by name when it runs, so that a
