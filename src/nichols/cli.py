@@ -240,7 +240,7 @@ def run_derive(blocks, case, cap):
                                for x in probe)
         entry = cartan_entry(FamilyM(blocks), row - 1, col - 1, cap=probe_cap)
         if isinstance(entry, UnboundedAtCap):
-            verdict = f"a[{row},{col}] <= -{entry.reached - 1}"
+            verdict = f"a[{row},{col}] <= -{entry.cap - 1}"
             entry_json = entry.to_jsonable()
         else:
             verdict = f"a[{row},{col}] = {entry}"

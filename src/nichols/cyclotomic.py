@@ -9,12 +9,12 @@ reduced mod the N-th cyclotomic polynomial as a coefficient tuple of length
 phi(N) in the same canonical form, so integer arithmetic never pays for
 rational objects.  A CycloNumber meets only CycloNumbers of its own field
 in + and *: one of another field raises ConductorMismatch, and anything
-else (a bare rational too) is a TypeError.  Only == compares it with a
-bare rational.  There is one CycloField object per conductor; a literal
-zM^k names a root of unity of any field whose conductor M divides.  An
-integral mpq left over from rational arithmetic is harmless: it equals and
-hashes like the int.  Every division goes through mpq, so there is no
-floating point anywhere.
+else (a bare rational too) is a TypeError; likewise it equals only
+CycloNumbers of its own field.  There is one CycloField object per
+conductor; a literal zM^k names a root of unity of any field whose
+conductor M divides.  An integral mpq left over from rational arithmetic
+is harmless: it equals and hashes like the int.  Every division goes
+through mpq, so there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ except ImportError:  # pragma: no cover - gmpy2 is an accelerator, not required
     mpq = Fraction
 
 from .errors import ConductorMismatch, ScalarParseError
-
-_COERCIBLE = (int, type(mpq(0)), Fraction)
 
 
 def _q(x):
@@ -243,17 +241,12 @@ class CycloNumber:
     # -- equality and display
 
     def __eq__(self, other):
-        if isinstance(other, _COERCIBLE):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycloNumber):
+        if type(other) is not CycloNumber or other.field is not self.field:
             return NotImplemented
-        return (self.field.conductor == other.field.conductor
-                and self.coeffs == other.coeffs)
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.field.conductor, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"<{self}>"
@@ -272,15 +265,18 @@ class CycloNumber:
                 terms.append(f"-z{n}^{k}")
             else:
                 terms.append(f"{c}*z{n}^{k}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            if t.startswith("-"):
-                out += " - " + t[1:]
-            else:
-                out += " + " + t
-        return out
+        return _signed_sum(terms)
+
+
+def _signed_sum(terms) -> str:
+    """The sum of terms, each a string; a term's leading '-' becomes the
+    ' - ' that joins it, and no terms make '0'."""
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
 
 
 def _add_scaled(acc: dict, vec: dict, c=None) -> None:

@@ -15,8 +15,8 @@ in its symmetrized lift.
 
 from functools import reduce
 
-from .cyclotomic import _add_scaled, _nonzero
-from .errors import DegreeRangeError, ScenarioError
+from .cyclotomic import _add_scaled, _nonzero, _signed_sum
+from .errors import ScenarioError
 
 
 def element_is_zero(x) -> bool:
@@ -143,12 +143,7 @@ def _eval(state, node, cap):
     if op in ("ad", "adinv"):
         idx = _label_index(state, arg)
         n = x[0] + 1
-        if n > cap:
-            # past the cap only an algebra finished by then is known: zero
-            if not state.extend_to(cap).finished:
-                raise DegreeRangeError("product degree beyond the computed "
-                                       "range", degree=n,
-                                       computed=state.max_degree())
+        if n > cap and state.extend_to(cap).past_end(n):
             return (n, {})
         apply_ad = ad_c if op == "ad" else ad_c_inv
         return apply_ad(state.module, idx, x)
@@ -162,7 +157,9 @@ def evaluate_expr(state, text: str, cap: int):
 
     d / dl are right / left derivations by the dual of the named basis vector;
     ad / adinv are the braided adjoints; the atom 1 is the unit.  cap bounds
-    the degrees the expression passes through, unless B(V) ends by then.
+    the degrees state is extended to: an adjoint past it is zero once B(V)
+    has ended, is evaluated where state already holds its degree, and is
+    refused otherwise (GradedNicholsState.past_end).
     """
     if not isinstance(text, str):
         raise ScenarioError("expression must be a string", got=text)
@@ -199,9 +196,4 @@ def format_element(state, x) -> str:
             terms.append("-" + label)
         else:
             terms.append(f"({s})*{label}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    return _signed_sum(terms)

@@ -361,16 +361,24 @@ class GradedNicholsState:
             self.extend_degree()
         return self
 
+    def past_end(self, n: int) -> bool:
+        """Whether degree n lies past the last degree of a finished algebra,
+        where every element is zero; False inside the computed range.  A
+        degree past the computed range of an unfinished algebra is not known
+        and raises DegreeRangeError."""
+        if n < len(self.words):
+            return False
+        if self.finished:
+            return True
+        raise DegreeRangeError("product degree beyond the computed range",
+                               degree=n, computed=self.max_degree())
+
     # -- algebra operations
 
     def normal_form(self, word):
         """Coordinates of a free word over the degree-len(word) pivot basis."""
-        n = len(word)
-        if n > self.max_degree():
-            if self.finished:
-                return {}
-            raise DegreeRangeError("word degree beyond the computed range",
-                                   degree=n, computed=self.max_degree())
+        if self.past_end(len(word)):
+            return {}
         return self._right_multiply(0, {0: self.field.one()}, word)
 
     def multiply(self, a, b):
@@ -378,11 +386,8 @@ class GradedNicholsState:
         da, ca = a
         db, cb = b
         n = da + db
-        if n > self.max_degree():
-            if self.finished:
-                return (n, {})
-            raise DegreeRangeError("product degree beyond the computed range",
-                                   degree=n, computed=self.max_degree())
+        if self.past_end(n):
+            return (n, {})
         out = {}
         for m, bm in cb.items():
             _add_scaled(out, self._right_multiply(da, ca, self.words[db][m]),
@@ -392,11 +397,8 @@ class GradedNicholsState:
     def left_multiply(self, i: int, n: int, coords):
         """v_i times the degree-n element coords, in normal form; {} past
         the last degree of a finished algebra."""
-        if n + 1 > self.max_degree():
-            if self.finished:
-                return {}
-            raise DegreeRangeError("product degree beyond the computed range",
-                                   degree=n + 1, computed=self.max_degree())
+        if self.past_end(n + 1):
+            return {}
         prods = self.products[n + 1]
         out = {}
         for m, c in coords.items():

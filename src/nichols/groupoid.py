@@ -57,17 +57,15 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class UnboundedAtCap:
-    """Cartan entry whose adjoint chain was still nonzero at the degree cap.
-
-    reached is the largest chain degree certified nonzero, so the entry is
-    known to satisfy a <= 1 - reached without being determined.
-    """
+    """Cartan entry whose adjoint chain was still nonzero at the degree cap,
+    so it is known to satisfy a <= 1 - cap without being determined."""
 
     cap: int
-    reached: int
 
     def to_jsonable(self):
-        return {"unbounded_at_cap": self.cap, "chain_reached": self.reached}
+        # the report keeps chain_reached, the chain degree certified
+        # nonzero, which is always the cap
+        return {"unbounded_at_cap": self.cap, "chain_reached": self.cap}
 
 
 class _ChainCache:
@@ -154,7 +152,8 @@ class _Chain:
     block: YDModule        # M_j, whose action the Phi-rows use
     degree: int            # degree of the last step eliminated: the last
                            # nonzero step of an exact chain, max(cap - 1, 1)
-                           # of an open one, whose cap step is not eliminated
+                           # of an open one, whose cap step is only
+                           # certified nonzero
     rows: list             # independent images spanning that step, as
                            # Phi-rows (the pivots among its images): per
                            # basis vector k of M_j, the coords of Phi_k
@@ -218,7 +217,7 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
     Every step below the cap is eliminated to its pivot rows.  The step at
     the cap is not: its images are built in order only up to the first
     nonzero one, which certifies the step nonzero, all that
-    UnboundedAtCap(cap, cap) claims.  An open chain therefore keeps the
+    UnboundedAtCap(cap) claims.  An open chain therefore keeps the
     rows of degree cap - 1 (of degree 1 at cap 1); if every image at the cap
     is zero, the entry is exact.  One DEBUG line per step goes to the
     nichols.groupoid logger.
@@ -241,11 +240,9 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
     # Phi_k(w_l) = delta_kl in degree 0
     rows = [[{0: one} if k == l else {} for k in range(uj.dim)]
             for l in range(uj.dim)]
+    entry = UnboundedAtCap(cap)
     m = 1
-    while True:
-        if m + 1 > cap:
-            chain = _Chain(UnboundedAtCap(cap, m), state, uj, m, rows)
-            break
+    while m < cap:
         # Phi(ad x_v (y)) has its entries in degree m of B(M_i)
         state.extend_to(m)
         images = _step_images(state, uj, shifted, m, rows)
@@ -258,8 +255,8 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
             log.debug("adjoint chain %d on %d, degree %d (cap): %d zero "
                       "images, then %s", i + 1, j + 1, m + 1, zeros,
                       "a nonzero one" if alive else "none left")
-            entry = UnboundedAtCap(cap, cap) if alive else 1 - m
-            chain = _Chain(entry, state, uj, m, rows)
+            if not alive:
+                entry = 1 - m
             break
         images = [image for image in images if any(image)]
         nonzero = len(images)
@@ -273,10 +270,11 @@ def _adjoint_chain(fam: FamilyM, i: int, j: int, cap: int) -> _Chain:
                   "%d nonzero, %d pivots kept", i + 1, j + 1, m + 1, built,
                   nonzero, len(images))
         if not images:
-            chain = _Chain(1 - m, state, uj, m, rows)
+            entry = 1 - m
             break
         rows = images
         m += 1
+    chain = _Chain(entry, state, uj, m, rows)
     cache.chains[key] = chain
     return chain
 
@@ -358,7 +356,7 @@ def l_j_max(fam: FamilyM, i: int, j: int, cap: int = DEFAULT_DEGREE_CAP,
     if not isinstance(chain.entry, int):
         raise ReflectionError(
             "Cartan entry not certified finite within the degree cap",
-            i=i, j=j, cap=cap, chain_reached=chain.entry.reached)
+            i=i, j=j, cap=cap)
     if chain.top is None:
         chain.top = _top_module(chain)
     return chain.top.renamed(name)

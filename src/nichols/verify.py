@@ -259,8 +259,8 @@ def check_s4_mixed_pair_obstruction():
     second = evaluate_expr(state, "(d w5 (d zt2 (ad w2 (ad w1 zt1))))", 3)
     assert format_element(state, second) == "w2", format_element(state, second)
     fam = FamilyM(blocks)
-    assert cartan_entry(fam, 0, 1, cap=3) == UnboundedAtCap(3, 3)
-    assert cartan_entry(fam, 1, 0, cap=3) == UnboundedAtCap(3, 3)
+    assert cartan_entry(fam, 0, 1, cap=3) == UnboundedAtCap(3)
+    assert cartan_entry(fam, 1, 0, cap=3) == UnboundedAtCap(3)
     return "witnesses zt2 and w2; a[1,2] <= -2 and a[2,1] <= -2"
 
 

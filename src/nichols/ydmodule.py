@@ -486,7 +486,7 @@ def diagonal_modules(q_rows, name="v"):
     for row in q:
         for v in row:
             acc, order = v, 1
-            while acc != 1:
+            while acc != field.one():
                 acc = acc * v
                 order += 1
                 if order > bound:

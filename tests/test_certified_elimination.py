@@ -287,7 +287,6 @@ def chain_data(blocks, top_cap, with_top):
     for i, j in ((0, 1), (1, 0)):
         for cap in range(1, top_cap + 1):
             chain = _adjoint_chain(fam, i, j, cap)
-            # UnboundedAtCap compares cap and reached
             out.append((chain.entry, chain.degree, chain.rows))
             if with_top and isinstance(chain.entry, int):
                 top = _top_module(chain)

@@ -64,7 +64,7 @@ def reference_chain(block_i, block_j, cap, state=None):
     m = 1
     while True:
         if m + 1 > cap:
-            return ReferenceChain(UnboundedAtCap(cap, m), state, m, rows)
+            return ReferenceChain(UnboundedAtCap(cap), state, m, rows)
         state.extend_to(m + 1)
         images = [coords for v in range(di) for row in rows
                   if (coords := ad_c(state, v, (m, row))[1])]

@@ -137,12 +137,15 @@ def test_conductor_mismatch_raises():
             for x, y in ((a, bare), (bare, a)):
                 with pytest.raises(TypeError):
                     op(x, y)
-    # == still compares a rational CycloNumber with its bare rational
+    # == holds only within one field: a rational CycloNumber is unequal to
+    # its bare rational, which is its first coefficient
     for value in (2, Fraction(-1, 2)):
         x = f.rational(value)
         assert type(x) is CycloNumber
-        assert x == value and value == x and hash(x) == hash(value)
-    assert a != 1 and f.one() == 1
+        assert x != value and value != x
+        assert f.coefficients(x) == (value, 0)
+    assert a != f.one() and f.one() != 1 and f.one() == f.rational(1)
+    assert len({f.rational(2), CycloField(4).rational(2), 2}) == 3
 
 
 @pytest.mark.parametrize("n", SUPPORTED)
@@ -246,12 +249,12 @@ SCALARS = [0, 3, -2, Fraction(-2, 5), Fraction(6, 3)]
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("s", SCALARS)
 def test_products_and_sums_with_rationals(n, s):
-    # a rational meets a scalar of the field as field.rational(s), which
-    # still equals and hashes like the bare rational
+    # a rational meets a scalar of the field as field.rational(s), whose
+    # coefficients are s and zeros
     f = CycloField(n)
     a = f.element([Fraction(1, 2)] + [-1] * (f.phi - 1))
     lifted = f.rational(s)
-    assert lifted == s and hash(lifted) == hash(s)
+    assert f.coefficients(lifted) == (s,) + (0,) * (f.phi - 1)
     for got in (a * lifted, lifted * a):
         assert same(got, product(a, lifted))
     for got in (a + lifted, lifted + a):

@@ -432,6 +432,22 @@ def test_evaluate_expression_errors():
             evaluate_expr(state, bad, 2)
 
 
+def test_evaluate_expression_past_the_cap():
+    # an adjoint past the cap is zero once the algebra has ended, is
+    # evaluated where the state already holds its degree, and is refused
+    # anywhere else
+    expr = "(ad x1 (ad x2 x3))"
+    finished = fk3_state(12)
+    assert format_element(finished, evaluate_expr(finished, expr, 2)) == \
+        "x1*x2*x3"
+    past_top = "(ad x1 (ad x2 (ad x1 (ad x2 (ad x1 x3)))))"
+    assert evaluate_expr(finished, past_top, 5) == (6, {})
+    partial = fk3_state(1)
+    with pytest.raises(DegreeRangeError) as err:
+        evaluate_expr(partial, expr, 2)
+    assert err.value.details == {"degree": 3, "computed": 2}
+
+
 # -- free-word evaluation against the state reference
 
 OPERATORS = {"d": partial_right, "dl": partial_left, "ad": ad_c,

@@ -367,18 +367,32 @@ def test_normal_form_cyclic_relation():
 def test_normal_form_beyond_top_degree():
     state = GradedNicholsState(fk3_module()).extend_to(12)
     assert state.finished
+    top = state.max_degree()
     assert state.normal_form((0, 1) * 4) == {}
     partial = GradedNicholsState(fk3_module()).extend_to(2)
-    with pytest.raises(DegreeRangeError):
-        partial.normal_form((0, 1, 2))
-    # left_multiply: inside the computed range, past the top of a finished
-    # algebra, and beyond the computed range of an unfinished one
+    # normal_form, multiply, left_multiply and the guard they share: inside
+    # the computed range, past the top of a finished algebra (zero), and
+    # beyond the computed range of an unfinished one (refused)
+    assert not state.past_end(top) and state.past_end(top + 1)
+    assert not partial.past_end(2)
     assert partial.left_multiply(0, 1, {1: Q.one()}) == \
         partial.normal_form((0, 1))
-    assert state.left_multiply(0, state.max_degree(), {0: Q.one()}) == {}
-    with pytest.raises(DegreeRangeError,
-                       match="product degree beyond the computed range"):
-        partial.left_multiply(0, 2, partial.normal_form((1, 2)))
+    assert partial.multiply((1, {0: Q.one()}), (1, {1: Q.one()})) == \
+        (2, partial.normal_form((0, 1)))
+    assert state.left_multiply(0, top, {0: Q.one()}) == {}
+    assert state.multiply((top, {0: Q.one()}), (1, {0: Q.one()})) == \
+        (top + 1, {})
+    for beyond in (lambda: partial.past_end(3),
+                   lambda: partial.normal_form((0, 1, 2)),
+                   lambda: partial.multiply(
+                       (1, {0: Q.one()}), (2, partial.normal_form((1, 2)))),
+                   lambda: partial.left_multiply(
+                       0, 2, partial.normal_form((1, 2)))):
+        with pytest.raises(DegreeRangeError,
+                           match="product degree beyond the computed range"
+                           ) as err:
+            beyond()
+        assert err.value.details == {"degree": 3, "computed": 2}
 
 
 def test_multiply_unital_and_matching_normal_form():

@@ -178,9 +178,8 @@ def test_fk3_pair_row_is_unbounded_at_small_cap():
     fam, _ = fk3_doubled_graph()
     entry = cartan_entry(fam, 0, 1, cap=3)
     assert isinstance(entry, UnboundedAtCap)
+    # the chain is still alive at the cap, degree 3, certifying a_12 <= -2
     assert entry.cap == 3
-    # the chain is still alive at degree 3, certifying a_12 <= -2
-    assert entry.reached == 3
     with pytest.raises(ReflectionError) as err:
         reflect(fam, 0, cap=3)
     assert err.value.code == "reflection-not-certified"
@@ -526,13 +525,13 @@ def test_gcm_refuses_unbounded_entries():
 
 
 def test_unbounded_at_cap_value_semantics():
-    u = UnboundedAtCap(3, 3)
-    assert u == UnboundedAtCap(3, 3)
-    assert u != UnboundedAtCap(4, 3)
-    assert hash(u) == hash(UnboundedAtCap(3, 3))
+    u = UnboundedAtCap(3)
+    assert u == UnboundedAtCap(3)
+    assert u != UnboundedAtCap(4)
+    assert hash(u) == hash(UnboundedAtCap(3))
     assert u != -2
     assert u != (3, 3)
-    assert repr(u) == "UnboundedAtCap(cap=3, reached=3)"
+    assert repr(u) == "UnboundedAtCap(cap=3)"
     assert u.to_jsonable() == {"unbounded_at_cap": 3, "chain_reached": 3}
     with pytest.raises(TypeError):
         json.dumps(u)
@@ -545,7 +544,7 @@ def test_cartan_data_validation():
         CartanData([[2, 1], [1, 2]], cap=4)
     with pytest.raises(RuntimeError):
         CartanData([[2, 0], [-1, 2]], cap=4)
-    cd = CartanData([[2, UnboundedAtCap(3, 3)], [-1, 2]], cap=3)
+    cd = CartanData([[2, UnboundedAtCap(3)], [-1, 2]], cap=3)
     assert not cd.row_exact(0)
     assert cd.row_exact(1)
     assert cd.to_jsonable() == \
@@ -634,8 +633,8 @@ def s4_pair_family(label):
 def test_s4_sign_pair_is_unbounded_at_cap_five():
     fam = s4_pair_family("sgn+sgn")
     cd = cartan_matrix(fam, cap=5)
-    assert cd.entries[0][1] == UnboundedAtCap(5, 5)
-    assert cd.entries[1][0] == UnboundedAtCap(5, 5)
+    assert cd.entries[0][1] == UnboundedAtCap(5)
+    assert cd.entries[1][0] == UnboundedAtCap(5)
 
 
 # -- the D9 pair past cap 3 (the source paper, Theorem theorem:dn)
@@ -652,12 +651,12 @@ def test_d9_pair_chain_is_open_past_cap_three(cap, rows):
     # eliminated.  Cap 4 takes about 0.04 s; cap 5 about 1.5 s, for the
     # degree-4 elimination of 342 * 9 images.
     chain = _adjoint_chain(d9_pair_family(), 0, 1, cap)
-    assert chain.entry == UnboundedAtCap(cap, cap)
+    assert chain.entry == UnboundedAtCap(cap)
     assert (chain.degree, len(chain.rows)) == (cap - 1, rows)
 
 
 @pytest.mark.parametrize("fam,cap,entry,lines", [
-    (d9_pair_family, 3, UnboundedAtCap(3, 3), [
+    (d9_pair_family, 3, UnboundedAtCap(3), [
         "adjoint chain 1 on 2, degree 2: 81 images built, 72 nonzero, 60 "
         "pivots kept",
         "adjoint chain 1 on 2, degree 3 (cap): 8 zero images, then a "

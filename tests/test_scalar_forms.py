@@ -4,8 +4,9 @@ mpq left over from rational arithmetic is the same value as the int.  Over
 Q the scalar is that bare rational, its own one coefficient."""
 
 from fractions import Fraction
+from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nichols.cyclotomic import CycloField, mpq, parse_scalar
@@ -52,7 +53,7 @@ def test_ring_identities_and_exact_coefficients(pair):
     field, a, b = pair
     inverse, coefficients = field.inverse, field.coefficients
     assert (a * b) * inverse(b) == a
-    assert a + (-a) == 0
+    assert a + (-a) == field.zero()
     for x in (a, b, a + b, a * b, a + (-b), inverse(b), a * inverse(b)):
         assert all(exact(c) for c in coefficients(x)), x
     for x in (a, b, inverse(b)):
@@ -89,16 +90,56 @@ def test_parse_scalar_rational_and_field_inv_are_canonical(n, data):
     for x, value in ((field.rational(p, q), Fraction(p, q)),
                      (field.rational(Fraction(p, q)), Fraction(p, q)),
                      (field.rational(p), p)):
-        assert x == value
+        assert field.coefficients(x) == (value,) + (0,) * (field.phi - 1)
         assert all(canonical(c) for c in field.coefficients(x)), x
     b = data.draw(elements(field, nonzero=True))
     inv = field.inverse(b)
-    assert inv * b == 1
+    assert inv * b == field.one()
     assert all(canonical(c) for c in field.coefficients(inv)), inv
     # the exact path inverts b on raws, and must write the same scalar
     (_, (_, combo)) = exact_path(field, [{0: b}, {0: field.one()}])
     assert combo == {0: inv}
     assert all(canonical(c) for c in field.coefficients(combo[0])), combo
+
+
+@st.composite
+def mixed_scalars(draw):
+    """A scalar of Q(zeta_N), N in 1, 3, 4, 12, or a bare int or Fraction;
+    small and often rational, so that equal values of different kinds and
+    fields come up."""
+    value = draw(st.sampled_from([0, 1, 2, Fraction(1, 2)]))
+    kind = draw(st.sampled_from([1, 3, 4, 12, int, Fraction]))
+    if kind is int:
+        return int(value)
+    if kind is Fraction:
+        return Fraction(value)
+    field = CycloField(kind)
+    x = field.rational(value)
+    if field.phi > 1 and draw(st.booleans()):
+        x = x + field.element([0, 1] + [0] * (field.phi - 2))
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(mixed_scalars(), min_size=1, max_size=4))
+@example([CycloField(3).rational(2), CycloField(4).rational(2), 2])
+def test_scalar_equality_is_an_equivalence_with_equal_hashes(xs):
+    # a CycloNumber equals only scalars of its own field, so == never
+    # chains a rational across fields through a bare rational
+    for x, y in product(xs, repeat=2):
+        assert x == x
+        assert (x == y) == (y == x), (x, y)
+        if x == y:
+            assert hash(x) == hash(y), (x, y)
+        for z in xs:
+            if x == y == z:
+                assert x == z, (x, y, z)
+    # so a set keeps one member per class
+    classes = []
+    for x in xs:
+        if not any(x == c for c in classes):
+            classes.append(x)
+    assert len(set(xs)) == len(classes)
 
 
 WHITESPACE = st.sampled_from(["", "", " ", "  ", "\t"])

@@ -1,8 +1,9 @@
 """Source checks by AST scan: no unused imports, raw scalars stay inside
 linalg, the engine's tables stay inside the engine, regular expressions stay
-inside cyclotomic, only cyclotomic indexes a scalar's coefficients, no
-module touches another module's private attributes, and every public
-function is used by the program itself."""
+inside cyclotomic, only cyclotomic indexes a scalar's coefficients, only
+the engine raises DegreeRangeError, no module touches another module's
+private attributes, and every public function is used by the program
+itself."""
 
 import ast
 from pathlib import Path
@@ -110,6 +111,20 @@ def coefficient_subscripts(source):
                   and node.value.attr == "coeffs")
 
 
+def degree_range_raises(source):
+    """Line numbers of every raise of DegreeRangeError, by bare or dotted
+    name, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else \
+                node.exc
+            name = getattr(exc, "id", getattr(exc, "attr", None))
+            if name == "DegreeRangeError":
+                found.append(node.lineno)
+    return sorted(found)
+
+
 def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
@@ -188,8 +203,26 @@ def test_only_cyclotomic_indexes_coefficients(path):
     assert coefficient_subscripts(path.read_text()) == []
 
 
+# the degree-range rule (past the end: zero once the algebra is finished,
+# else a refusal) has one owner, GradedNicholsState.past_end; a module that
+# raises DegreeRangeError itself keeps a second copy of that rule
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "engine.py"], ids=_rel)
+def test_only_the_engine_raises_degree_range_errors(path):
+    assert degree_range_raises(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=_rel)
 def test_private_attributes_stay_with_their_module(path):
+    assert degree_range_raises(
+        "raise DegreeRangeError('beyond', degree=n)\n"
+        "raise errors.DegreeRangeError\n"
+        "raise ScenarioError('other')\n"
+        "err = DegreeRangeError('built, not raised')\n"
+        "try:\n"
+        "    pass\n"
+        "except DegreeRangeError:\n"
+        "    raise\n") == [1, 2]
     assert foreign_private_uses(path.read_text()) == []
 
 
