@@ -4,17 +4,22 @@ Over Q (phi(N) = 1, so N = 1 or 2) a scalar is the bare rational itself:
 a plain int when integral, an mpq (gmpy2's, or fractions.Fraction)
 otherwise.  Divide such scalars through the field (rational), never with
 '/', which makes a float of two ints.  For phi(N) > 1 a scalar is a
-CycloNumber: a polynomial in zeta_N with exact rational coefficients, kept
-reduced mod the N-th cyclotomic polynomial as a coefficient tuple of length
-phi(N) in the same canonical form, so integer arithmetic never pays for
-rational objects.  A CycloNumber meets only CycloNumbers of its own field
-in + and *: one of another field raises ConductorMismatch, and anything
-else (a bare rational too) is a TypeError; likewise it equals only
-CycloNumbers of its own field.  There is one CycloField object per
+CycloNumber: a polynomial in zeta_N, kept reduced mod the N-th cyclotomic
+polynomial, held as integers over one denominator: num, an int tuple of
+length phi(N), and den, a positive int, in lowest terms (zero is over 1).
+So its arithmetic builds no rational objects.  The same (num, den) pair is
+the raw form linalg computes on, through the private pair helpers here.
+The same few products and inverses recur, so the integer product and the
+inverse are memoized, keyed by their field, each in a memo of fixed size.  A
+CycloNumber meets only CycloNumbers of its own field in + and *: one of
+another field raises ConductorMismatch, and anything else (a bare rational
+too) is a TypeError; likewise it equals only CycloNumbers of its own
+field.  There is one CycloField object per
 conductor; a literal zM^k names a root of unity of any field whose
 conductor M divides.  An integral mpq left over from rational arithmetic
 is harmless: it equals and hashes like the int.  Every division goes
-through mpq, so there is no floating point anywhere.
+through mpq or an exact integer division, so there is no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -29,7 +34,11 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is an accelerator, not required
     mpq = Fraction
 
-from .errors import ConductorMismatch, ScalarParseError
+from .errors import ConductorMismatch, ScalarParseError, _require
+
+# the bounds, in entries, of the memos of integer products and of inverses
+_MUL_MEMO_SIZE = 1024
+_INV_MEMO_SIZE = 256
 
 
 def _q(x):
@@ -53,7 +62,7 @@ def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     # num / den for integer polynomials, den monic, remainder known to be zero
     num = list(num)
     dd = len(den) - 1
-    assert den[dd] == 1
+    _require(den[dd] == 1)
     out = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
@@ -61,7 +70,7 @@ def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
             out[i - dd] = c
             for j in range(dd + 1):
                 num[i - dd + j] -= c * den[j]
-    assert all(x == 0 for x in num[:dd]), "non-exact cyclotomic division"
+    _require(all(x == 0 for x in num[:dd]), "non-exact cyclotomic division")
     return out
 
 
@@ -99,40 +108,49 @@ class CycloField:
     def __repr__(self):
         return f"CycloField({self.conductor})"
 
-    def _make(self, coeffs):
-        """The scalar with these coefficients: the bare rational over Q."""
+    def _make(self, num, den=1):
+        """The scalar num/den, for an int tuple num of length phi in lowest
+        terms with a positive int den: the bare rational over Q."""
         if self.phi == 1:
-            return coeffs[0]
-        return CycloNumber(self, tuple(coeffs))
+            return num[0] if den == 1 else mpq(num[0], den)
+        return CycloNumber(self, num, den)
 
     def zero(self):
         if self._zero is None:
-            self._zero = self._make([0] * self.phi)
+            self._zero = self._make((0,) * self.phi)
         return self._zero
 
     def one(self):
         if self._one is None:
-            self._one = self._make([1] + [0] * (self.phi - 1))
+            self._one = self._make((1,) + (0,) * (self.phi - 1))
         return self._one
 
     def rational(self, p, q=1):
-        coeffs = [0] * self.phi
-        coeffs[0] = _q(mpq(p) / mpq(q))
-        return self._make(coeffs)
+        return self.element([mpq(p) / mpq(q)] + [0] * (self.phi - 1))
 
-    def element(self, coeffs):
-        """The scalar with these coefficients, each made canonical."""
-        coeffs = [c if type(c) is int else _q(mpq(c)) for c in coeffs]
+    def element(self, coeffs, den=1):
+        """The scalar sum(coeffs[k] zeta^k) / den, for rational coeffs and
+        a positive int den, in canonical form: element(*coefficients(x))
+        is x."""
         if len(coeffs) != self.phi:
             raise ScalarParseError(
                 f"coefficient vector must have length {self.phi}",
                 got=len(coeffs))
-        return self._make(coeffs)
+        if any(type(c) is not int for c in coeffs):
+            coeffs = [mpq(c) for c in coeffs]
+            common = lcm(*(c.denominator for c in coeffs))
+            coeffs = [int(c.numerator * (common // c.denominator))
+                      for c in coeffs]
+            den *= common
+        return self._make(*_lowest(tuple(coeffs), den))
 
     def coefficients(self, x) -> tuple:
-        """The coefficient tuple of a scalar of this field, which element
-        turns back into the scalar: (x,) over Q."""
-        return (x,) if self.phi == 1 else x.coeffs
+        """The raw form of a scalar of this field, which element(*raw)
+        turns back into the scalar: the pair (num, den) with x = num/den,
+        ((x,), 1) for an integer x over Q."""
+        if self.phi == 1:
+            return (x.numerator,), x.denominator
+        return x.num, x.den
 
     def inverse(self, x):
         """x^-1 for a nonzero scalar of this field."""
@@ -143,8 +161,7 @@ class CycloField:
 
 
 def _reduce(vec, field: CycloField):
-    """Reduce a rational coefficient list mod Phi_N; returns a tuple of length
-    phi."""
+    """Reduce a coefficient list mod Phi_N; returns a tuple of length phi."""
     mod = field.modulus
     phi = field.phi
     if len(vec) < phi:
@@ -161,8 +178,34 @@ def _reduce(vec, field: CycloField):
     return tuple(vec[:phi])
 
 
+# -- the pair helpers: a raw is (num, den), an int tuple over a positive
+# int in lowest terms, and each helper returns one in that form
+
+def _lowest(num, den):
+    """num/den in lowest terms, for a nonzero int den of either sign: zero
+    comes out over 1."""
+    if den == 1:
+        return num, 1
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return num, den
+    return tuple(c // g for c in num), den // g
+
+
+def _add(na, da, nb, db):
+    """na/da + nb/db."""
+    if da == db:
+        num = tuple(x + y for x, y in zip(na, nb))
+        return (num, 1) if da == 1 else _lowest(num, da)
+    return _lowest(tuple(x * db + y * da for x, y in zip(na, nb)), da * db)
+
+
+@lru_cache(maxsize=_MUL_MEMO_SIZE)
 def _mul_coeffs(a, b, field: CycloField):
-    """The product of two coefficient tuples of one field, reduced mod Phi_N."""
+    """The product of two int coefficient tuples of one field, reduced mod
+    Phi_N."""
     prod = [0] * (2 * field.phi - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -172,22 +215,45 @@ def _mul_coeffs(a, b, field: CycloField):
     return _reduce(prod, field)
 
 
+def _mul(na, da, nb, db, field: CycloField):
+    """(na/da) * (nb/db) in field."""
+    num, den = _mul_coeffs(na, nb, field), da * db
+    return (num, 1) if den == 1 else _lowest(num, den)
+
+
+@lru_cache(maxsize=_INV_MEMO_SIZE)
+def _inv(num, den, field: CycloField):
+    """(num/den)^-1 in field, for num nonzero: den times the product of the
+    other Galois conjugates sigma_a(num), a in (Z/N)^* with a != 1, over the
+    norm of num, which is a nonzero integer."""
+    if not any(num):
+        raise ZeroDivisionError("inverse of zero")
+    if not any(num[1:]):
+        return _lowest((den,) + num[1:], num[0])
+    n = field.conductor
+    prod = (1,) + (0,) * (field.phi - 1)
+    for a in range(2, n):
+        if gcd(a, n) == 1:
+            conj = [0] * n
+            for k, c in enumerate(num):
+                conj[a * k % n] += c
+            prod = _mul_coeffs(prod, _reduce(conj, field), field)
+    norm = _mul_coeffs(num, prod, field)[0]
+    return _lowest(tuple(den * c for c in prod), norm)
+
+
 class CycloNumber:
-    """Immutable element of Q(zeta_N) in canonical reduced form."""
+    """Immutable element num/den of Q(zeta_N) in canonical form."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    def __init__(self, field: CycloField, num: tuple, den: int = 1):
         self.field = field
-        self.coeffs = coeffs
-
-    # -- predicates
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        self.num = num
+        self.den = den
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     # -- ring structure
 
@@ -205,63 +271,50 @@ class CycloNumber:
         if type(other) is not CycloNumber or other.field is not self.field:
             return self._foreign(other)
         return CycloNumber(self.field,
-                           tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+                           *_add(self.num, self.den, other.num, other.den))
 
     def __neg__(self):
-        return CycloNumber(self.field, tuple(-a for a in self.coeffs))
+        return CycloNumber(self.field, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         if type(other) is not CycloNumber or other.field is not self.field:
             return self._foreign(other)
-        return CycloNumber(self.field,
-                           _mul_coeffs(self.coeffs, other.coeffs, self.field))
+        return CycloNumber(self.field, *_mul(self.num, self.den, other.num,
+                                             other.den, self.field))
 
     def inv(self) -> "CycloNumber":
-        """Multiplicative inverse: the product of the other Galois conjugates
-        sigma_a(x), a in (Z/N)^* with a != 1, over the norm of x, which is a
-        nonzero rational."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero CycloNumber")
-        field = self.field
-        n = field.conductor
-        if self.is_rational():
-            coeffs = [0] * field.phi
-            coeffs[0] = _q(mpq(1) / self.coeffs[0])
-            return CycloNumber(field, tuple(coeffs))
-        prod = (1,) + (0,) * (field.phi - 1)
-        for a in range(2, n):
-            if gcd(a, n) == 1:
-                conj = [0] * n
-                for k, c in enumerate(self.coeffs):
-                    conj[a * k % n] += c
-                prod = _mul_coeffs(prod, _reduce(conj, field), field)
-        norm = mpq(_mul_coeffs(self.coeffs, prod, field)[0])
-        return CycloNumber(field, tuple(_q(c / norm) for c in prod))
+        """Multiplicative inverse; ZeroDivisionError for zero."""
+        return CycloNumber(self.field, *_inv(self.num, self.den, self.field))
 
     # -- equality and display
 
     def __eq__(self, other):
         if type(other) is not CycloNumber or other.field is not self.field:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # the hash of the tuple of coefficient values num[k]/den
+        if self.den == 1:
+            return hash(self.num)
+        return hash(tuple(mpq(c, self.den) for c in self.num))
 
     def __repr__(self):
         return f"<{self}>"
 
     def __str__(self):
-        n = self.field.conductor
+        n, den = self.field.conductor, self.den
         terms = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.num):
             if not c:
                 continue
+            g = gcd(c, den)
+            c = str(c // g) if g == den else f"{c // g}/{den // g}"
             if k == 0:
-                terms.append(str(c))
-            elif c == 1:
+                terms.append(c)
+            elif c == "1":
                 terms.append(f"z{n}^{k}")
-            elif c == -1:
+            elif c == "-1":
                 terms.append(f"-z{n}^{k}")
             else:
                 terms.append(f"{c}*z{n}^{k}")
@@ -360,7 +413,7 @@ def parse_scalar(field: CycloField, text: str):
         vec[exp] += -coeff if m["signs"].count("-") % 2 else coeff
         pos = m.end()
         if pos == len(text):
-            return field._make([_q(c) for c in _reduce(vec, field)])
+            return field.element(_reduce(vec, field))
 
 
 def field_of(literals) -> CycloField:

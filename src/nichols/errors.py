@@ -1,7 +1,9 @@
 """Structured errors shared across the workbench.
 
 Every refusal the CLI can emit is a WorkbenchError carrying a machine-readable
-code and a details dict; internal bugs stay plain exceptions.
+code and a details dict; internal bugs stay plain exceptions, and a failed
+correctness check is an AssertionError from _require, which python -O
+keeps.
 """
 
 from __future__ import annotations
@@ -69,3 +71,10 @@ class ReflectionError(WorkbenchError):
     """A reflection was requested on a row that is not certified finite."""
 
     code = "reflection-not-certified"
+
+
+def _require(ok, *detail):
+    """What assert ok, detail does, kept under python -O: raise
+    AssertionError(*detail) unless ok."""
+    if not ok:
+        raise AssertionError(*detail)

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import lcm
 
-from .errors import GroupSpecError
+from .errors import GroupSpecError, _require
 
 
 class FiniteGroup:
@@ -202,7 +202,8 @@ def subgroup_generators(group: FiniteGroup, elements):
             have = generated_subgroup(group, gens)
         if have == want:
             break
-    assert have == want, "generator closure mismatch (input not a subgroup?)"
+    _require(have == want,
+             "generator closure mismatch (input not a subgroup?)")
     return gens
 
 

@@ -15,10 +15,10 @@ vector at a time, is the fallback: for any block it cannot certify, and
 for every block when phi(N) > 1.
 
 Inside this module rows hold "raw" scalars, one form for every field: the
-scalar's coefficient tuple of length phi(N), a 1-tuple over Q.  cyclotomic
-owns the conversions (CycloField.coefficients and CycloField.element, which
-makes each coefficient canonical) and the scalar inverse; FieldOps does
-arithmetic on raws, and no other module sees one.
+pair (num, den) of an int tuple of length phi(N) over a positive int in
+lowest terms, ((n,), d) over Q.  cyclotomic owns the conversions
+(CycloField.coefficients and CycloField.element) and the arithmetic on
+pairs; FieldOps calls its pair helpers, and no other module sees a raw.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import logging
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
-from .cyclotomic import CycloField, _mul_coeffs, _q, mpq
+from .cyclotomic import CycloField, _add, _inv, _mul, _q, mpq
 
 log = logging.getLogger(__name__)
 
@@ -40,38 +40,40 @@ RECONSTRUCTION_BOUND = isqrt(MODULUS // 2)
 class FieldOps:
     """Arithmetic on the raws of one field, with row-level helpers."""
 
-    nonzero = any
-
     def __init__(self, field: CycloField):
         self.field = field
-        self.zero = (0,) * field.phi
+        self.zero = ((0,) * field.phi, 1)
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    @staticmethod
+    def nonzero(a):
+        return any(a[0])
 
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+    @staticmethod
+    def add(a, b):
+        return _add(*a, *b)
 
-    def neg(self, a):
-        return tuple(-x for x in a)
+    @staticmethod
+    def neg(a):
+        return tuple(-x for x in a[0]), a[1]
 
     def mul(self, a, b):
-        return _mul_coeffs(a, b, self.field)
+        return _mul(*a, *b, self.field)
 
     def inv(self, a):
-        field = self.field
-        return field.coefficients(field.inverse(field.element(a)))
+        return _inv(*a, self.field)
 
     # -- row helpers (return fresh lists)
 
     def scale_row(self, row, f):
-        mul = self.mul
-        return [mul(f, x) if any(x) else x for x in row]
+        mul, nonzero = self.mul, self.nonzero
+        return [mul(f, x) if nonzero(x) else x for x in row]
 
     def axpy_row(self, dst, src, f):
         """dst - f*src, elementwise."""
-        mul, sub = self.mul, self.sub
-        return [sub(a, mul(f, b)) if any(b) else a for a, b in zip(dst, src)]
+        mul, add, nonzero = self.mul, self.add, self.nonzero
+        g = self.neg(f)
+        return [add(a, mul(g, b)) if nonzero(b) else a
+                for a, b in zip(dst, src)]
 
 
 class IncrementalSpan:
@@ -171,7 +173,8 @@ def eliminate_block(field: CycloField, vectors, track: bool = True,
             row[colpos[c]] = lift(x)
         kind, data = span.insert(row)
         if kind == "combo" and track:
-            data = {o: lower(cf) for o, cf in enumerate(data) if any(cf)}
+            data = {o: lower(*cf) for o, cf in enumerate(data)
+                    if ops.nonzero(cf)}
         results.append((kind, data))
     return results
 

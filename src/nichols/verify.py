@@ -15,6 +15,7 @@ from .cyclotomic import CycloField
 from .derivations import evaluate_expr, format_element
 from .engine import (GradedNicholsState, _candidate_limit, hilbert_series,
                      symmetrizer_ranks)
+from .errors import _require
 from .groupoid import (
     FamilyM,
     UnboundedAtCap,
@@ -204,14 +205,15 @@ def _ranks(name, module, inverse=False):
                    lambda: symmetrizer_ranks(module, 4, inverse=inverse))
 
 
-# -- checks; each returns a detail string or raises AssertionError
+# -- checks; each returns a detail string or raises AssertionError, through
+# _require, so that python -O runs the checks too
 
 
 def check_fk3_dimension():
     series = hilbert_series(fk3_module(), 8)
-    assert series.finished, "series did not terminate by degree 8"
-    assert list(series.coeffs) == [1, 3, 4, 3, 1], list(series.coeffs)
-    assert series.total == 12, series.total
+    _require(series.finished, "series did not terminate by degree 8")
+    _require(list(series.coeffs) == [1, 3, 4, 3, 1], list(series.coeffs))
+    _require(series.total == 12, series.total)
     return "dims 1,3,4,3,1 total 12"
 
 
@@ -221,8 +223,8 @@ def check_s4_dimensions():
                          ("sgn-eps", transposition_module(1)),
                          ("chi-minus", four_cycle_module())):
         series = hilbert_series(module, 14)
-        assert series.finished, f"{name} did not terminate by degree 14"
-        assert series.total == 576, (name, series.total)
+        _require(series.finished, f"{name} did not terminate by degree 14")
+        _require(series.total == 576, (name, series.total))
         totals.append(f"{name}=576")
     return " ".join(totals)
 
@@ -232,11 +234,11 @@ def check_s3_pair_obstruction():
     state = GradedNicholsState(direct_sum(blocks))
     out = evaluate_expr(state, "(d x3 (d y1 (ad x2 (ad x1 y2))))", 3)
     text = format_element(state, out)
-    assert text == "-x2", text
+    _require(text == "-x2", text)
     # a[1,2] = -2 exactly: the chain's last nonzero step is degree 3
     cd = cartan_matrix(FamilyM(blocks), cap=4)
-    assert cd.entries == [[2, -2], [-2, 2]], cd.entries
-    assert not gcm_finite_type(cd).finite, cd.entries
+    _require(cd.entries == [[2, -2], [-2, 2]], cd.entries)
+    _require(not gcm_finite_type(cd).finite, cd.entries)
     return ("witness -x2, adjoint chain alive at degree 3 so a[1,2] <= -2; "
             "at cap 4 the Cartan matrix is [[2, -2], [-2, 2]], not of "
             "finite type")
@@ -247,7 +249,7 @@ def check_d9_pair_obstruction():
     state = GradedNicholsState(w)
     out = evaluate_expr(state, "(d v6 (d w4 (ad v2 (ad v1 w2))))", 3)
     text = format_element(state, out)
-    assert text == "-v5", text
+    _require(text == "-v5", text)
     return "witness -v5"
 
 
@@ -255,12 +257,14 @@ def check_s4_mixed_pair_obstruction():
     blocks = [transposition_module(1, name="zt"), four_cycle_module("w")]
     state = GradedNicholsState(direct_sum(blocks))
     first = evaluate_expr(state, "(d zt1 (d w1 (ad zt2 (ad zt1 w1))))", 3)
-    assert format_element(state, first) == "zt2", format_element(state, first)
+    text = format_element(state, first)
+    _require(text == "zt2", text)
     second = evaluate_expr(state, "(d w5 (d zt2 (ad w2 (ad w1 zt1))))", 3)
-    assert format_element(state, second) == "w2", format_element(state, second)
+    text = format_element(state, second)
+    _require(text == "w2", text)
     fam = FamilyM(blocks)
-    assert cartan_entry(fam, 0, 1, cap=3) == UnboundedAtCap(3)
-    assert cartan_entry(fam, 1, 0, cap=3) == UnboundedAtCap(3)
+    _require(cartan_entry(fam, 0, 1, cap=3) == UnboundedAtCap(3))
+    _require(cartan_entry(fam, 1, 0, cap=3) == UnboundedAtCap(3))
     return "witnesses zt2 and w2; a[1,2] <= -2 and a[2,1] <= -2"
 
 
@@ -275,18 +279,19 @@ def check_multiplication_table():
         for j in range(1, 7):
             k, gamma = ctau.decompose(SIGMA[i], j - 1)
             want_k, eps = TABLE_SIGMA_H[i][j - 1]
-            assert k == want_k - 1 and \
-                gamma == (tau1 if eps == 1 else g.inv(tau1)), ("sigma*h", i, j)
+            _require(k == want_k - 1 and
+                     gamma == (tau1 if eps == 1 else g.inv(tau1)),
+                     ("sigma*h", i, j))
             cells += 1
             k, gamma = csig.decompose(SIGMA[i], j - 1)
             want_k, p = TABLE_SIGMA_G[i][j - 1]
-            assert (k, gamma) == (want_k - 1, t[p]), ("sigma*g", i, j)
+            _require((k, gamma) == (want_k - 1, t[p]), ("sigma*g", i, j))
             cells += 1
             k, gamma = csig.decompose(TAU[i], j - 1)
             want_k, q = TABLE_TAU_G[i][j - 1]
-            assert (k, gamma) == (want_k - 1, t[q]), ("tau*g", i, j)
+            _require((k, gamma) == (want_k - 1, t[q]), ("tau*g", i, j))
             cells += 1
-    assert cells == 108, cells
+    _require(cells == 108, cells)
     return "108/108 coset cells match"
 
 
@@ -296,7 +301,7 @@ def check_symmetrizer_oracle():
         dims = _state4(name, module).dims()
         for n, rank in enumerate(_ranks(name, module), 1):
             engine = dims[n] if n < len(dims) else 0
-            assert engine == rank, (name, n, engine, rank)
+            _require(engine == rank, (name, n, engine, rank))
         lines.append(name)
     return "ranks match engine dims for n <= 4 on " + ", ".join(lines)
 
@@ -308,9 +313,9 @@ def check_duality_and_inverse_braiding():
         pad = max(len(dims), len(dual_dims))
         dims = list(dims) + [0] * (pad - len(dims))
         dual_dims = list(dual_dims) + [0] * (pad - len(dual_dims))
-        assert dims[:5] == dual_dims[:5], (name, dims, dual_dims)
-        assert _ranks(name, module, inverse=True) == _ranks(name, module), \
-            name
+        _require(dims[:5] == dual_dims[:5], (name, dims, dual_dims))
+        _require(_ranks(name, module, inverse=True) == _ranks(name, module),
+                 name)
     return "dual and inverse-braiding dims agree for n <= 4 on all six"
 
 
@@ -318,13 +323,13 @@ def check_reflection_invariance():
     fam = FamilyM(a2_blocks())
     for i in range(2):
         back = reflect(reflect(fam, i, cap=6), i, cap=6)
-        assert back.fingerprints == fam.fingerprints, i
+        _require(back.fingerprints == fam.fingerprints, i)
     graph = explore_groupoid(fam, cap=6, node_limit=32)
-    assert not graph.partial and not graph.has_uncertified_rows()
+    _require(not graph.partial and not graph.has_uncertified_rows())
     totals = []
     for key in graph.nodes:
         series = hilbert_series(graph.nodes[key].family.assembled(), 10)
-        assert series.finished and series.total == 27, (key, series.total)
+        _require(series.finished and series.total == 27, (key, series.total))
         totals.append(series.total)
     return f"reflections square to identity; {len(totals)} nodes all total 27"
 
@@ -335,36 +340,38 @@ def check_finite_type_recognition():
             if (a12 == 0) != (a21 == 0):
                 continue
             verdict = gcm_finite_type([[2, a12], [a21, 2]])
-            assert verdict.finite == (a12 * a21 <= 3), (a12, a21)
+            _require(verdict.finite == (a12 * a21 <= 3), (a12, a21))
     for a in range(0, -5, -1):
         # symmetric pairs are finite exactly at 0 and -1
-        assert gcm_finite_type([[2, a], [a, 2]]).finite == (a in (0, -1)), a
+        _require(gcm_finite_type([[2, a], [a, 2]]).finite == (a in (0, -1)),
+                 a)
     triangle = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
-    assert gcm_finite_type(triangle) == (False, None)
+    _require(gcm_finite_type(triangle) == (False, None))
     return "2x2 sweep matches the product rule; affine triangle rejected"
 
 
 def check_zero_cartan_factorization():
     fam = s3_times_s3_family()
     cd = cartan_matrix(fam, cap=4)
-    assert cd.entries == [[2, 0], [0, 2]], cd.entries
+    _require(cd.entries == [[2, 0], [0, 2]], cd.entries)
     w = fam.assembled()
     br = w.braiding()
     one = w.field.one()
     d0 = fam.blocks[0].dim
     for a in range(d0):
         for b in range(d0, w.dim):
-            assert br.apply(br.apply({(a, b): one})) == {(a, b): one}, (a, b)
+            _require(br.apply(br.apply({(a, b): one})) == {(a, b): one},
+                     (a, b))
     left = hilbert_series(fam.blocks[0], 6)
     right = hilbert_series(fam.blocks[1], 6)
     both = hilbert_series(w, 10)
-    assert left.finished and right.finished and both.finished
+    _require(left.finished and right.finished and both.finished)
     product = [0] * (len(left.coeffs) + len(right.coeffs) - 1)
     for a, ca in enumerate(left.coeffs):
         for b, cb in enumerate(right.coeffs):
             product[a + b] += ca * cb
-    assert list(both.coeffs) == product, (list(both.coeffs), product)
-    assert both.total == 144, both.total
+    _require(list(both.coeffs) == product, (list(both.coeffs), product))
+    _require(both.total == 144, both.total)
     return "entries 0, mixed braiding squares to id, series factors, total 144"
 
 

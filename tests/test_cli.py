@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -539,6 +542,33 @@ def test_verify_paper_matrix_lines(verify_paper_run):
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith("PASS")]
     assert len(lines) == 11
+
+
+def test_verify_paper_fails_under_python_dash_o():
+    # python -O strips assert statements, so a check must not rest on one:
+    # with format_element writing every element wrongly, the three
+    # witness checks fail there too, with the wrong text as their detail
+    program = (
+        "import sys\n"
+        "from nichols import cli, verify\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not optimized')\n"
+        "verify.format_element = lambda state, element: 'wrong'\n"
+        "sys.exit(cli.main(['verify-paper', '--json']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", program], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    failed = {row["check"]: row["detail"] for row in report["results"]
+              if row["status"] == "FAIL"}
+    assert failed == {"s3-pair-obstruction": "wrong",
+                      "d9-pair-obstruction": "wrong",
+                      "s4-mixed-pair-obstruction": "wrong"}
+    assert report["passed"] == 8
 
 
 # name -> (task, scenario, golden report in tests/data, extra arguments),

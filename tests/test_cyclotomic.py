@@ -1,13 +1,17 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from nichols.cyclotomic import (
+    _INV_MEMO_SIZE,
+    _MUL_MEMO_SIZE,
     CycloField,
     CycloNumber,
     _add_scaled,
+    _inv,
     _mul_coeffs,
     _nonzero,
     cyclotomic_modulus,
@@ -100,27 +104,40 @@ def test_nontrivial_inverse():
 def test_canonical_form_idempotent():
     f = CycloField(12)
     a = f.element([1, -2, 3, 0])
-    assert f.element(list(a.coeffs)) == a
-    assert len(a.coeffs) == f.phi
+    assert f.element(list(a.num), a.den) == a
+    assert len(a.num) == f.phi and a.den == 1
+    b = f.element([2, -4, 6, 0], 4)
+    assert (b.num, b.den) == ((1, -2, 3, 0), 2)
+    assert f.element(list(b.num), b.den) == b
+
+
+def canonical_raw(field, raw):
+    """raw is (num, den): phi(N) ints over a positive int, in lowest terms,
+    so that zero is over 1."""
+    num, den = raw
+    return (type(num) is tuple and len(num) == field.phi
+            and all(type(c) is int for c in num + (den,))
+            and den > 0 and gcd(den, *num) == 1)
 
 
 @pytest.mark.parametrize("n", SUPPORTED)
 def test_coefficients_round_trip_through_element(n):
-    # the raw form linalg computes on: a coefficient tuple of length phi(N),
-    # a 1-tuple of the bare rational over Q; element makes an integral
-    # rational left over from arithmetic an int again
+    # the raw form linalg computes on: phi(N) integer coefficients over one
+    # denominator in lowest terms, ((n,), d) for the bare rational n/d over
+    # Q; element makes an integral rational left over from arithmetic an
+    # int again
     rng = random.Random(2000 + n)
     f = CycloField(n)
     for _ in range(10):
         a = random_element(f, rng) * f.rational(1, rng.randint(1, 4))
-        coeffs = f.coefficients(a)
-        assert type(coeffs) is tuple and len(coeffs) == f.phi
-        back = f.element(coeffs)
+        raw = f.coefficients(a)
+        assert canonical_raw(f, raw)
+        back = f.element(*raw)
         assert back == a and hash(back) == hash(a)
-        assert all(type(c) in (BARE[:2] if c.denominator == 1 else BARE[2:])
-                   for c in f.coefficients(back))
+        assert f.coefficients(back) == raw
         if f.phi == 1:
-            assert coeffs == (a,) and type(back) in BARE
+            assert raw == ((a.numerator,), a.denominator)
+            assert type(back) in (BARE[:2] if raw[1] == 1 else BARE[2:])
 
 
 def test_conductor_mismatch_raises():
@@ -143,7 +160,8 @@ def test_conductor_mismatch_raises():
         x = f.rational(value)
         assert type(x) is CycloNumber
         assert x != value and value != x
-        assert f.coefficients(x) == (value, 0)
+        assert f.coefficients(x) == ((Fraction(value).numerator, 0),
+                                     Fraction(value).denominator)
     assert a != f.one() and f.one() != 1 and f.one() == f.rational(1)
     assert len({f.rational(2), CycloField(4).rational(2), 2}) == 3
 
@@ -220,27 +238,69 @@ def test_division_and_pow():
 
 # -- the scalar fast paths: same field object, and conductor one
 
+def values(field, x):
+    """The coefficients of a scalar as Fractions, num[k] / den."""
+    num, den = field.coefficients(x)
+    return [Fraction(c, den) for c in num]
+
+
+def schoolbook_mul(a, b, n):
+    """The product of two coefficient lists of Fractions in Q(zeta_n):
+    every term, then long division by the monic Phi_n; no memo."""
+    modulus = cyclotomic_modulus(n)
+    phi = len(modulus) - 1
+    prod = [Fraction(0)] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(len(prod) - 1, phi - 1, -1):
+        c = prod[i]
+        for j, m in enumerate(modulus):
+            prod[i - phi + j] -= c * m
+    return prod[:phi]
+
+
+def schoolbook_inv(a, n):
+    """The y with a * y = 1 in Q(zeta_n), by Gauss-Jordan elimination over
+    Fractions on the matrix of multiplication by a."""
+    phi = len(cyclotomic_modulus(n)) - 1
+    cols = [schoolbook_mul(a, [Fraction(int(i == k)) for i in range(phi)], n)
+            for k in range(phi)]
+    rows = [[cols[k][i] for k in range(phi)] + [Fraction(int(i == 0))]
+            for i in range(phi)]
+    for c in range(phi):
+        p = next(r for r in range(c, phi) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(phi):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[phi] for row in rows]
+
+
 def same(x, y):
-    """Equal coefficients of equal types, in the same field object (over Q
-    the scalars are bare rationals, with no field object)."""
+    """Equal coefficients in canonical form, in the same field object (over
+    Q the scalars are bare rationals, with no field object)."""
     if not isinstance(x, CycloNumber):
         return type(x) is type(y) and x == y
-    return (x.field is y.field and x.coeffs == y.coeffs
-            and [type(c) for c in x.coeffs] == [type(c) for c in y.coeffs])
+    return (x.field is y.field and (x.num, x.den) == (y.num, y.den)
+            and canonical_raw(x.field, (x.num, x.den)))
 
 
 def product(x, y):
-    """x * y for scalars of one conductor, from the coefficients."""
+    """x * y for scalars of one conductor, by the schoolbook reference."""
     if not isinstance(x, CycloNumber):
         return x * y
-    return CycloNumber(x.field, _mul_coeffs(x.coeffs, y.coeffs, x.field))
+    f = x.field
+    return f.element(schoolbook_mul(values(f, x), values(f, y), f.conductor))
 
 
 def total(x, y):
     if not isinstance(x, CycloNumber):
         return x + y
-    return CycloNumber(x.field,
-                       tuple(a + b for a, b in zip(x.coeffs, y.coeffs)))
+    f = x.field
+    return f.element([a + b for a, b in zip(values(f, x), values(f, y))])
 
 
 SCALARS = [0, 3, -2, Fraction(-2, 5), Fraction(6, 3)]
@@ -254,7 +314,9 @@ def test_products_and_sums_with_rationals(n, s):
     f = CycloField(n)
     a = f.element([Fraction(1, 2)] + [-1] * (f.phi - 1))
     lifted = f.rational(s)
-    assert f.coefficients(lifted) == (s,) + (0,) * (f.phi - 1)
+    s = Fraction(s)
+    assert f.coefficients(lifted) == ((s.numerator,) + (0,) * (f.phi - 1),
+                                      s.denominator)
     for got in (a * lifted, lifted * a):
         assert same(got, product(a, lifted))
     for got in (a + lifted, lifted + a):
@@ -326,18 +388,95 @@ def test_add_scaled_and_nonzero_match_the_generic_path(n, scale):
     assert g is f
     for trial in range(10):
         def number(field):
-            return field._make(f.coefficients(random_element(f, rng, span=2)))
+            return field.element(*f.coefficients(random_element(f, rng,
+                                                                span=2)))
         c = {"none": None, "same": number(f), "twin": number(g),
              "rational": f.rational(rng.choice(SCALARS))}[scale]
         # entries from both fetches, some of them zero or cancelling
         acc = {k: number(rng.choice((f, g))) for k in range(0, 8, 2)}
         vec = {k: number(rng.choice((f, g))) for k in range(0, 8, 3)}
-        acc[6] = f._make((0,) * f.phi)
+        acc[6] = f.element([0] * f.phi)
         want = reference_add_scaled(acc, vec, c)
         got = dict(acc)
         _add_scaled(got, vec, c)
         assert list(got) == list(want)
         assert all(same(got[k], want[k]) for k in want)
-        kept = {k: v for k, v in want.items() if any(f.coefficients(v))}
+        kept = {k: v for k, v in want.items() if any(f.coefficients(v)[0])}
         assert _nonzero(got) == kept
         assert all(_nonzero(got)[k] is got[k] for k in kept)
+
+
+# -- integers over one denominator, against a memo-free reference
+
+REFERENCE_CONDUCTORS = [3, 4, 5, 8, 12]
+
+
+def random_fractions(phi, rng):
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            for _ in range(phi)]
+
+
+@pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
+def test_arithmetic_matches_the_fraction_schoolbook_reference(n):
+    rng = random.Random(3000 + n)
+    f = CycloField(n)
+    for _ in range(40):
+        ca, cb = random_fractions(f.phi, rng), random_fractions(f.phi, rng)
+        a, b = f.element(ca), f.element(cb)
+        assert values(f, a) == ca
+        results = {"+": (a + b, [x + y for x, y in zip(ca, cb)]),
+                   "-": (-a, [-x for x in ca]),
+                   "*": (a * b, schoolbook_mul(ca, cb, n))}
+        if any(ca):
+            results["inv"] = (a.inv(), schoolbook_inv(ca, n))
+            assert a * a.inv() == f.one() == a.inv() * a
+        for op, (got, want) in results.items():
+            assert values(f, got) == want, op
+            assert canonical_raw(f, f.coefficients(got)), op
+
+
+@pytest.mark.parametrize("n", REFERENCE_CONDUCTORS)
+def test_equal_values_from_parse_element_and_arithmetic_agree(n):
+    # one value built four ways: from its coefficients, from a literal,
+    # term by term from zeta_N, and through two inverses
+    rng = random.Random(4000 + n)
+    f = CycloField(n)
+    zeta = f.element([0, 1] + [0] * (f.phi - 2))
+    for _ in range(20):
+        coeffs = random_fractions(f.phi, rng)
+        by_element = f.element(coeffs)
+        by_parse = f.parse(" ".join(
+            f"{'-' if c < 0 else '+'} {abs(c.numerator)}/{c.denominator}"
+            f"*z{n}^{k}" for k, c in enumerate(coeffs)))
+        by_arithmetic, power = f.zero(), f.one()
+        for c in coeffs:
+            by_arithmetic = by_arithmetic + f.rational(c) * power
+            power = power * zeta
+        built = [by_element, by_parse, by_arithmetic]
+        if by_element:
+            built.append(by_element.inv().inv())
+        for x in built:
+            assert x == by_element and hash(x) == hash(by_element)
+            assert str(x) == str(by_element)
+        assert len(set(built)) == 1
+
+
+def test_memos_stay_bounded_and_clearing_them_changes_no_answer():
+    f = CycloField(12)
+    rng = random.Random(5)
+    xs = list({f.element(random_fractions(f.phi, rng))
+               for _ in range(_INV_MEMO_SIZE + 100)} - {f.zero()})
+    assert len(xs) > _INV_MEMO_SIZE
+    pairs = [(rng.choice(xs), rng.choice(xs))
+             for _ in range(_MUL_MEMO_SIZE + 300)]
+    assert len({(a.num, b.num) for a, b in pairs}) > _MUL_MEMO_SIZE
+    products = [a * b for a, b in pairs]
+    inverses = [x.inv() for x in xs]
+    for memo, bound in ((_mul_coeffs, _MUL_MEMO_SIZE), (_inv, _INV_MEMO_SIZE)):
+        info = memo.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound
+        memo.cache_clear()
+    assert [a * b for a, b in pairs] == products
+    assert [x.inv() for x in xs] == inverses
+    for (a, b), got in list(zip(pairs, products))[:20]:
+        assert values(f, got) == schoolbook_mul(values(f, a), values(f, b), 12)

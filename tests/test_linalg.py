@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nichols.cyclotomic import CycloField, mpq
-from nichols.linalg import eliminate_block
+from nichols.linalg import FieldOps, eliminate_block
 from dense_reference import DenseSpan, agree
 
 INTEGRAL = (int, type(mpq(1).numerator))
@@ -215,4 +215,18 @@ def test_exact_combinations_are_canonical():
     first, (kind, combo) = eliminate_block(f, vectors)
     assert first == ("pivot", 0) and kind == "combo"
     assert combo == {0: f.rational(2)}
-    assert all(isinstance(x, INTEGRAL) for x in combo[0].coeffs)
+    assert combo[0].den == 1
+    assert all(isinstance(x, INTEGRAL) for x in combo[0].num)
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_field_ops_nonzero_reads_a_raw_pair(n):
+    # perfbench/tracer.py counts the nonzero entries of each row that
+    # IncrementalSpan.insert takes with span.ops.nonzero; a raw is a
+    # (num, den) pair, which is always truthy itself
+    f = CycloField(n)
+    ops = FieldOps(f)
+    assert not ops.nonzero(ops.zero)
+    assert not ops.nonzero(f.coefficients(f.zero()))
+    for text in ("1", "-1/2", f"z{n}", f"3/4 - z{n}^{f.phi - 1}"):
+        assert ops.nonzero(f.coefficients(f.parse(text))), text

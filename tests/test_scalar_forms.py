@@ -1,10 +1,12 @@
-"""The canonical scalar form: a rational coefficient is a plain int when it is
-integral and an mpq otherwise, every division stays exact, and an integral
-mpq left over from rational arithmetic is the same value as the int.  Over
-Q the scalar is that bare rational, its own one coefficient."""
+"""The canonical scalar form: over Q the scalar is a bare rational, a plain
+int when it is integral and an mpq otherwise, and an integral mpq left over
+from rational arithmetic is the same value as the int.  Over Q(zeta_N),
+phi(N) > 1, it is integer coefficients over one positive denominator in
+lowest terms.  Every division stays exact."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,17 +22,25 @@ INTEGRAL = (int, type(mpq(1).numerator))
 RATIONAL = type(mpq(1, 2))
 
 
-def exact(c):
-    """An exact rational coefficient: never a float."""
-    return isinstance(c, INTEGRAL + (RATIONAL,))
+def exact(field, x):
+    """An exact scalar: never a float.  Over Q a bare rational; else its
+    raw pair is integers over an integer."""
+    if field.phi == 1:
+        return isinstance(x, INTEGRAL + (RATIONAL,))
+    num, den = field.coefficients(x)
+    return all(isinstance(c, INTEGRAL) for c in num + (den,))
 
 
-def canonical(c):
-    """An int when integral, an mpq otherwise."""
-    if not exact(c):
+def canonical(field, x):
+    """Over Q an int when integral, an mpq otherwise; else integers over a
+    positive denominator in lowest terms."""
+    if not exact(field, x):
         return False
-    return isinstance(c, INTEGRAL) if c.denominator == 1 else \
-        isinstance(c, RATIONAL)
+    num, den = field.coefficients(x)
+    if field.phi == 1:
+        return isinstance(x, INTEGRAL) if den == 1 else \
+            isinstance(x, RATIONAL)
+    return den > 0 and gcd(den, *num) == 1
 
 
 @st.composite
@@ -55,9 +65,10 @@ def test_ring_identities_and_exact_coefficients(pair):
     assert (a * b) * inverse(b) == a
     assert a + (-a) == field.zero()
     for x in (a, b, a + b, a * b, a + (-b), inverse(b), a * inverse(b)):
-        assert all(exact(c) for c in coefficients(x)), x
+        assert exact(field, x), x
+        assert field.element(*coefficients(x)) == x
     for x in (a, b, inverse(b)):
-        assert all(canonical(c) for c in coefficients(x)), x
+        assert canonical(field, x), x
 
 
 @settings(max_examples=200, deadline=None)
@@ -67,10 +78,12 @@ def test_fraction_coefficients_equal_and_hash_like_ints(n, data):
     ints = data.draw(st.lists(st.integers(-6, 6), min_size=field.phi,
                               max_size=field.phi))
     built = field.element([Fraction(c) for c in ints])
-    assert all(isinstance(c, INTEGRAL) for c in field.coefficients(built))
-    # an integral Fraction left over from rational arithmetic, kept as is
-    leftover = field._make(tuple(Fraction(c) for c in ints))
+    assert field.coefficients(built)[1] == 1 and canonical(field, built)
+    # halves summed back to integers: over Q an integral Fraction left over
+    # from rational arithmetic, kept as is
     plain = field.element(ints)
+    half = field.rational(1, 2) * plain
+    leftover = half + half
     for x in (built, leftover):
         assert x == plain and hash(x) == hash(plain)
         assert str(x) == str(plain)
@@ -84,22 +97,24 @@ def test_parse_scalar_rational_and_field_inv_are_canonical(n, data):
     a = data.draw(elements(field))
     parsed = field.parse(str(a))
     assert parsed == a
-    assert all(canonical(c) for c in field.coefficients(parsed)), parsed
+    assert canonical(field, parsed), parsed
     p = data.draw(st.integers(-12, 12))
     q = data.draw(st.integers(1, 12))
     for x, value in ((field.rational(p, q), Fraction(p, q)),
                      (field.rational(Fraction(p, q)), Fraction(p, q)),
                      (field.rational(p), p)):
-        assert field.coefficients(x) == (value,) + (0,) * (field.phi - 1)
-        assert all(canonical(c) for c in field.coefficients(x)), x
+        value = Fraction(value)
+        assert field.coefficients(x) == (
+            (value.numerator,) + (0,) * (field.phi - 1), value.denominator)
+        assert canonical(field, x), x
     b = data.draw(elements(field, nonzero=True))
     inv = field.inverse(b)
     assert inv * b == field.one()
-    assert all(canonical(c) for c in field.coefficients(inv)), inv
+    assert canonical(field, inv), inv
     # the exact path inverts b on raws, and must write the same scalar
     (_, (_, combo)) = exact_path(field, [{0: b}, {0: field.one()}])
     assert combo == {0: inv}
-    assert all(canonical(c) for c in field.coefficients(combo[0])), combo
+    assert canonical(field, combo[0]), combo
 
 
 @st.composite
@@ -191,7 +206,7 @@ def test_parse_scalar_matches_field_arithmetic(case):
     field, text, value = case
     parsed = parse_scalar(field, text)
     assert parsed == value, text
-    assert all(canonical(c) for c in field.coefficients(parsed)), parsed
+    assert canonical(field, parsed), parsed
 
 
 @st.composite
@@ -217,7 +232,7 @@ def assert_exact_results(field, results):
     for kind, data in results:
         if kind == "combo":
             for x in data.values():
-                assert all(exact(c) for c in field.coefficients(x)), data
+                assert canonical(field, x), data
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,7 +254,7 @@ def test_integral_results_are_ints():
                      (q1, q1.element([Fraction(6, 3)])), (q1, q1.rational(4, 2)),
                      (q1, q1.inverse(q1.rational(1, 2))),
                      (q12, q12.parse("z12^5").inv())):
-        assert all(isinstance(c, INTEGRAL) for c in field.coefficients(x)), x
+        assert field.coefficients(x)[1] == 1 and canonical(field, x), x
     for r, value in ((5, 5), (MODULUS - 5, -5)):
         lifted = _rational_reconstruction(r)
         assert lifted == value and isinstance(lifted, INTEGRAL)

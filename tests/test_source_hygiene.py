@@ -2,8 +2,8 @@
 linalg, the engine's tables stay inside the engine, regular expressions stay
 inside cyclotomic, only cyclotomic indexes a scalar's coefficients, only
 the engine raises DegreeRangeError, no module touches another module's
-private attributes, and every public function is used by the program
-itself."""
+private attributes, every public function is used by the program itself,
+and no assert statement checks anything that python -O would skip."""
 
 import ast
 from pathlib import Path
@@ -19,6 +19,9 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # linalg's raw-scalar machinery, and names for conversions to and from raws
 LINALG_INTERNALS = {"FieldOps", "IncrementalSpan"}
 RAW_CONVERSIONS = {"lift", "lower"}
+# a CycloNumber's coefficients (num, over den) and the coefficients of a
+# Hilbert series
+COEFFICIENT_ATTRIBUTES = {"coeffs", "num"}
 # GradedNicholsState's tables; other modules use its operations instead
 ENGINE_TABLES = {"products", "derivs", "tails"}
 # the names a module's own objects go by where it sets their attributes
@@ -102,13 +105,20 @@ def regex_imports(source):
 
 
 def coefficient_subscripts(source):
-    """Line numbers of every subscript of a .coeffs attribute, such as
-    x.coeffs[0]: over Q a scalar is a bare rational, which has no
+    """Line numbers of every subscript of a .coeffs or .num attribute, such
+    as x.num[0]: over Q a scalar is a bare rational, which has no
     coefficients to index."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Subscript)
                   and isinstance(node.value, ast.Attribute)
-                  and node.value.attr == "coeffs")
+                  and node.value.attr in COEFFICIENT_ATTRIBUTES)
+
+
+def assert_statements(source):
+    """Line numbers of every assert statement: python -O strips them, so a
+    check made with one would pass unseen."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
 
 
 def degree_range_raises(source):
@@ -212,6 +222,12 @@ def test_only_the_engine_raises_degree_range_errors(path):
     assert degree_range_raises(path.read_text()) == []
 
 
+# a correctness check raises through errors._require, which python -O keeps
+@pytest.mark.parametrize("path", SOURCES, ids=_rel)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=_rel)
 def test_private_attributes_stay_with_their_module(path):
     assert degree_range_raises(
@@ -262,7 +278,14 @@ def test_scans_catch_what_they_look_for():
         "a = x.coeffs[0]\n"
         "b = list(series.coeffs)\n"
         "c = x.coeffs\n"
-        "d = y.coeffs[1:], coeffs[0]\n") == [1, 4]
+        "d = y.coeffs[1:], coeffs[0]\n"
+        "e = x.num[0], x.num, x.den\n") == [1, 4, 5]
+    assert assert_statements(
+        "assert ok\n"
+        "_require(ok, 'detail')\n"
+        "if ok:\n"
+        "    assert ok, 'why'\n"
+        "asserted = True\n") == [1, 4]
     assert foreign_private_uses(
         "class A:\n"
         "    _shared = {}\n"
