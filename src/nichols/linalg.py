@@ -18,7 +18,8 @@ Inside this module rows hold "raw" scalars, one form for every field: the
 pair (num, den) of an int tuple of length phi(N) over a positive int in
 lowest terms, ((n,), d) over Q.  cyclotomic owns the conversions
 (CycloField.coefficients and CycloField.element) and the arithmetic on
-pairs; FieldOps calls its pair helpers, and no other module sees a raw.
+pairs: FieldOps adds and multiplies with its pair helpers and inverts
+through CycloField.inverse, and no other module sees a raw.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import logging
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
-from .cyclotomic import CycloField, _add, _inv, _mul, _q, mpq
+from .cyclotomic import CycloField, _add, _mul, _q, mpq
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +61,9 @@ class FieldOps:
         return _mul(*a, *b, self.field)
 
     def inv(self, a):
-        return _inv(*a, self.field)
+        # through CycloNumber.inv, whose calls perfbench counts per conductor
+        field = self.field
+        return field.coefficients(field.inverse(field.element(*a)))
 
     # -- row helpers (return fresh lists)
 

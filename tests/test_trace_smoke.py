@@ -57,6 +57,14 @@ def test_traced_diag_roots(tmp_path):
     # the groupoid and its reflections ask for 447 fingerprints; a module
     # computes its own once and caches it
     assert trace["layers"]["ydmodule.fingerprint"]["calls"] == 447
+    # the tracer counts CycloNumber.__mul__ and inv per conductor; every
+    # inverse here is a pivot that IncrementalSpan inverts, through
+    # CycloNumber.inv, and the memos sit below both counted methods
+    assert {k: v for k, v in trace["counts"].items()
+            if k.startswith("cyclotomic.")} == {
+        "cyclotomic.mul_calls.n3": 2397, "cyclotomic.mul_calls.n8": 2274,
+        "cyclotomic.mul_calls.n12": 2994, "cyclotomic.inv_calls.n3": 144,
+        "cyclotomic.inv_calls.n8": 108, "cyclotomic.inv_calls.n12": 60}
 
 
 def test_traced_dn_derive(tmp_path):
